@@ -1,9 +1,9 @@
 """Concentration of the KL loss of add-constant estimators.
 
 Estimators and divergences for discrete distributions, exact seeded
-samplers (multinomial, binomial, Poisson, Poissonized counts, and a
-binomial/Poisson coupling), closed-form deviation and variance bounds,
-and a Monte Carlo harness that verifies the distributional claims.
+samplers (multinomial, Poissonized counts, and a binomial/Poisson
+coupling), closed-form deviation and variance bounds, and a Monte Carlo
+harness that verifies the distributional claims.
 """
 
 from .bounds import (
@@ -58,14 +58,9 @@ from .losses import (
     lr_distance,
 )
 from .sampling import (
-    CoupledPair,
-    RngState,
-    binomial,
-    coupled_pair,
     coupled_pairs,
     derive_trial_rng,
     multinomial_counts,
-    poisson,
     poissonized_counts,
 )
 

@@ -66,6 +66,22 @@ def _write_table(path: str | None, header: list[str], rows: list[list], sep: str
             fh.write(text)
 
 
+def _count(text: str) -> int:
+    """argparse type for trial and thread counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for master seeds: an integer in [0, 2^64)."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {value}")
+    return value
+
+
 def _sep(fmt: str) -> str:
     return "\t" if fmt == "tsv" else ","
 
@@ -92,7 +108,7 @@ def _cmd_simulate(args) -> int:
     cfg = ExperimentConfig(
         dist=dist, n=args.n, reps=args.reps, master_seed=args.seed, t=args.t, delta=args.delta
     )
-    summary = run_kl_trials(cfg, threads=args.threads)
+    summary = run_kl_trials(cfg)
     exceed_frac = None if summary.exceed_count is None else summary.exceed_count / summary.reps
     header = ["k", "n", "reps", "t", "mean_kl", "var_kl", "std_kl", "q50", "q90", "q99",
               "exceed_frac", "t_delta"]
@@ -140,8 +156,7 @@ def _parse_ks(text: str) -> list[int]:
 
 def _cmd_figure1(args) -> int:
     ks = _parse_ks(args.ks)
-    rows = sweep_std_vs_heuristic(ks, n=args.n, reps=args.reps, master_seed=args.seed,
-                                  threads=args.threads)
+    rows = sweep_std_vs_heuristic(ks, n=args.n, reps=args.reps, master_seed=args.seed)
     header = ["k", "sample_std", "heuristic_std", "ratio"]
     table = [[r.k, r.sample_std, r.heuristic_std, r.ratio] for r in rows]
     _write_table(args.out, header, table, _sep(args.format))
@@ -213,7 +228,7 @@ def _suite_variance(args) -> list[tuple[bool, str]]:
     reps = args.reps or 100_000
     lines = []
     for k, n in configs:
-        r = verify_variance_lb(k, n, reps, args.seed, threads=args.threads)
+        r = verify_variance_lb(k, n, reps, args.seed)
         lines.append(
             _line(
                 r.passed,
@@ -234,7 +249,7 @@ def _suite_thm(args) -> list[tuple[bool, str]]:
     reps = args.reps or 10_000
     lines = []
     for k, n, delta in configs:
-        r = verify_kl_tail_bound(k, n, reps, delta, args.seed, threads=args.threads)
+        r = verify_kl_tail_bound(k, n, reps, delta, args.seed)
         lines.append(
             _line(
                 r.passed,
@@ -314,7 +329,7 @@ def _suite_expectation(args) -> list[tuple[bool, str]]:
     reps = args.reps or 100_000
     lines = []
     for dist in dists:
-        r = expected_kl_check(dist, n, reps, args.seed, threads=args.threads)
+        r = expected_kl_check(dist, n, reps, args.seed)
         lines.append(
             _line(
                 r.passed,
@@ -358,6 +373,9 @@ def _cmd_check(args) -> int:
     return 0 if all_ok else 1
 
 
+_THREADS_HELP = "accepted and ignored: trials run on one thread, and results do not depend on it"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="klconc",
@@ -369,15 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dist", required=True, help="uniform | zipf | twopoint | file:PATH")
     sim.add_argument("--k", type=int, help="alphabet size (uniform/zipf/twopoint)")
     sim.add_argument("--n", type=int, required=True, help="samples per trial")
-    sim.add_argument("--reps", type=int, required=True, help="number of trials")
-    sim.add_argument("--seed", type=int, required=True, help="64-bit master seed")
+    sim.add_argument("--reps", type=_count, required=True, help="number of trials")
+    sim.add_argument("--seed", type=_seed, required=True, help="64-bit master seed")
     sim.add_argument("--t", type=float, default=1.0, help="add-constant parameter (default 1)")
     sim.add_argument("--delta", type=float, help="failure probability for exceedance columns")
     sim.add_argument("--zipf-s", type=float, default=1.0, help="zipf exponent (default 1)")
     sim.add_argument("--mass", type=float, default=0.99, help="twopoint head mass (default 0.99)")
     sim.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     sim.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    sim.add_argument("--threads", type=int, help="worker threads (default: KLCONC_THREADS or all cores)")
+    sim.add_argument("--threads", type=_count, help=_THREADS_HELP)
     sim.set_defaults(func=_cmd_simulate)
 
     bnd = sub.add_parser("bounds", help="evaluate the closed-form bounds for (k, n, delta)")
@@ -391,25 +409,25 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure1", help="sample std vs sqrt(k/2)/n sweep over alphabet sizes")
     fig.add_argument("--ks", default="2,4,8,16,32,64", help="comma-separated alphabet sizes")
     fig.add_argument("--n", type=int, default=10240)
-    fig.add_argument("--reps", type=int, default=1000)
-    fig.add_argument("--seed", type=int, default=0)
+    fig.add_argument("--reps", type=_count, default=1000)
+    fig.add_argument("--seed", type=_seed, default=0)
     fig.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     fig.add_argument("--svg", help="also render a log-log SVG plot to this path")
     fig.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    fig.add_argument("--threads", type=int)
+    fig.add_argument("--threads", type=_count, help=_THREADS_HELP)
     fig.set_defaults(func=_cmd_figure1)
 
     chk = sub.add_parser("check", help="run claim-verification suites")
     chk.add_argument("--suite", default="all",
                      help="all | variance | thm | poisson-tail | coupling | marginals | expectation | facts")
-    chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--reps", type=int, help="override repetitions for the suite")
+    chk.add_argument("--seed", type=_seed, default=0)
+    chk.add_argument("--reps", type=_count, help="override repetitions for the suite")
     chk.add_argument("--k", type=int, help="override alphabet size (variance/thm)")
     chk.add_argument("--n", type=int, help="override sample size (variance/thm/coupling/expectation)")
     chk.add_argument("--delta", type=float, help="override failure probability (thm/poisson-tail)")
     chk.add_argument("--lam", type=float, help="override the Poisson rate (poisson-tail)")
     chk.add_argument("--prob", type=float, help="override the coupling probability")
-    chk.add_argument("--threads", type=int)
+    chk.add_argument("--threads", type=_count, help=_THREADS_HELP)
     chk.set_defaults(func=_cmd_check)
 
     plt = sub.add_parser("plot", help="render CSV columns to a standalone SVG")

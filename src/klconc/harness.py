@@ -3,16 +3,14 @@
 Every report here is a pure function of its arguments: trial i always uses
 the stream derived from (master_seed, i), aggregation walks fixed-size
 blocks in index order, and auxiliary randomness (bootstraps, per-row
-sub-seeds) lives on reserved stream domains. Thread count therefore never
-changes a result, only the wall time.
+sub-seeds) lives on reserved stream domains. Trials run one after another
+on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,7 +47,6 @@ __all__ = [
     "MarginalGofReport",
     "ExpectedKlReport",
     "FactCheck",
-    "resolve_threads",
     "exceedance_allowance",
     "run_kl_trials",
     "sweep_std_vs_heuristic",
@@ -72,19 +69,6 @@ _BLOCK = 2048
 # Reserved stream domains for auxiliary randomness (see sampling._aux_rng).
 _DOMAIN_BOOTSTRAP = 1
 _DOMAIN_SWEEP_ROW = 2
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Requested thread count, falling back to KLCONC_THREADS then all cores."""
-    if threads is None:
-        env = os.environ.get("KLCONC_THREADS")
-        if env:
-            threads = int(env)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
-    return threads
 
 
 @dataclass(frozen=True)
@@ -183,11 +167,10 @@ class TrialSummary:
 
 
 class RunningMoments:
-    """Streaming mean/variance accumulator with an exact parallel merge.
+    """Streaming mean/variance accumulator with an exact merge.
 
     Block statistics are combined with Chan's update, so aggregating block
-    summaries in a fixed order is numerically stable and independent of
-    which thread produced each block.
+    summaries in a fixed order is numerically stable.
     """
 
     __slots__ = ("count", "mean", "_m2")
@@ -232,31 +215,17 @@ class RunningMoments:
         return self._m2 / (self.count - 1)
 
 
-def _kl_loss_samples(
-    pmf: Pmf, n: int, t: float, master_seed: int, reps: int, threads: int | None
-) -> np.ndarray:
+def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int) -> np.ndarray:
     """Per-trial KL(p || add-t estimate) losses, trial i on stream (master_seed, i)."""
     if reps > MAX_STORED_TRIALS:
         raise ValueError(f"repetition count capped at {MAX_STORED_TRIALS} (got {reps})")
     losses = np.empty(reps, dtype=np.float64)
-
-    def fill(block: tuple[int, int]) -> None:
-        lo, hi = block
-        for i in range(lo, hi):
-            rng = derive_trial_rng(master_seed, i)
-            counts = multinomial_counts(rng, pmf, n)
-            losses[i] = kl_divergence(pmf, add_t_estimate(counts, t))
-
-    blocks = [(lo, min(lo + _BLOCK, reps)) for lo in range(0, reps, _BLOCK)]
-    nthreads = resolve_threads(threads)
-    if nthreads == 1 or len(blocks) == 1:
-        for block in blocks:
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(fill, blocks))
-    if t > 0:
-        assert np.all(np.isfinite(losses)), "add-t losses with t > 0 must be finite"
+    for i in range(reps):
+        rng = derive_trial_rng(master_seed, i)
+        counts = multinomial_counts(rng, pmf, n)
+        losses[i] = kl_divergence(pmf, add_t_estimate(counts, t))
+    if t > 0 and not np.all(np.isfinite(losses)):
+        raise RuntimeError("add-t losses with t > 0 must be finite")
     return losses
 
 
@@ -278,13 +247,13 @@ def _exact_quantiles(losses: np.ndarray, levels=QUANTILE_LEVELS) -> dict[float, 
     return out
 
 
-def run_kl_trials(cfg: ExperimentConfig, threads: int | None = None) -> TrialSummary:
+def run_kl_trials(cfg: ExperimentConfig) -> TrialSummary:
     """Draw Mult(n, p) counts per trial, smooth with add-t, and aggregate the
-    KL losses. Deterministic given cfg, whatever the thread count."""
+    KL losses. Deterministic given cfg."""
     start = time.perf_counter()
     pmf = cfg.dist.make()
     k = len(pmf)
-    losses = _kl_loss_samples(pmf, cfg.n, cfg.t, cfg.master_seed, cfg.reps, threads)
+    losses = _kl_loss_samples(pmf, cfg.n, cfg.t, cfg.master_seed, cfg.reps)
 
     if np.isinf(losses).any():
         # Only reachable with t = 0 (unsmoothed estimate misses support).
@@ -329,7 +298,6 @@ def sweep_std_vs_heuristic(
     n: int = 10240,
     reps: int = 1000,
     master_seed: int = 0,
-    threads: int | None = None,
 ) -> list[StdSweepRow]:
     """Sample std of the add-one KL loss on uniform(k) vs sqrt(k/2)/n, one row
     per k. Each row runs on its own derived sub-seed so rows are independent.
@@ -342,7 +310,7 @@ def sweep_std_vs_heuristic(
     for k in ks:
         sub_seed = _derive_subseed(master_seed, _DOMAIN_SWEEP_ROW, k)
         cfg = ExperimentConfig(dist=DistSpec.uniform(k), n=n, reps=reps, master_seed=sub_seed)
-        summary = run_kl_trials(cfg, threads=threads)
+        summary = run_kl_trials(cfg)
         heuristic = heuristic_kl_std(k, n)
         ratio = summary.std_kl / heuristic if summary.std_kl > 0 else None
         rows.append(StdSweepRow(k=k, sample_std=summary.std_kl, heuristic_std=heuristic, ratio=ratio))
@@ -380,13 +348,11 @@ def _bootstrap_variance_interval(
     return float(lo), float(hi)
 
 
-def verify_variance_lb(
-    k: int, n: int, reps: int, seed: int, threads: int | None = None
-) -> VarianceLbReport:
+def verify_variance_lb(k: int, n: int, reps: int, seed: int) -> VarianceLbReport:
     """Empirical Var(KL) for the add-one estimator on uniform(k) against the
     closed-form floor k/(32 n^2); requires n >= 10k."""
     lb = variance_lower_bound(k, n)  # validates n >= 10k
-    losses = _kl_loss_samples(uniform_pmf(k), n, 1.0, seed, reps, threads)
+    losses = _kl_loss_samples(uniform_pmf(k), n, 1.0, seed, reps)
     empirical = _moments_blockwise(losses).variance
     ci_low, ci_high = _bootstrap_variance_interval(losses, seed)
     return VarianceLbReport(
@@ -420,13 +386,11 @@ def exceedance_allowance(delta: float, reps: int) -> float:
     return delta + 3.0 * math.sqrt(delta * (1.0 - delta) / reps)
 
 
-def verify_kl_tail_bound(
-    k: int, n: int, reps: int, delta: float, seed: int, threads: int | None = None
-) -> TailBoundReport:
+def verify_kl_tail_bound(k: int, n: int, reps: int, delta: float, seed: int) -> TailBoundReport:
     """Fraction of trials whose KL loss exceeds mean + deviation bound; must
     stay within delta (plus sampling slack)."""
     t_delta = kl_deviation_bound(BoundInputs(k=k, n=n, delta=delta))
-    losses = _kl_loss_samples(uniform_pmf(k), n, 1.0, seed, reps, threads)
+    losses = _kl_loss_samples(uniform_pmf(k), n, 1.0, seed, reps)
     mean = _moments_blockwise(losses).mean
     exceed_frac = float(np.mean(losses > mean + t_delta))
     allowed = exceedance_allowance(delta, reps)
@@ -611,14 +575,12 @@ class ExpectedKlReport:
     passed: bool
 
 
-def expected_kl_check(
-    dist: DistSpec, n: int, reps: int, seed: int, threads: int | None = None
-) -> ExpectedKlReport:
+def expected_kl_check(dist: DistSpec, n: int, reps: int, seed: int) -> ExpectedKlReport:
     """Mean add-one KL loss against the worst-case expectation (k-1)/n, with
     one-sided CI slack of three standard errors."""
     pmf = dist.make()
     k = len(pmf)
-    losses = _kl_loss_samples(pmf, n, 1.0, seed, reps, threads)
+    losses = _kl_loss_samples(pmf, n, 1.0, seed, reps)
     moments = _moments_blockwise(losses)
     ceiling = (k - 1) / n
     slack = 3.0 * math.sqrt(moments.variance / reps)

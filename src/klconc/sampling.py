@@ -1,19 +1,14 @@
-"""Seeded, exact random generation: multinomial, binomial, Poisson, Poissonized
-counts, and a joint binomial/Poisson construction with both marginals exact.
+"""Seeded, exact random generation: multinomial, Poissonized counts, and a
+joint binomial/Poisson construction with both marginals exact.
 
 Streams are derived counter-style from a 64-bit master seed and a stream
-index, so any experiment is a pure function of (master_seed, indices) and
-independent of thread scheduling. The generators behind ``binomial`` and
-``poisson`` are exact-rejection samplers (no normal or translated
-approximations), which the test suite certifies by goodness-of-fit and
-Kolmogorov-distance checks.
+index, so any experiment is a pure function of (master_seed, indices).
+numpy's binomial and Poisson generators are exact-rejection samplers (no
+normal or translated approximations), which the test suite certifies by
+goodness-of-fit and Kolmogorov-distance checks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-import math
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
@@ -21,24 +16,20 @@ from numpy.random import Generator, PCG64, SeedSequence
 from .distributions import Counts, Pmf
 
 __all__ = [
-    "RngState",
-    "CoupledPair",
     "derive_trial_rng",
-    "binomial",
-    "poisson",
     "multinomial_counts",
     "poissonized_counts",
-    "coupled_pair",
     "coupled_pairs",
 ]
 
-# Deterministic pseudo-random generator state; single-owner, not shared.
-RngState = Generator
 
-_MASK64 = (1 << 64) - 1
+def _seed_sequence(master_seed: int, spawn_key: tuple[int, ...]) -> SeedSequence:
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master seed must lie in [0, 2^64), got {master_seed}")
+    return SeedSequence(master_seed, spawn_key=spawn_key)
 
 
-def derive_trial_rng(master_seed: int, trial_index: int) -> RngState:
+def derive_trial_rng(master_seed: int, trial_index: int) -> Generator:
     """Statistically independent stream for one trial.
 
     Derivation hashes (master_seed, trial_index) directly (spawn keys),
@@ -47,48 +38,29 @@ def derive_trial_rng(master_seed: int, trial_index: int) -> RngState:
     """
     if trial_index < 0:
         raise ValueError(f"trial index must be >= 0, got {trial_index}")
-    ss = SeedSequence(master_seed & _MASK64, spawn_key=(trial_index,))
-    return Generator(PCG64(ss))
+    return Generator(PCG64(_seed_sequence(master_seed, (trial_index,))))
 
 
-def _aux_rng(master_seed: int, domain: int, index: int = 0) -> RngState:
+def _aux_rng(master_seed: int, domain: int, index: int = 0) -> Generator:
     """Auxiliary stream (bootstraps, sub-seed derivation), disjoint from all
     trial streams: two-element spawn keys never collide with the one-element
     keys used by :func:`derive_trial_rng`."""
-    ss = SeedSequence(master_seed & _MASK64, spawn_key=(domain, index))
-    return Generator(PCG64(ss))
+    return Generator(PCG64(_seed_sequence(master_seed, (domain, index))))
 
 
 def _derive_subseed(master_seed: int, domain: int, index: int = 0) -> int:
     """64-bit sub-seed usable as a fresh master seed, e.g. one per sweep row."""
-    ss = SeedSequence(master_seed & _MASK64, spawn_key=(domain, index))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(master_seed, (domain, index)).generate_state(1, np.uint64)[0])
 
 
-def binomial(rng: RngState, m: int, prob: float) -> int:
-    """One exact Bin(m, prob) draw."""
-    if m < 0:
-        raise ValueError(f"number of trials must be >= 0, got {m}")
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {prob}")
-    return int(rng.binomial(m, prob))
-
-
-def poisson(rng: RngState, lam: float) -> int:
-    """One exact Poi(lam) draw; lam may be as large as 1e9."""
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"rate must be a finite nonnegative real, got {lam}")
-    return int(rng.poisson(lam))
-
-
-def multinomial_counts(rng: RngState, p: Pmf, n: int) -> Counts:
+def multinomial_counts(rng: Generator, p: Pmf, n: int) -> Counts:
     """Counts of n independent draws from p: Mult(n, p)."""
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     return Counts(rng.multinomial(n, p.probs), total=n)
 
 
-def poissonized_counts(rng: RngState, p: Pmf, n: int) -> Counts:
+def poissonized_counts(rng: Generator, p: Pmf, n: int) -> Counts:
     """Counts under Poissonized sampling with nominal size n.
 
     Drawn as independent Poi(n * p_i) per symbol, which is distributed
@@ -101,9 +73,11 @@ def poissonized_counts(rng: RngState, p: Pmf, n: int) -> Counts:
     return Counts(c)
 
 
-@dataclass(frozen=True)
-class CoupledPair:
-    """One draw from the joint binomial/Poisson construction.
+def coupled_pairs(
+    rng: Generator, n: int, prob: float, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``size`` draws from the joint binomial/Poisson construction; returns
+    arrays (m, m_prime, n_latent, x, y).
 
     ``m`` has the Bin(n, prob) marginal and ``m_prime`` the Poi(n * prob)
     marginal; ``n_latent`` is the shared latent Poi(n) total and (x, y) the
@@ -112,18 +86,6 @@ class CoupledPair:
     (m, m_prime) = (x, x + y), otherwise (x + y, x); hence
     |m - m_prime| = y always.
     """
-
-    m: int
-    m_prime: int
-    n_latent: int
-    x: int
-    y: int
-
-
-def coupled_pairs(
-    rng: RngState, n: int, prob: float, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized draws from the coupling; returns (m, m_prime, n_latent, x, y)."""
     if n < 1:
         raise ValueError(f"nominal sample size must be >= 1, got {n}")
     if not 0.0 < prob <= 1.0:
@@ -137,11 +99,3 @@ def coupled_pairs(
     m = np.where(over, x, x + y)
     m_prime = np.where(over, x + y, x)
     return m, m_prime, n_latent, x, y
-
-
-def coupled_pair(rng: RngState, n: int, prob: float) -> CoupledPair:
-    """One draw from the coupling."""
-    m, m_prime, n_latent, x, y = coupled_pairs(rng, n, prob, size=1)
-    return CoupledPair(
-        m=int(m[0]), m_prime=int(m_prime[0]), n_latent=int(n_latent[0]), x=int(x[0]), y=int(y[0])
-    )

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from klconc import harness
 from klconc.cli import main
 
 
@@ -159,6 +160,16 @@ class TestCheck:
         assert run("check", "--suite", "poisson-tail", "--lam", "5", "--delta", "0.3",
                    "--reps", "20000", "--seed", "7") == 0
 
+    def test_variance_suite_fails_against_inflated_floor(self, monkeypatch, capsys):
+        # negative control: a floor 100x the true one must turn the verdict to FAIL
+        floor = harness.variance_lower_bound
+        monkeypatch.setattr(harness, "variance_lower_bound", lambda k, n: 100 * floor(k, n))
+        assert run("check", "--suite", "variance", "--k", "10", "--n", "100",
+                   "--reps", "2000", "--seed", "7") == 1
+        out = capsys.readouterr().out
+        assert "FAIL  variance" in out
+        assert "== verdict: FAIL" in out
+
 
 class TestPlot:
     def _figure_csv(self, tmp_path):
@@ -193,6 +204,29 @@ class TestPlot:
 
 def test_no_subcommand_is_usage_error():
     assert run() == 2
+
+
+_SUBCOMMANDS = {
+    "simulate": ["simulate", "--dist", "uniform", "--k", "2", "--n", "10", "--reps", "5",
+                 "--seed", "1", "--out", "-"],
+    "figure1": ["figure1", "--ks", "2", "--n", "10", "--reps", "5", "--seed", "1", "--out", "-"],
+    "check": ["check", "--suite", "variance", "--k", "2", "--n", "20", "--reps", "5", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+@pytest.mark.parametrize("flag,value", [
+    ("--reps", "0"), ("--reps", "-3"), ("--threads", "0"), ("--seed", "-1"), ("--seed", str(2**64)),
+])
+def test_out_of_range_count_or_seed_is_usage_error(command, flag, value, capsys):
+    argv = _SUBCOMMANDS[command] + [flag, value]
+    assert run(*argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_threads_flag_is_accepted(command):
+    assert run(*_SUBCOMMANDS[command], "--threads", "3") == 0
 
 
 def test_csv_floats_roundtrip(tmp_path):

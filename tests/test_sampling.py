@@ -7,12 +7,11 @@ from scipy import stats
 from klconc.distributions import Pmf, uniform_pmf
 from klconc.harness import chi_square_gof
 from klconc.sampling import (
-    binomial,
-    coupled_pair,
+    _aux_rng,
+    _derive_subseed,
     coupled_pairs,
     derive_trial_rng,
     multinomial_counts,
-    poisson,
     poissonized_counts,
 )
 
@@ -41,30 +40,26 @@ class TestStreamDerivation:
         with pytest.raises(ValueError):
             derive_trial_rng(42, -1)
 
+    def test_seed_outside_64_bits_rejected(self):
+        # masking to 64 bits would give -1 the stream of 2^64 - 1
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError):
+                derive_trial_rng(seed, 0)
+            with pytest.raises(ValueError):
+                _aux_rng(seed, 1)
+            with pytest.raises(ValueError):
+                _derive_subseed(seed, 2)
+
+    def test_top_seed_keeps_its_stream(self):
+        seed = 2**64 - 1
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(3,))))
+        np.testing.assert_array_equal(
+            derive_trial_rng(seed, 3).integers(0, 2**64, size=8, dtype=np.uint64),
+            want.integers(0, 2**64, size=8, dtype=np.uint64),
+        )
+
 
 class TestBinomial:
-    def test_zero_trials(self):
-        rng = derive_trial_rng(1, 0)
-        assert binomial(rng, 0, 0.7) == 0
-
-    def test_certain_success(self):
-        rng = derive_trial_rng(1, 0)
-        assert binomial(rng, 13, 1.0) == 13
-
-    def test_prob_out_of_range(self):
-        rng = derive_trial_rng(1, 0)
-        with pytest.raises(ValueError):
-            binomial(rng, 5, 1.5)
-        with pytest.raises(ValueError):
-            binomial(rng, 5, -0.1)
-
-    def test_scalar_matches_vectorized_stream(self):
-        # the array path draws the same variates in order, so the bulk
-        # goodness-of-fit below genuinely certifies the scalar operation
-        first = binomial(derive_trial_rng(3, 0), 10**4, 0.3)
-        batch = derive_trial_rng(3, 0).binomial(10**4, 0.3, size=8)
-        assert first == batch[0]
-
     def test_goodness_of_fit_large_m(self):
         draws = derive_trial_rng(3, 0).binomial(10**4, 0.3, size=10**6)
         lo, hi = draws.min(), draws.max()
@@ -75,21 +70,6 @@ class TestBinomial:
 
 
 class TestPoisson:
-    def test_zero_rate(self):
-        assert poisson(derive_trial_rng(1, 0), 0.0) == 0
-
-    def test_invalid_rate(self):
-        rng = derive_trial_rng(1, 0)
-        with pytest.raises(ValueError):
-            poisson(rng, -1.0)
-        with pytest.raises(ValueError):
-            poisson(rng, math.inf)
-
-    def test_scalar_matches_vectorized_stream(self):
-        first = poisson(derive_trial_rng(5, 0), 4.0)
-        batch = derive_trial_rng(5, 0).poisson(4.0, size=8)
-        assert first == batch[0]
-
     def test_goodness_of_fit_small_rate(self):
         draws = derive_trial_rng(5, 0).poisson(4.0, size=10**6)
         hi = int(draws.max())
@@ -188,30 +168,22 @@ class TestCoupling:
     def test_certain_success_forces_structure(self):
         # prob=1: X = min(N, n) and Y = |n - N|, so M = n and M' = N always
         n = 17
-        for i in range(200):
-            cp = coupled_pair(derive_trial_rng(31, i), n, 1.0)
-            assert cp.m == n
-            assert cp.m_prime == cp.n_latent
+        m, m_prime, n_latent, _, _ = coupled_pairs(derive_trial_rng(31, 0), n, 1.0, size=200)
+        assert np.all(m == n)
+        np.testing.assert_array_equal(m_prime, n_latent)
 
     def test_gap_is_y_with_sign_from_latent(self):
         n = 20
-        for i in range(2000):
-            cp = coupled_pair(derive_trial_rng(33, i), n, 0.4)
-            assert abs(cp.m - cp.m_prime) == cp.y
-            if cp.n_latent <= n:
-                assert cp.m - cp.m_prime == cp.y
-            else:
-                assert cp.m_prime - cp.m == cp.y
-            assert cp.x <= min(cp.m, cp.m_prime) + cp.y
-
-    def test_scalar_matches_batch(self):
-        cp = coupled_pair(derive_trial_rng(35, 0), 50, 0.25)
-        m, mp, nl, x, y = coupled_pairs(derive_trial_rng(35, 0), 50, 0.25, size=1)
-        assert (cp.m, cp.m_prime, cp.n_latent, cp.x, cp.y) == (m[0], mp[0], nl[0], x[0], y[0])
+        m, m_prime, n_latent, x, y = coupled_pairs(derive_trial_rng(33, 0), n, 0.4, size=2000)
+        np.testing.assert_array_equal(np.abs(m - m_prime), y)
+        under = n_latent <= n
+        np.testing.assert_array_equal((m - m_prime)[under], y[under])
+        np.testing.assert_array_equal((m_prime - m)[~under], y[~under])
+        assert np.all(x <= np.minimum(m, m_prime) + y)
 
     def test_prob_validation(self):
         rng = derive_trial_rng(1, 0)
         with pytest.raises(ValueError):
-            coupled_pair(rng, 10, 0.0)
+            coupled_pairs(rng, 10, 0.0, size=1)
         with pytest.raises(ValueError):
-            coupled_pair(rng, 10, 1.2)
+            coupled_pairs(rng, 10, 1.2, size=1)
