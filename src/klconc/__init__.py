@@ -55,7 +55,6 @@ from .losses import (
     adjusted_kl_shift,
     adjusted_kl_terms,
     kl_divergence,
-    lr_distance,
 )
 from .sampling import (
     coupled_pairs,

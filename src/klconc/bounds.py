@@ -107,17 +107,18 @@ def heuristic_kl_std(k: int, n: int) -> float:
     return math.sqrt(k / 2.0) / n
 
 
-def poisson_tail_radius(n_obs: int, delta: float) -> float:
-    """Observed-count tail radius 6 * sqrt(n_obs + 1) * log(2/delta).
+def poisson_tail_radius(n_obs, delta: float):
+    """Observed-count tail radius 6 * sqrt(n_obs + 1) * log(2/delta), for
+    one count or elementwise for an array of counts.
 
     With probability at least 1 - delta a Poisson draw N with any rate lam
     satisfies |N + 1 - lam| <= radius(N, delta).
     """
-    if n_obs < 0:
-        raise ValueError(f"observed count must be >= 0, got {n_obs}")
+    if np.any(np.asarray(n_obs) < 0):
+        raise ValueError(f"observed counts must be >= 0, got min {np.min(n_obs)}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must lie in (0, 1), got {delta}")
-    return 6.0 * math.sqrt(n_obs + 1.0) * math.log(2.0 / delta)
+    return 6.0 * np.sqrt(n_obs + 1.0) * math.log(2.0 / delta)
 
 
 def expectation_gap_bound(k: int, n: int) -> float:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
+from typing import Callable, NamedTuple
 
 from .bounds import (
     BoundInputs,
@@ -67,7 +69,7 @@ def _write_table(path: str | None, header: list[str], rows: list[list], sep: str
 
 
 def _count(text: str) -> int:
-    """argparse type for trial and thread counts: an integer >= 1."""
+    """argparse type for counts (trials, threads, alphabet and sample sizes): an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -80,6 +82,33 @@ def _seed(text: str) -> int:
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {value}")
     return value
+
+
+def _real(accept, what: str):
+    """argparse type for a float that ``accept`` admits (NaN never is)."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
+_delta = _real(lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_prob = _real(lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+_rate = _real(lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+
+# check flags named like a suite config field: field -> (argparse type, what it is)
+_FIELD_FLAGS = {
+    "k": (_count, "alphabet size"),
+    "n": (_count, "sample size"),
+    "delta": (_delta, "failure probability"),
+    "lam": (_rate, "Poisson rate"),
+    "prob": (_prob, "coupling probability"),
+}
 
 
 def _sep(fmt: str) -> str:
@@ -123,10 +152,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if not 0.0 < args.delta < 1.0:
-        raise UsageError(f"--delta must lie in (0, 1), got {args.delta}")
-    if args.k < 1 or args.n < 1:
-        raise UsageError("--k and --n must be >= 1")
     b = BoundInputs(k=args.k, n=args.n, delta=args.delta)
     variance_lb = variance_lower_bound(args.k, args.n) if args.n >= 10 * args.k else None
     prior = prior_deviation_bound(b) if args.n >= 2 else None
@@ -214,161 +239,84 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _line(passed: bool, claim: str, detail: str) -> tuple[bool, str]:
-    verdict = "PASS" if passed else "FAIL"
-    return passed, f"{verdict}  {claim}: {detail}"
+class _Suite(NamedTuple):
+    """One claim suite of ``check``. Each default config gives a value per
+    field; ``run(**config, reps=reps, seed=seed)`` returns a report, or a list
+    of them, whose fields fill the ``claim: detail`` template ``line``."""
+
+    fields: tuple[str, ...]
+    configs: list[tuple]
+    reps: int | None  # None: the suite runs exact oracles and takes no reps or seed
+    run: Callable
+    line: str
 
 
-def _suite_variance(args) -> list[tuple[bool, str]]:
-    configs = [(2, 20), (10, 100), (64, 10240)]
-    if args.k is not None or args.n is not None:
-        if args.k is None or args.n is None:
-            raise UsageError("variance suite override needs both --k and --n")
-        configs = [(args.k, args.n)]
-    reps = args.reps or 100_000
-    lines = []
-    for k, n in configs:
-        r = verify_variance_lb(k, n, reps, args.seed)
-        lines.append(
-            _line(
-                r.passed,
-                "variance of add-one KL loss >= k/(32 n^2)",
-                f"k={k} n={n} reps={reps} var={r.empirical_var:.4e} bound={r.lower_bound:.4e} "
-                f"ratio={r.ratio:.2f} ci95=[{r.ci_low:.4e}, {r.ci_high:.4e}]",
-            )
-        )
-    return lines
-
-
-def _suite_thm(args) -> list[tuple[bool, str]]:
-    configs = [(10, 1000, 0.1), (100, 10_000, 0.05)]
-    if args.k is not None or args.n is not None:
-        if args.k is None or args.n is None:
-            raise UsageError("tail suite override needs both --k and --n")
-        configs = [(args.k, args.n, args.delta if args.delta is not None else 0.1)]
-    reps = args.reps or 10_000
-    lines = []
-    for k, n, delta in configs:
-        r = verify_kl_tail_bound(k, n, reps, delta, args.seed)
-        lines.append(
-            _line(
-                r.passed,
-                "KL loss exceeds mean + deviation bound on at most a delta fraction",
-                f"k={k} n={n} delta={delta} reps={reps} t_delta={r.t_delta:.4g} "
-                f"exceed={r.exceed_frac:.6f} allowed={r.allowed:.6f}",
-            )
-        )
-    return lines
-
-
-def _suite_poisson_tail(args) -> list[tuple[bool, str]]:
-    lams = [args.lam] if args.lam is not None else [1.0, 10.0, 100.0, 10_000.0]
-    deltas = [args.delta] if args.delta is not None else [0.05, 0.1, 0.5]
-    reps = args.reps or 1_000_000
-    lines = []
-    for lam in lams:
-        for delta in deltas:
-            r = poisson_tail_check(lam, delta, reps, args.seed)
-            lines.append(
-                _line(
-                    r.passed,
-                    "|N+1-lam| <= 6 sqrt(N+1) log(2/delta) fails on at most a delta fraction",
-                    f"lam={lam:g} delta={delta} reps={reps} fail={r.fail_frac:.6f} "
-                    f"allowed={r.allowed:.6f}",
-                )
-            )
-    return lines
-
-
-_COUPLING_CONFIGS = [(20, 0.4), (100, 0.5), (10_000, 0.01)]
-
-
-def _coupling_configs(args) -> list[tuple[int, float]]:
-    if args.n is not None or args.prob is not None:
-        if args.n is None or args.prob is None:
-            raise UsageError("coupling suite override needs both --n and --prob")
-        return [(args.n, args.prob)]
-    return _COUPLING_CONFIGS
-
-
-def _suite_coupling(args) -> list[tuple[bool, str]]:
-    reps = args.reps or 1_000_000
-    lines = []
-    for n, prob in _coupling_configs(args):
-        r = coupling_diagnostic(n, prob, reps, args.seed)
-        lines.append(
-            _line(
-                r.passed,
-                "coupling gap E[(M-M')/(M'+1)] within 311/n + 160/(n^1.5 p)",
-                f"n={n} p={prob} reps={reps} est={r.est_gap:.4e} "
-                f"ci99=[{r.ci_low:.4e}, {r.ci_high:.4e}] bound={r.bound:.4e}",
-            )
-        )
-    return lines
-
-
-def _suite_marginals(args) -> list[tuple[bool, str]]:
-    reps = args.reps or 1_000_000
-    lines = []
-    for n, prob in _coupling_configs(args):
-        r = coupling_marginal_gof(n, prob, reps, args.seed)
-        lines.append(
-            _line(
-                r.passed,
-                "coupling marginals are exactly Bin(n,p) and Poi(np)",
-                f"n={n} p={prob} reps={reps} chi2(M)={r.chi2_m:.1f} p(M)={r.p_m:.4f} "
-                f"chi2(M')={r.chi2_m_prime:.1f} p(M')={r.p_m_prime:.4f}",
-            )
-        )
-    return lines
-
-
-def _suite_expectation(args) -> list[tuple[bool, str]]:
-    dists = [DistSpec.uniform(10), DistSpec.zipf(10, 1.0), DistSpec.twopoint(10, 0.99)]
-    n = args.n if args.n is not None else 1000
-    reps = args.reps or 100_000
-    lines = []
-    for dist in dists:
-        r = expected_kl_check(dist, n, reps, args.seed)
-        lines.append(
-            _line(
-                r.passed,
-                "mean add-one KL loss <= (k-1)/n",
-                f"{r.dist} n={n} reps={reps} mean={r.mean_kl:.6e} "
-                f"ceiling={r.ceiling:.6e} slack={r.slack:.2e}",
-            )
-        )
-    return lines
-
-
-def _suite_facts(args) -> list[tuple[bool, str]]:
-    return [_line(c.passed, c.name, c.detail) for c in run_facts_checks()]
-
-
-_SUITES = {
-    "variance": _suite_variance,
-    "thm": _suite_thm,
-    "poisson-tail": _suite_poisson_tail,
-    "coupling": _suite_coupling,
-    "marginals": _suite_marginals,
-    "expectation": _suite_expectation,
-    "facts": _suite_facts,
-}
+def _suites() -> dict[str, _Suite]:
+    # Built per call, so each runner is looked up in this module when check runs.
+    coupling = [(20, 0.4), (100, 0.5), (10_000, 0.01)]
+    return {
+        "variance": _Suite(
+            ("k", "n"), [(2, 20), (10, 100), (64, 10240)], 100_000, verify_variance_lb,
+            "variance of add-one KL loss >= k/(32 n^2): k={k} n={n} reps={reps} "
+            "var={empirical_var:.4e} bound={lower_bound:.4e} ratio={ratio:.2f} "
+            "ci95=[{ci_low:.4e}, {ci_high:.4e}]",
+        ),
+        "thm": _Suite(
+            ("k", "n", "delta"), [(10, 1000, 0.1), (100, 10_000, 0.05)], 10_000, verify_kl_tail_bound,
+            "KL loss exceeds mean + deviation bound on at most a delta fraction: k={k} n={n} "
+            "delta={delta} reps={reps} t_delta={t_delta:.4g} exceed={exceed_frac:.6f} "
+            "allowed={allowed:.6f}",
+        ),
+        "poisson-tail": _Suite(
+            ("lam", "delta"),
+            [(lam, delta) for lam in (1.0, 10.0, 100.0, 10_000.0) for delta in (0.05, 0.1, 0.5)],
+            1_000_000, poisson_tail_check,
+            "|N+1-lam| <= 6 sqrt(N+1) log(2/delta) fails on at most a delta fraction: lam={lam:g} "
+            "delta={delta} reps={reps} fail={fail_frac:.6f} allowed={allowed:.6f}",
+        ),
+        "coupling": _Suite(
+            ("n", "prob"), coupling, 1_000_000, coupling_diagnostic,
+            "coupling gap E[(M-M')/(M'+1)] within 311/n + 160/(n^1.5 p): n={n} p={prob} "
+            "reps={reps} est={est_gap:.4e} ci99=[{ci_low:.4e}, {ci_high:.4e}] bound={bound:.4e}",
+        ),
+        "marginals": _Suite(
+            ("n", "prob"), coupling, 1_000_000, coupling_marginal_gof,
+            "coupling marginals are exactly Bin(n,p) and Poi(np): n={n} p={prob} reps={reps} "
+            "chi2(M)={chi2_m:.1f} p(M)={p_m:.4f} chi2(M')={chi2_m_prime:.1f} p(M')={p_m_prime:.4f}",
+        ),
+        "expectation": _Suite(
+            ("dist", "n"),
+            [(dist, 1000) for dist in (DistSpec.uniform(10), DistSpec.zipf(10, 1.0),
+                                       DistSpec.twopoint(10, 0.99))],
+            100_000, expected_kl_check,
+            "mean add-one KL loss <= (k-1)/n: {dist} n={n} reps={reps} mean={mean_kl:.6e} "
+            "ceiling={ceiling:.6e} slack={slack:.2e}",
+        ),
+        "facts": _Suite((), [()], None, run_facts_checks, "{name}: {detail}"),
+    }
 
 
 def _cmd_check(args) -> int:
-    if args.suite == "all":
-        names = list(_SUITES)
-    elif args.suite in _SUITES:
-        names = [args.suite]
-    else:
-        raise UsageError(f"unknown suite {args.suite!r}; expected all or one of {', '.join(_SUITES)}")
+    suites = _suites()
+    names = list(suites) if args.suite == "all" else [args.suite]
+    given = {f: getattr(args, f) for f in _FIELD_FLAGS if getattr(args, f) is not None}
+    for field in given:
+        if not any(field in suites[name].fields for name in names):
+            raise UsageError(f"--{field} is a field of none of the suites run: {', '.join(names)}")
     all_ok = True
     for name in names:
+        suite = suites[name]
         print(f"== suite: {name}")
-        for passed, text in _SUITES[name](args):
-            print(text)
-            all_ok = all_ok and passed
+        configs = [tuple(given.get(f, v) for f, v in zip(suite.fields, cfg)) for cfg in suite.configs]
+        for cfg in dict.fromkeys(configs):  # configs an override made equal run once
+            kwargs = dict(zip(suite.fields, cfg))
+            if suite.reps is not None:
+                kwargs.update(reps=args.reps or suite.reps, seed=args.seed)
+            out = suite.run(**kwargs)
+            for report in out if isinstance(out, list) else [out]:
+                verdict = "PASS" if report.passed else "FAIL"
+                print(f"{verdict}  {suite.line.format_map(vars(report))}")
+                all_ok = all_ok and report.passed
     print("== verdict:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 
@@ -385,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one KL-loss experiment and write a CSV row")
     sim.add_argument("--dist", required=True, help="uniform | zipf | twopoint | file:PATH")
-    sim.add_argument("--k", type=int, help="alphabet size (uniform/zipf/twopoint)")
-    sim.add_argument("--n", type=int, required=True, help="samples per trial")
+    sim.add_argument("--k", type=_count, help="alphabet size (uniform/zipf/twopoint)")
+    sim.add_argument("--n", type=_count, required=True, help="samples per trial")
     sim.add_argument("--reps", type=_count, required=True, help="number of trials")
     sim.add_argument("--seed", type=_seed, required=True, help="64-bit master seed")
     sim.add_argument("--t", type=float, default=1.0, help="add-constant parameter (default 1)")
-    sim.add_argument("--delta", type=float, help="failure probability for exceedance columns")
+    sim.add_argument("--delta", type=_delta, help="failure probability for exceedance columns")
     sim.add_argument("--zipf-s", type=float, default=1.0, help="zipf exponent (default 1)")
     sim.add_argument("--mass", type=float, default=0.99, help="twopoint head mass (default 0.99)")
     sim.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
@@ -399,16 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     bnd = sub.add_parser("bounds", help="evaluate the closed-form bounds for (k, n, delta)")
-    bnd.add_argument("--k", type=int, required=True)
-    bnd.add_argument("--n", type=int, required=True)
-    bnd.add_argument("--delta", type=float, required=True)
+    bnd.add_argument("--k", type=_count, required=True)
+    bnd.add_argument("--n", type=_count, required=True)
+    bnd.add_argument("--delta", type=_delta, required=True)
     bnd.add_argument("--out", help="output CSV path (default stdout)")
     bnd.add_argument("--format", choices=("csv", "tsv"), default="csv")
     bnd.set_defaults(func=_cmd_bounds)
 
     fig = sub.add_parser("figure1", help="sample std vs sqrt(k/2)/n sweep over alphabet sizes")
     fig.add_argument("--ks", default="2,4,8,16,32,64", help="comma-separated alphabet sizes")
-    fig.add_argument("--n", type=int, default=10240)
+    fig.add_argument("--n", type=_count, default=10240)
     fig.add_argument("--reps", type=_count, default=1000)
     fig.add_argument("--seed", type=_seed, default=0)
     fig.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
@@ -417,16 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--threads", type=_count, help=_THREADS_HELP)
     fig.set_defaults(func=_cmd_figure1)
 
+    suites = _suites()
     chk = sub.add_parser("check", help="run claim-verification suites")
-    chk.add_argument("--suite", default="all",
-                     help="all | variance | thm | poisson-tail | coupling | marginals | expectation | facts")
+    chk.add_argument("--suite", default="all", choices=["all", *suites])
     chk.add_argument("--seed", type=_seed, default=0)
     chk.add_argument("--reps", type=_count, help="override repetitions for the suite")
-    chk.add_argument("--k", type=int, help="override alphabet size (variance/thm)")
-    chk.add_argument("--n", type=int, help="override sample size (variance/thm/coupling/expectation)")
-    chk.add_argument("--delta", type=float, help="override failure probability (thm/poisson-tail)")
-    chk.add_argument("--lam", type=float, help="override the Poisson rate (poisson-tail)")
-    chk.add_argument("--prob", type=float, help="override the coupling probability")
+    for field, (kind, what) in _FIELD_FLAGS.items():
+        takers = ", ".join(name for name, suite in suites.items() if field in suite.fields)
+        chk.add_argument(f"--{field}", type=kind,
+                         help=f"{what}: replaces {field} in every default config of {takers}")
     chk.add_argument("--threads", type=_count, help=_THREADS_HELP)
     chk.set_defaults(func=_cmd_check)
 

@@ -27,6 +27,7 @@ from .bounds import (
     heuristic_kl_std,
     kl_deviation_bound,
     poisson_pmf_at_mean,
+    poisson_tail_radius,
     variance_lower_bound,
 )
 from .distributions import Pmf, add_t_estimate, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
@@ -179,12 +180,6 @@ class RunningMoments:
         self.count = 0
         self.mean = 0.0
         self._m2 = 0.0
-
-    def push(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
 
     @classmethod
     def from_array(cls, values: np.ndarray) -> "RunningMoments":
@@ -419,12 +414,9 @@ class PoissonTailReport:
 def poisson_tail_check(lam: float, delta: float, reps: int, seed: int) -> PoissonTailReport:
     """Failure rate of |N + 1 - lam| <= 6*sqrt(N+1)*log(2/delta) over Poisson
     draws; must stay within delta (plus sampling slack)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"failure probability must lie in (0, 1), got {delta}")
     rng = derive_trial_rng(seed, 0)
     draws = rng.poisson(lam, size=reps)
-    radius = 6.0 * np.sqrt(draws + 1.0) * math.log(2.0 / delta)
-    fail_frac = float(np.mean(np.abs(draws + 1.0 - lam) > radius))
+    fail_frac = float(np.mean(np.abs(draws + 1.0 - lam) > poisson_tail_radius(draws, delta)))
     allowed = exceedance_allowance(delta, reps)
     return PoissonTailReport(
         lam=lam, delta=delta, reps=reps, fail_frac=fail_frac, allowed=allowed, passed=bool(fail_frac <= allowed)
@@ -578,6 +570,8 @@ class ExpectedKlReport:
 def expected_kl_check(dist: DistSpec, n: int, reps: int, seed: int) -> ExpectedKlReport:
     """Mean add-one KL loss against the worst-case expectation (k-1)/n, with
     one-sided CI slack of three standard errors."""
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
     pmf = dist.make()
     k = len(pmf)
     losses = _kl_loss_samples(pmf, n, 1.0, seed, reps)

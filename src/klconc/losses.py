@@ -1,4 +1,4 @@
-"""KL divergence, its mass-adjusted variant for improper estimates, and l_r distances.
+"""KL divergence and its mass-adjusted variant for improper estimates.
 
 All sums over the alphabet use compensated summation (``math.fsum``) so
 results are reproducible and independent of alphabet size up to ~1e-13
@@ -18,7 +18,6 @@ __all__ = [
     "adjusted_kl_divergence",
     "adjusted_kl_terms",
     "adjusted_kl_shift",
-    "lr_distance",
 ]
 
 
@@ -95,16 +94,3 @@ def adjusted_kl_terms(p: Pmf, q: Measure, n: int) -> np.ndarray:
         # a/scaled -> inf where scaled == 0 and a > 0; log(inf) = inf propagates.
         terms = terms + np.where(mask, a * np.log(np.where(mask, a, 1.0) / scaled), 0.0)
     return terms
-
-
-def lr_distance(p: Pmf, q: Pmf, r: float) -> float:
-    """(sum |p_i - q_i|**r)**(1/r) for r >= 1; r = inf gives the max norm."""
-    _check_same_length(p, q)
-    if not r >= 1:
-        raise ValueError(f"order must satisfy r >= 1, got {r}")
-    diff = np.abs(p.weights - q.weights)
-    if math.isinf(r):
-        return float(diff.max())
-    if r == 1:
-        return math.fsum(diff)
-    return math.fsum(diff**r) ** (1.0 / r)

@@ -160,6 +160,13 @@ class TestPoissonTailRadius:
         assert poisson_tail_radius(10, 0.1) > poisson_tail_radius(9, 0.1)
         assert poisson_tail_radius(10, 0.05) > poisson_tail_radius(10, 0.1)
 
+    def test_array_of_counts(self):
+        counts = np.array([0, 3, 8])
+        radius = poisson_tail_radius(counts, 2 / math.e)
+        np.testing.assert_allclose(radius, [6.0, 12.0, 18.0], rtol=1e-14)
+        with pytest.raises(ValueError):
+            poisson_tail_radius(np.array([4, -1]), 0.1)
+
 
 def test_expectation_gap_bound_values():
     assert expectation_gap_bound(1, 1) == pytest.approx(471.0, rel=1e-15)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from klconc import harness
-from klconc.cli import main
+from klconc.cli import _suites, main
 
 
 def run(*argv):
@@ -159,6 +159,7 @@ class TestCheck:
     def test_poisson_tail_with_overrides(self, capsys):
         assert run("check", "--suite", "poisson-tail", "--lam", "5", "--delta", "0.3",
                    "--reps", "20000", "--seed", "7") == 0
+        assert len(_claim_lines(capsys.readouterr().out)) == 1
 
     def test_variance_suite_fails_against_inflated_floor(self, monkeypatch, capsys):
         # negative control: a floor 100x the true one must turn the verdict to FAIL
@@ -169,6 +170,73 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "FAIL  variance" in out
         assert "== verdict: FAIL" in out
+
+
+def _claim_lines(out):
+    return [line for line in out.splitlines() if line.startswith(("PASS  ", "FAIL  "))]
+
+
+@pytest.mark.parametrize("argv,shown,lines", [
+    (["thm", "--k", "10", "--n", "1000", "--reps", "500"], "k=10 n=1000 delta=", 2),
+    (["poisson-tail", "--lam", "5", "--reps", "20000"], "lam=5 delta=", 3),
+    (["expectation", "--n", "50", "--reps", "500"], " n=50 ", 3),
+    (["coupling", "--n", "20", "--reps", "20000"], "n=20 p=", 3),
+])
+def test_override_replaces_field_in_every_default_config(argv, shown, lines, capsys):
+    # the other fields keep their defaults, and configs the override made equal run once
+    assert run("check", "--suite", *argv, "--seed", "7") == 0
+    claims = _claim_lines(capsys.readouterr().out)
+    assert len(claims) == lines
+    assert all(shown in line for line in claims)
+
+
+@pytest.mark.parametrize("argv", [["facts", "--k", "5"], ["poisson-tail", "--prob", "0.5"],
+                                  ["expectation", "--delta", "0.2"]])
+def test_field_flag_that_no_selected_suite_has_is_usage_error(argv, capsys):
+    assert run("check", "--suite", *argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _shift_m(pairs):
+    def shifted(rng, n, prob, size):
+        m, *rest = pairs(rng, n, prob, size)
+        return (m + 100 * n, *rest)
+
+    return shifted
+
+
+# Per suite: (klconc.harness name, replacement built from the original, check flags).
+# Each replacement breaks the claim the suite checks, so the suite must FAIL.
+_NEGATIVE_CONTROLS = {
+    "variance": ("variance_lower_bound", lambda f: lambda k, n: 100 * f(k, n),
+                 ["--k", "10", "--n", "100", "--reps", "2000"]),
+    "thm": ("kl_deviation_bound", lambda f: lambda b: 0.0,
+            ["--k", "10", "--n", "1000", "--reps", "1000"]),
+    "poisson-tail": ("poisson_tail_radius", lambda f: lambda n_obs, delta: 0.0,
+                     ["--lam", "5", "--delta", "0.3", "--reps", "20000"]),
+    "coupling": ("coupled_pairs", _shift_m, ["--n", "20", "--prob", "0.4", "--reps", "20000"]),
+    "marginals": ("GOF_P_THRESHOLD", lambda f: 1.01, ["--n", "20", "--prob", "0.4", "--reps", "100000"]),
+    "expectation": ("_kl_loss_samples", lambda f: lambda *a: f(*a) + 1.0,
+                    ["--n", "1000", "--reps", "1000"]),
+    "facts": ("binomial_product_variance", lambda f: lambda n0: f(n0) + 1.0, []),
+}
+
+
+def test_every_suite_has_a_negative_control():
+    assert set(_NEGATIVE_CONTROLS) == set(_suites())
+
+
+@pytest.mark.parametrize("suite", list(_suites()))
+def test_negative_control_fails(suite, monkeypatch, capsys):
+    name, breaks, flags = _NEGATIVE_CONTROLS[suite]
+    argv = ["check", "--suite", suite, *flags, "--seed", "7"]
+    assert run(*argv) == 0  # the same run passes unbroken
+    capsys.readouterr()
+    monkeypatch.setattr(harness, name, breaks(getattr(harness, name)))
+    assert run(*argv) == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith("FAIL  ") for line in out.splitlines())
+    assert "== verdict: FAIL" in out
 
 
 class TestPlot:
@@ -212,15 +280,32 @@ _SUBCOMMANDS = {
     "figure1": ["figure1", "--ks", "2", "--n", "10", "--reps", "5", "--seed", "1", "--out", "-"],
     "check": ["check", "--suite", "variance", "--k", "2", "--n", "20", "--reps", "5", "--seed", "1"],
 }
+# valid command lines that the out-of-range cases append one flag to
+_VALID = {
+    **_SUBCOMMANDS,
+    "bounds": ["bounds", "--k", "2", "--n", "10", "--delta", "0.1"],
+    **{suite: ["check", "--suite", suite, "--reps", "5", "--seed", "1"]
+       for suite in ("thm", "poisson-tail", "coupling", "expectation")},
+}
+_OUT_OF_RANGE = [
+    *[(command, flag, value) for flag, value in (("--reps", "0"), ("--reps", "-3"), ("--threads", "0"),
+                                                 ("--seed", "-1"), ("--seed", str(2**64)))
+      for command in sorted(_SUBCOMMANDS)],
+    *[(command, "--n", value) for command in ("simulate", "figure1", "check", "bounds", "thm",
+                                              "coupling", "expectation") for value in ("0", "-2")],
+    *[(command, "--k", "0") for command in ("simulate", "check", "bounds", "thm")],
+    *[(command, "--delta", value) for command in ("simulate", "bounds", "thm", "poisson-tail")
+      for value in ("0", "1", "nan")],
+    *[("poisson-tail", "--lam", value) for value in ("-1", "inf", "nan")],
+    *[("coupling", "--prob", value) for value in ("0", "1.5", "nan")],
+]
 
 
-@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
-@pytest.mark.parametrize("flag,value", [
-    ("--reps", "0"), ("--reps", "-3"), ("--threads", "0"), ("--seed", "-1"), ("--seed", str(2**64)),
+@pytest.mark.parametrize("command,flag,value", [
+    pytest.param(command, flag, value, id=f"{flag}-{value}-{command}") for command, flag, value in _OUT_OF_RANGE
 ])
 def test_out_of_range_count_or_seed_is_usage_error(command, flag, value, capsys):
-    argv = _SUBCOMMANDS[command] + [flag, value]
-    assert run(*argv) == 2
+    assert run(*_VALID[command], flag, value) == 2
     assert capsys.readouterr().out == ""
 
 

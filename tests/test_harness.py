@@ -82,9 +82,10 @@ class TestRunningMoments:
         assert merged.variance == pytest.approx(whole.variance, rel=1e-12)
 
     def test_push_path(self):
+        # one sample at a time through merge, the streaming path
         mom = RunningMoments()
         for v in (1.0, 2.0, 4.0):
-            mom.push(v)
+            mom.merge(RunningMoments.from_array(np.array([v])))
         assert mom.mean == pytest.approx(7 / 3)
         assert mom.variance == pytest.approx(np.var([1.0, 2.0, 4.0], ddof=1))
 
@@ -210,9 +211,9 @@ class TestTailBound:
 class TestPoissonTailCheck:
     def test_radius_matches_scalar_op(self):
         draws = derive_trial_rng(60, 0).poisson(9.0, size=50)
-        vector = 6.0 * np.sqrt(draws + 1.0) * math.log(2.0 / 0.2)
+        vector = poisson_tail_radius(draws, 0.2)
         for d, v in zip(draws, vector):
-            assert poisson_tail_radius(int(d), 0.2) == pytest.approx(v, rel=1e-15)
+            assert poisson_tail_radius(int(d), 0.2) == v
 
     def test_generous_radius_rarely_fails(self):
         r = poisson_tail_check(100.0, 0.1, 10**5, seed=3)
@@ -265,6 +266,10 @@ class TestExpectedKl:
         r = expected_kl_check(DistSpec.uniform(10), 1000, 5000, seed=1)
         assert r.passed
         assert r.mean_kl < r.ceiling
+
+    def test_rejects_empty_sample(self):
+        with pytest.raises(ValueError):
+            expected_kl_check(DistSpec.uniform(10), 0, 10, seed=1)
 
 
 class TestStdSweep:

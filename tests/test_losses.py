@@ -9,7 +9,6 @@ from klconc.losses import (
     adjusted_kl_shift,
     adjusted_kl_terms,
     kl_divergence,
-    lr_distance,
 )
 
 
@@ -52,7 +51,8 @@ class TestKlDivergence:
             k = int(rng.integers(2, 30))
             p = random_pmf(rng, k)
             q = random_pmf(rng, k)
-            assert lr_distance(p, q, 1) ** 2 <= 2.0 * kl_divergence(p, q) + 1e-12
+            l1 = math.fsum(np.abs(p.weights - q.weights))
+            assert l1**2 <= 2.0 * kl_divergence(p, q) + 1e-12
 
     def test_sum_is_order_independent(self):
         # compensated summation: permuting the alphabet must not move the result
@@ -135,21 +135,3 @@ class TestAdjustedKlShift:
             assert 0.0 <= val < prev
             prev = val
         assert adjusted_kl_shift(10**9, 1) < 1e-9
-
-
-class TestLrDistance:
-    def test_zero_on_equal(self):
-        p = uniform_pmf(5)
-        for r in (1, 2, 3.5, math.inf):
-            assert lr_distance(p, p, r) == 0.0
-
-    def test_disjoint_support_extremes(self):
-        p = Pmf([1.0, 0.0])
-        q = Pmf([0.0, 1.0])
-        assert lr_distance(p, q, 1) == pytest.approx(2.0)
-        assert lr_distance(p, q, 2) == pytest.approx(math.sqrt(2))
-        assert lr_distance(p, q, math.inf) == pytest.approx(1.0)
-
-    def test_r_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            lr_distance(uniform_pmf(2), uniform_pmf(2), 0.5)
