@@ -55,6 +55,7 @@ from .losses import (
     adjusted_kl_shift,
     adjusted_kl_terms,
     kl_divergence,
+    kl_losses,
 )
 from .sampling import (
     coupled_pairs,

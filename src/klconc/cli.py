@@ -25,6 +25,7 @@ from .bounds import (
 from .harness import (
     DistSpec,
     ExperimentConfig,
+    check_gof_reps,
     coupling_diagnostic,
     coupling_marginal_gof,
     expected_kl_check,
@@ -242,13 +243,16 @@ def _cmd_plot(args) -> int:
 class _Suite(NamedTuple):
     """One claim suite of ``check``. Each default config gives a value per
     field; ``run(**config, reps=reps, seed=seed)`` returns a report, or a list
-    of them, whose fields fill the ``claim: detail`` template ``line``."""
+    of them, whose fields fill the ``claim: detail`` template ``line``.
+    ``regime``, given the same arguments, raises ValueError for a config
+    outside the claim's regime; every config is checked before any output."""
 
     fields: tuple[str, ...]
     configs: list[tuple]
     reps: int | None  # None: the suite runs exact oracles and takes no reps or seed
     run: Callable
     line: str
+    regime: Callable | None = None
 
 
 def _suites() -> dict[str, _Suite]:
@@ -260,6 +264,7 @@ def _suites() -> dict[str, _Suite]:
             "variance of add-one KL loss >= k/(32 n^2): k={k} n={n} reps={reps} "
             "var={empirical_var:.4e} bound={lower_bound:.4e} ratio={ratio:.2f} "
             "ci95=[{ci_low:.4e}, {ci_high:.4e}]",
+            lambda k, n, **_: variance_lower_bound(k, n),  # raises unless n >= 10k
         ),
         "thm": _Suite(
             ("k", "n", "delta"), [(10, 1000, 0.1), (100, 10_000, 0.05)], 10_000, verify_kl_tail_bound,
@@ -283,6 +288,7 @@ def _suites() -> dict[str, _Suite]:
             ("n", "prob"), coupling, 1_000_000, coupling_marginal_gof,
             "coupling marginals are exactly Bin(n,p) and Poi(np): n={n} p={prob} reps={reps} "
             "chi2(M)={chi2_m:.1f} p(M)={p_m:.4f} chi2(M')={chi2_m_prime:.1f} p(M')={p_m_prime:.4f}",
+            lambda reps, **_: check_gof_reps(reps),
         ),
         "expectation": _Suite(
             ("dist", "n"),
@@ -303,15 +309,26 @@ def _cmd_check(args) -> int:
     for field in given:
         if not any(field in suites[name].fields for name in names):
             raise UsageError(f"--{field} is a field of none of the suites run: {', '.join(names)}")
-    all_ok = True
+    runs = {}
     for name in names:
         suite = suites[name]
-        print(f"== suite: {name}")
         configs = [tuple(given.get(f, v) for f, v in zip(suite.fields, cfg)) for cfg in suite.configs]
+        runs[name] = []
         for cfg in dict.fromkeys(configs):  # configs an override made equal run once
             kwargs = dict(zip(suite.fields, cfg))
             if suite.reps is not None:
                 kwargs.update(reps=args.reps or suite.reps, seed=args.seed)
+            if suite.regime is not None:
+                try:
+                    suite.regime(**kwargs)
+                except ValueError as exc:
+                    raise UsageError(f"suite {name}: {exc}") from None
+            runs[name].append(kwargs)
+    all_ok = True
+    for name, configs in runs.items():
+        suite = suites[name]
+        print(f"== suite: {name}")
+        for kwargs in configs:
             out = suite.run(**kwargs)
             for report in out if isinstance(out, list) else [out]:
                 verdict = "PASS" if report.passed else "FAIL"

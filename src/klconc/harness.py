@@ -1,10 +1,14 @@
 """Seeded Monte Carlo experiments for the distributional claims.
 
-Every report here is a pure function of its arguments: trial i always uses
-the stream derived from (master_seed, i), aggregation walks fixed-size
-blocks in index order, and auxiliary randomness (bootstraps, per-row
-sub-seeds) lives on reserved stream domains. Trials run one after another
-on the calling thread.
+Every report here is a pure function of its arguments. Trials come in
+blocks of 2048: trial i is row ``i mod 2048`` of the Mult(n, p) count
+matrix that block ``i // 2048`` draws from the stream derived from
+(master_seed, i // 2048). A block is drawn in sub-chunks of at most 2^18
+cells from that one stream, which yields the same rows as one draw, so
+``reps=r`` gives the first r trials of any longer run. Aggregation walks
+the same blocks in index order, and auxiliary randomness (bootstraps,
+per-row sub-seeds) lives on reserved stream domains. Everything runs on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from .bounds import (
     poisson_tail_radius,
     variance_lower_bound,
 )
-from .distributions import Pmf, add_t_estimate, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
-from .losses import kl_divergence
-from .sampling import _aux_rng, _derive_subseed, coupled_pairs, derive_trial_rng, multinomial_counts
+from .distributions import Pmf, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
+from .losses import kl_losses
+from .sampling import _aux_rng, _derive_subseed, coupled_pairs, derive_trial_rng
 
 __all__ = [
     "DistSpec",
@@ -55,6 +59,7 @@ __all__ = [
     "verify_kl_tail_bound",
     "poisson_tail_check",
     "coupling_diagnostic",
+    "check_gof_reps",
     "coupling_marginal_gof",
     "expected_kl_check",
     "chi_square_gof",
@@ -66,6 +71,7 @@ MAX_STORED_TRIALS = 10**7
 GOF_P_THRESHOLD = 1e-3
 BOOTSTRAP_RESAMPLES = 2000
 _BLOCK = 2048
+_CHUNK_CELLS = 2**18  # counts held at once: 2 MB of int64, whatever k is
 
 # Reserved stream domains for auxiliary randomness (see sampling._aux_rng).
 _DOMAIN_BOOTSTRAP = 1
@@ -211,14 +217,18 @@ class RunningMoments:
 
 
 def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int) -> np.ndarray:
-    """Per-trial KL(p || add-t estimate) losses, trial i on stream (master_seed, i)."""
+    """Per-trial KL(p || add-t estimate) losses; trial i is row i mod 2048 of
+    the counts drawn on stream (master_seed, i // 2048)."""
     if reps > MAX_STORED_TRIALS:
         raise ValueError(f"repetition count capped at {MAX_STORED_TRIALS} (got {reps})")
     losses = np.empty(reps, dtype=np.float64)
-    for i in range(reps):
-        rng = derive_trial_rng(master_seed, i)
-        counts = multinomial_counts(rng, pmf, n)
-        losses[i] = kl_divergence(pmf, add_t_estimate(counts, t))
+    chunk = max(1, _CHUNK_CELLS // len(pmf))
+    for block_lo in range(0, reps, _BLOCK):
+        rng = derive_trial_rng(master_seed, block_lo // _BLOCK)
+        block_hi = min(block_lo + _BLOCK, reps)
+        for lo in range(block_lo, block_hi, chunk):
+            hi = min(lo + chunk, block_hi)
+            losses[lo:hi] = kl_losses(pmf, rng.multinomial(n, pmf.probs, size=hi - lo), t)
     if t > 0 and not np.all(np.isfinite(losses)):
         raise RuntimeError("add-t losses with t > 0 must be finite")
     return losses
@@ -525,11 +535,16 @@ class MarginalGofReport:
     passed: bool
 
 
+def check_gof_reps(reps: int) -> None:
+    """Raise ValueError unless reps is enough draws for the marginal GOF tests."""
+    if reps < 10**5:
+        raise ValueError(f"marginal GOF needs reps >= 1e5, got {reps}")
+
+
 def coupling_marginal_gof(n: int, prob: float, reps: int, seed: int) -> MarginalGofReport:
     """Goodness of fit of the coupling's two coordinates against their exact
     marginals: Bin(n, prob) for M and Poi(n * prob) for M'."""
-    if reps < 10**5:
-        raise ValueError(f"marginal GOF needs reps >= 1e5, got {reps}")
+    check_gof_reps(reps)
     rng = derive_trial_rng(seed, 0)
     m, m_prime, *_ = coupled_pairs(rng, n, prob, reps)
 

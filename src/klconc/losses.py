@@ -1,8 +1,11 @@
 """KL divergence and its mass-adjusted variant for improper estimates.
 
-All sums over the alphabet use compensated summation (``math.fsum``) so
-results are reproducible and independent of alphabet size up to ~1e-13
-relative even for k in the millions.
+The scalar functions sum over the alphabet with compensated summation
+(``math.fsum``), so results are reproducible and independent of alphabet
+size up to ~1e-13 relative even for k in the millions. :func:`kl_losses`
+is the batched kernel of the Monte Carlo engine: one loss per row of a
+count matrix, each row reduced on its own, so a row's loss does not depend
+on which other rows share its call.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from .distributions import Measure, Pmf
 
 __all__ = [
     "kl_divergence",
+    "kl_losses",
     "adjusted_kl_divergence",
     "adjusted_kl_terms",
     "adjusted_kl_shift",
@@ -44,6 +48,39 @@ def kl_divergence(p: Pmf, q: Measure) -> float:
     if np.any(b == 0):
         return math.inf
     return math.fsum(a * np.log(a / b))
+
+
+def kl_losses(p: Pmf, counts: np.ndarray, t: float) -> np.ndarray:
+    """KL(p || add-t estimate) for every row of a (rows, k) count matrix.
+
+    Row r's estimate is (c_ri + t) / (N_r + k*t) with N_r the row total, as
+    in :func:`~klconc.distributions.add_t_estimate`, and its loss is
+
+        sum_i p_i log p_i - sum_i p_i log(c_ri + t) + log(N_r + k*t)
+
+    over the support of p: symbols with p_i = 0 contribute exactly 0
+    whatever their count, and a loss is +inf iff t = 0 and the row misses a
+    symbol of the support. Counts must be nonnegative integers; p is used
+    as given, so it is validated once, when the ``Pmf`` is built.
+    """
+    counts = np.asarray(counts)
+    k = len(p)
+    if counts.ndim != 2 or counts.shape[1] != k:
+        raise ValueError(f"counts must have shape (rows, {k}), got {counts.shape}")
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"smoothing constant must be a finite nonnegative real, got {t}")
+    totals = counts.sum(axis=1)
+    if t == 0 and np.any(totals == 0):
+        raise ValueError("empirical estimate requires at least one draw")
+    support = p.probs > 0
+    ps = p.probs[support]
+    if not support.all():
+        counts = counts[:, support]
+    cells = counts + float(t)
+    with np.errstate(divide="ignore"):
+        np.log(cells, out=cells)  # -inf where t = 0 misses a symbol
+    cells *= ps
+    return math.fsum(ps * np.log(ps)) + np.log(totals + k * t) - cells.sum(axis=1)
 
 
 def adjusted_kl_shift(n: int, k: int) -> float:

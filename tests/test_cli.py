@@ -197,6 +197,18 @@ def test_field_flag_that_no_selected_suite_has_is_usage_error(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["variance", "--k", "5", "--reps", "100"],  # k=5 in the default n=20 config: n < 10k
+    ["marginals", "--reps", "1000"],  # the marginal GOF needs reps >= 1e5
+    ["all", "--reps", "1000"],  # marginals is the fifth suite: nothing may run before it
+])
+def test_config_outside_a_claim_regime_is_usage_error(argv, capsys):
+    assert run("check", "--suite", *argv, "--seed", "7") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
+
+
 def _shift_m(pairs):
     def shifted(rng, n, prob, size):
         m, *rest = pairs(rng, n, prob, size)

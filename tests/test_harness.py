@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from klconc.bounds import poisson_tail_radius
-from klconc.distributions import add_t_estimate, uniform_pmf
+from klconc.distributions import Counts, Pmf, add_t_estimate, uniform_pmf
 from klconc.harness import (
     DistSpec,
     ExperimentConfig,
@@ -22,7 +22,7 @@ from klconc.harness import (
     verify_variance_lb,
     _kl_loss_samples,
 )
-from klconc.losses import kl_divergence
+from klconc.losses import kl_divergence, kl_losses
 from klconc.sampling import derive_trial_rng, multinomial_counts
 
 
@@ -132,7 +132,7 @@ class TestRunKlTrials:
 
     def test_infinite_smoothed_loss_raises(self, monkeypatch):
         # the invariant is checked with a raise, which python -O keeps
-        monkeypatch.setattr("klconc.harness.kl_divergence", lambda p, q: math.inf)
+        monkeypatch.setattr("klconc.harness.kl_losses", lambda p, counts, t: np.full(len(counts), math.inf))
         with pytest.raises(RuntimeError):
             _kl_loss_samples(uniform_pmf(4), 10, 1.0, 2, 5)
 
@@ -145,6 +145,66 @@ class TestRunKlTrials:
             direct = kl_divergence(p, add_t_estimate(counts, 1.0))
             decomposed = -math.fsum(np.log(counts.counts + 1.0)) / k + math.log(1 + n / k)
             assert direct == pytest.approx(decomposed, rel=1e-12)
+
+
+class TestTrialStreams:
+    """Trial i is row i mod 2048 of the counts block i // 2048 draws on stream
+    (master_seed, i // 2048)."""
+
+    def test_trial_is_row_of_its_block(self):
+        p = Pmf([0.5, 0.3, 0.15, 0.05])
+        n, t, seed, reps = 60, 0.5, 21, 2048 + 300
+        losses = _kl_loss_samples(p, n, t, seed, reps)
+        for block, size in ((0, 2048), (1, 300)):
+            counts = derive_trial_rng(seed, block).multinomial(n, p.probs, size=size)
+            for row, c in enumerate(counts):
+                want = kl_divergence(p, add_t_estimate(Counts(c), t))
+                assert losses[2048 * block + row] == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_sub_chunks_keep_the_stream(self):
+        # k=1000 holds at most 2^18 // 1000 = 262 rows at once: eight sub-chunks a block
+        p = uniform_pmf(1000)
+        one_shot = kl_losses(p, derive_trial_rng(4, 0).multinomial(50, p.probs, size=2048), 1.0)
+        assert np.array_equal(_kl_loss_samples(p, 50, 1.0, 4, 2048), one_shot)
+
+    @pytest.mark.parametrize("short,long", [(1, 2048), (2047, 2049), (3000, 4500)])
+    def test_fewer_reps_give_a_prefix(self, short, long):
+        p = uniform_pmf(5)
+        head = _kl_loss_samples(p, 40, 1.0, 9, short)
+        assert np.array_equal(head, _kl_loss_samples(p, 40, 1.0, 9, long)[:short])
+
+
+def _exact_mean_add_one(p: np.ndarray, n: int) -> float:
+    """E[KL(p || (C+1)/(n+k))] for C ~ Mult(n, p), from the Bin(n, p_i) marginals:
+    sum p_i log p_i - sum p_i E[log(C_i + 1)] + log(n + k)."""
+    c = np.arange(n + 1)
+    expected_log = stats.binom.pmf(c[None, :], n, p[:, None]) @ np.log1p(c)
+    positive = p > 0
+    return math.fsum(p[positive] * np.log(p[positive])) - math.fsum(p * expected_log) + math.log(n + p.size)
+
+
+def _z_from_exact(pmf, exact_mean, n=1000, reps=100_000, seed=7):
+    losses = _kl_loss_samples(pmf, n, 1.0, seed, reps)
+    return (float(np.mean(losses)) - exact_mean) / (float(np.std(losses, ddof=1)) / math.sqrt(reps))
+
+
+_CRITERION_7_DISTS = [DistSpec.uniform(10), DistSpec.zipf(10, 1.0), DistSpec.twopoint(10, 0.99)]
+
+
+class TestExactMeanOracle:
+    @pytest.mark.parametrize("dist", _CRITERION_7_DISTS, ids=DistSpec.label)
+    def test_engine_mean_within_4_se_of_exact(self, dist):
+        p = dist.make()
+        assert abs(_z_from_exact(p, _exact_mean_add_one(p.probs, 1000))) <= 4.0
+
+    @pytest.mark.parametrize("dist", _CRITERION_7_DISTS, ids=DistSpec.label)
+    def test_perturbed_pmf_is_caught(self, dist):
+        # negative control: the mean loss barely moves with p while every n*p_i is
+        # large, so the perturbation starves one symbol (its mass times 0.01)
+        p = dist.make()
+        w = p.probs.copy()
+        w[-1] *= 0.01
+        assert abs(_z_from_exact(Pmf(w / w.sum()), _exact_mean_add_one(p.probs, 1000))) > 4.0
 
 
 class TestChiSquareGof:

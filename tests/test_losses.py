@@ -9,6 +9,7 @@ from klconc.losses import (
     adjusted_kl_shift,
     adjusted_kl_terms,
     kl_divergence,
+    kl_losses,
 )
 
 
@@ -64,6 +65,69 @@ class TestKlDivergence:
         perm = rng.permutation(k)
         shuffled = kl_divergence(Pmf(p.probs[perm]), Pmf(q.probs[perm]))
         assert shuffled == pytest.approx(base, rel=1e-13)
+
+
+def _random_rows(rng, groups, rows):
+    """(p, counts, n) groups: random k and n, p with zeros in every third group,
+    and counts drawn from another pmf, so symbols outside p's support get counts."""
+    for g in range(groups):
+        k = int(rng.integers(1, 60))
+        n = int(rng.integers(1, 5000))
+        w = rng.dirichlet(np.ones(k))
+        if g % 3 == 0:
+            w[rng.random(k) < 0.3] = 0.0
+            w[int(rng.integers(k))] += 0.5
+        p = Pmf(w / w.sum())
+        yield p, rng.multinomial(n, rng.dirichlet(np.ones(k)), size=rows), n
+
+
+def _scalar_losses(p, counts, t):
+    return np.array([kl_divergence(p, add_t_estimate(Counts(row), t)) for row in counts])
+
+
+class TestKlLosses:
+    def test_matches_scalar_path(self):
+        # 200 groups of 50 rows: 10^4 rows, each against kl_divergence of add_t_estimate
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        for p, counts, n in _random_rows(rng, 200, 50):
+            t = float(rng.choice([0.5, 1.0, 2.0]))
+            scale = max(1.0, math.log(1.0 + n / (len(p) * t)))
+            err = np.abs(kl_losses(p, counts, t) - _scalar_losses(p, counts, t)) / scale
+            worst = max(worst, float(err.max()))
+        assert worst <= 1e-12
+
+    def test_unsmoothed_rows_infinite_exactly_where_scalar_is(self):
+        rng = np.random.default_rng(43)
+        infinite = finite = 0
+        for p, counts, n in _random_rows(rng, 100, 20):
+            got = kl_losses(p, counts, 0.0)
+            want = _scalar_losses(p, counts, 0.0)
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            ok = np.isfinite(want)
+            np.testing.assert_allclose(got[ok], want[ok], rtol=0, atol=1e-12 * max(1.0, math.log(n)))
+            infinite += int(np.sum(~ok))
+            finite += int(np.sum(ok))
+        assert infinite > 0 and finite > 0  # both kinds of row were exercised
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        rng = np.random.default_rng(47)
+        p = Pmf(rng.dirichlet(np.ones(37)))
+        counts = rng.multinomial(900, p.probs, size=301)
+        whole = kl_losses(p, counts, 1.0)
+        parts = np.concatenate([kl_losses(p, counts[lo : lo + 7], 1.0) for lo in range(0, 301, 7)])
+        assert np.array_equal(whole, parts)
+
+    def test_validation(self):
+        p = uniform_pmf(3)
+        with pytest.raises(ValueError, match="shape"):
+            kl_losses(p, np.zeros((2, 4), dtype=np.int64), 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            kl_losses(p, np.zeros(3, dtype=np.int64), 1.0)
+        with pytest.raises(ValueError, match="smoothing"):
+            kl_losses(p, np.ones((1, 3), dtype=np.int64), -1.0)
+        with pytest.raises(ValueError, match="at least one draw"):
+            kl_losses(p, np.zeros((1, 3), dtype=np.int64), 0.0)
 
 
 class TestAdjustedKl:
