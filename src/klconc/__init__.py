@@ -17,7 +17,6 @@ from .bounds import (
     expectation_gap_bound,
     heuristic_kl_std,
     kl_deviation_bound,
-    mcdiarmid_deviation,
     poisson_pmf_at_mean,
     poisson_tail_radius,
     prior_deviation_bound,

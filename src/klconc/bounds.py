@@ -18,7 +18,6 @@ from scipy import stats
 
 __all__ = [
     "BoundInputs",
-    "mcdiarmid_deviation",
     "kl_deviation_bound",
     "prior_deviation_bound",
     "variance_lower_bound",
@@ -50,17 +49,6 @@ class BoundInputs:
             raise ValueError(f"sample size must be >= 1, got {self.n}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"failure probability must lie in (0, 1), got {self.delta}")
-
-
-def mcdiarmid_deviation(c_inf: float, n: int, delta: float) -> float:
-    """Bounded-differences deviation sqrt(n * c_inf**2 / 2 * log(1/delta))."""
-    if not c_inf > 0:
-        raise ValueError(f"worst-case coordinate influence must be > 0, got {c_inf}")
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"failure probability must lie in (0, 1), got {delta}")
-    return math.sqrt(n * c_inf**2 / 2.0 * math.log(1.0 / delta))
 
 
 def kl_deviation_bound(b: BoundInputs) -> float:

@@ -23,6 +23,7 @@ from .bounds import (
     variance_lower_bound,
 )
 from .harness import (
+    MAX_STORED_TRIALS,
     DistSpec,
     ExperimentConfig,
     check_gof_reps,
@@ -74,6 +75,14 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _reps(text: str) -> int:
+    """argparse type for trial counts: an integer in [1, MAX_STORED_TRIALS]."""
+    value = _count(text)
+    if value > MAX_STORED_TRIALS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_STORED_TRIALS}, got {value}")
     return value
 
 
@@ -352,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dist", required=True, help="uniform | zipf | twopoint | file:PATH")
     sim.add_argument("--k", type=_count, help="alphabet size (uniform/zipf/twopoint)")
     sim.add_argument("--n", type=_count, required=True, help="samples per trial")
-    sim.add_argument("--reps", type=_count, required=True, help="number of trials")
+    sim.add_argument("--reps", type=_reps, required=True, help="number of trials")
     sim.add_argument("--seed", type=_seed, required=True, help="64-bit master seed")
     sim.add_argument("--t", type=float, default=1.0, help="add-constant parameter (default 1)")
     sim.add_argument("--delta", type=_delta, help="failure probability for exceedance columns")
@@ -374,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure1", help="sample std vs sqrt(k/2)/n sweep over alphabet sizes")
     fig.add_argument("--ks", default="2,4,8,16,32,64", help="comma-separated alphabet sizes")
     fig.add_argument("--n", type=_count, default=10240)
-    fig.add_argument("--reps", type=_count, default=1000)
+    fig.add_argument("--reps", type=_reps, default=1000)
     fig.add_argument("--seed", type=_seed, default=0)
     fig.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     fig.add_argument("--svg", help="also render a log-log SVG plot to this path")
@@ -386,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run claim-verification suites")
     chk.add_argument("--suite", default="all", choices=["all", *suites])
     chk.add_argument("--seed", type=_seed, default=0)
-    chk.add_argument("--reps", type=_count, help="override repetitions for the suite")
+    chk.add_argument("--reps", type=_reps, help="override repetitions for the suite")
     for field, (kind, what) in _FIELD_FLAGS.items():
         takers = ", ".join(name for name, suite in suites.items() if field in suite.fields)
         chk.add_argument(f"--{field}", type=kind,

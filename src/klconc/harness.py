@@ -6,9 +6,10 @@ matrix that block ``i // 2048`` draws from the stream derived from
 (master_seed, i // 2048). A block is drawn in sub-chunks of at most 2^18
 cells from that one stream, which yields the same rows as one draw, so
 ``reps=r`` gives the first r trials of any longer run. Aggregation walks
-the same blocks in index order, and auxiliary randomness (bootstraps,
-per-row sub-seeds) lives on reserved stream domains. Everything runs on
-the calling thread.
+the same blocks in index order, and the only auxiliary randomness, the
+figure-1 sweep's per-row sub-seeds, lives on a reserved stream domain.
+Intervals are closed-form functions of the losses and draw nothing.
+Everything runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .bounds import (
 )
 from .distributions import Pmf, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
 from .losses import kl_losses
-from .sampling import _aux_rng, _derive_subseed, coupled_pairs, derive_trial_rng
+from .sampling import _derive_subseed, coupled_pairs, derive_trial_rng
 
 __all__ = [
     "DistSpec",
@@ -69,12 +70,10 @@ __all__ = [
 QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 MAX_STORED_TRIALS = 10**7
 GOF_P_THRESHOLD = 1e-3
-BOOTSTRAP_RESAMPLES = 2000
 _BLOCK = 2048
 _CHUNK_CELLS = 2**18  # counts held at once: 2 MB of int64, whatever k is
 
-# Reserved stream domains for auxiliary randomness (see sampling._aux_rng).
-_DOMAIN_BOOTSTRAP = 1
+# Reserved stream domain of the sweep rows' sub-seeds (see sampling._derive_subseed).
 _DOMAIN_SWEEP_ROW = 2
 
 
@@ -216,11 +215,16 @@ class RunningMoments:
         return self._m2 / (self.count - 1)
 
 
+def _check_stored(reps: int) -> None:
+    """Raise ValueError before a reps-sized array above MAX_STORED_TRIALS is drawn."""
+    if reps > MAX_STORED_TRIALS:
+        raise ValueError(f"repetition count capped at {MAX_STORED_TRIALS} (got {reps})")
+
+
 def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int) -> np.ndarray:
     """Per-trial KL(p || add-t estimate) losses; trial i is row i mod 2048 of
     the counts drawn on stream (master_seed, i // 2048)."""
-    if reps > MAX_STORED_TRIALS:
-        raise ValueError(f"repetition count capped at {MAX_STORED_TRIALS} (got {reps})")
+    _check_stored(reps)
     losses = np.empty(reps, dtype=np.float64)
     chunk = max(1, _CHUNK_CELLS // len(pmf))
     for block_lo in range(0, reps, _BLOCK):
@@ -335,22 +339,20 @@ class VarianceLbReport:
     passed: bool
 
 
-def _bootstrap_variance_interval(
-    losses: np.ndarray, master_seed: int, resamples: int = BOOTSTRAP_RESAMPLES, level: float = 0.95
-) -> tuple[float, float]:
-    """Percentile bootstrap interval on the sample variance, on its own stream."""
-    rng = _aux_rng(master_seed, _DOMAIN_BOOTSTRAP)
-    reps = losses.size
-    variances = np.empty(resamples)
-    chunk = max(1, min(resamples, 5_000_000 // max(reps, 1)))
-    done = 0
-    while done < resamples:
-        take = min(chunk, resamples - done)
-        idx = rng.integers(0, reps, size=(take, reps))
-        variances[done : done + take] = np.var(losses[idx], axis=1, ddof=1)
-        done += take
-    lo, hi = np.percentile(variances, [50 * (1 - level), 50 * (1 + level)])
-    return float(lo), float(hi)
+_Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+
+def _variance_interval(losses: np.ndarray, moments: RunningMoments) -> tuple[float, float]:
+    """95% normal interval on the sample variance s^2 of r losses, from the
+    fourth central moment m4: Var(s^2) ~ (m4 - s^4 (r-3)/(r-1)) / r. The lower
+    end is clamped at 0; below two losses the interval is (nan, nan)."""
+    r = losses.size
+    if r < 2:
+        return math.nan, math.nan
+    s2 = moments.variance
+    m4 = float(np.mean((losses - moments.mean) ** 4))
+    half = _Z95 * math.sqrt(max(0.0, (m4 - s2 * s2 * (r - 3) / (r - 1)) / r))
+    return max(0.0, s2 - half), s2 + half
 
 
 def verify_variance_lb(k: int, n: int, reps: int, seed: int) -> VarianceLbReport:
@@ -358,8 +360,9 @@ def verify_variance_lb(k: int, n: int, reps: int, seed: int) -> VarianceLbReport
     closed-form floor k/(32 n^2); requires n >= 10k."""
     lb = variance_lower_bound(k, n)  # validates n >= 10k
     losses = _kl_loss_samples(uniform_pmf(k), n, 1.0, seed, reps)
-    empirical = _moments_blockwise(losses).variance
-    ci_low, ci_high = _bootstrap_variance_interval(losses, seed)
+    moments = _moments_blockwise(losses)
+    empirical = moments.variance
+    ci_low, ci_high = _variance_interval(losses, moments)
     return VarianceLbReport(
         k=k,
         n=n,
@@ -424,6 +427,7 @@ class PoissonTailReport:
 def poisson_tail_check(lam: float, delta: float, reps: int, seed: int) -> PoissonTailReport:
     """Failure rate of |N + 1 - lam| <= 6*sqrt(N+1)*log(2/delta) over Poisson
     draws; must stay within delta (plus sampling slack)."""
+    _check_stored(reps)
     rng = derive_trial_rng(seed, 0)
     draws = rng.poisson(lam, size=reps)
     fail_frac = float(np.mean(np.abs(draws + 1.0 - lam) > poisson_tail_radius(draws, delta)))
@@ -452,6 +456,7 @@ def coupling_diagnostic(n: int, prob: float, reps: int, seed: int) -> CouplingGa
     """Monte Carlo estimate of E[(M - M')/(M' + 1)] over the coupling versus
     the closed-form ceiling 311/n + 160/(n^1.5 * prob). Passes unless the 99%
     CI certifies a violation (lower edge above the ceiling)."""
+    _check_stored(reps)
     rng = derive_trial_rng(seed, 0)
     m, m_prime, *_ = coupled_pairs(rng, n, prob, reps)
     gaps = (m - m_prime) / (m_prime + 1.0)
@@ -545,6 +550,7 @@ def coupling_marginal_gof(n: int, prob: float, reps: int, seed: int) -> Marginal
     """Goodness of fit of the coupling's two coordinates against their exact
     marginals: Bin(n, prob) for M and Poi(n * prob) for M'."""
     check_gof_reps(reps)
+    _check_stored(reps)
     rng = derive_trial_rng(seed, 0)
     m, m_prime, *_ = coupled_pairs(rng, n, prob, reps)
 

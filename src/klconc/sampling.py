@@ -45,15 +45,10 @@ def derive_trial_rng(master_seed: int, trial_index: int) -> Generator:
     return Generator(PCG64(_seed_sequence(master_seed, (trial_index,))))
 
 
-def _aux_rng(master_seed: int, domain: int, index: int = 0) -> Generator:
-    """Auxiliary stream (bootstraps, sub-seed derivation), disjoint from all
-    trial streams: two-element spawn keys never collide with the one-element
-    keys used by :func:`derive_trial_rng`."""
-    return Generator(PCG64(_seed_sequence(master_seed, (domain, index))))
-
-
 def _derive_subseed(master_seed: int, domain: int, index: int = 0) -> int:
-    """64-bit sub-seed usable as a fresh master seed, e.g. one per sweep row."""
+    """64-bit sub-seed usable as a fresh master seed, e.g. one per sweep row.
+    Its two-element spawn key never collides with the one-element keys of
+    :func:`derive_trial_rng`, so it is disjoint from every trial stream."""
     return int(_seed_sequence(master_seed, (domain, index)).generate_state(1, np.uint64)[0])
 
 

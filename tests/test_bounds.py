@@ -14,7 +14,6 @@ from klconc.bounds import (
     expectation_gap_bound,
     heuristic_kl_std,
     kl_deviation_bound,
-    mcdiarmid_deviation,
     poisson_pmf_at_mean,
     poisson_tail_radius,
     prior_deviation_bound,
@@ -44,25 +43,6 @@ def test_bound_inputs_validation():
     for delta in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             BoundInputs(k=1, n=1, delta=delta)
-
-
-class TestMcdiarmid:
-    def test_arithmetic_instance(self):
-        assert mcdiarmid_deviation(1.0, 2, math.exp(-2)) == pytest.approx(math.sqrt(2), rel=1e-15)
-
-    def test_empirical_l1_influence(self):
-        # c_inf = 2/n collapses the bound to sqrt(2 log(1/delta) / n)
-        for n in (10, 1000, 10**6):
-            for delta in (0.01, 0.3):
-                got = mcdiarmid_deviation(2.0 / n, n, delta)
-                assert got == pytest.approx(math.sqrt(2.0 * math.log(1 / delta) / n), rel=1e-12)
-
-    def test_vanishes_as_delta_approaches_one(self):
-        assert mcdiarmid_deviation(1.0, 5, 1 - 1e-12) < 1e-5
-
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            mcdiarmid_deviation(1.0, 5, 1.0)
 
 
 class TestKlDeviationBound:

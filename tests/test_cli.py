@@ -300,9 +300,11 @@ _VALID = {
        for suite in ("thm", "poisson-tail", "coupling", "expectation")},
 }
 _OUT_OF_RANGE = [
-    *[(command, flag, value) for flag, value in (("--reps", "0"), ("--reps", "-3"), ("--threads", "0"),
+    *[(command, flag, value) for flag, value in (("--reps", "0"), ("--reps", "-3"),
+                                                 ("--reps", str(harness.MAX_STORED_TRIALS + 1)), ("--threads", "0"),
                                                  ("--seed", "-1"), ("--seed", str(2**64)))
       for command in sorted(_SUBCOMMANDS)],
+    ("thm", "--reps", "20000000"),
     *[(command, "--n", value) for command in ("simulate", "figure1", "check", "bounds", "thm",
                                               "coupling", "expectation") for value in ("0", "-2")],
     *[(command, "--k", "0") for command in ("simulate", "check", "bounds", "thm")],

@@ -8,6 +8,7 @@ from scipy import stats
 from klconc.bounds import poisson_tail_radius
 from klconc.distributions import Counts, Pmf, add_t_estimate, uniform_pmf
 from klconc.harness import (
+    MAX_STORED_TRIALS,
     DistSpec,
     ExperimentConfig,
     RunningMoments,
@@ -232,6 +233,28 @@ class TestChiSquareGof:
         assert gof.p_value == 1.0
 
 
+def _exact_var_k2(n: int) -> float:
+    """Exact variance of the add-one KL loss on uniform(2): enumerate C1 ~ Bin(n, 1/2)."""
+    c = np.arange(n + 1)
+    w = stats.binom.pmf(c, n, 0.5)
+    loss = -0.5 * (np.log1p(c) + np.log1p(n - c)) + math.log1p(n / 2)
+    return float(w @ (loss - w @ loss) ** 2)
+
+
+def _ci(report):
+    return report.ci_low, report.ci_high
+
+
+def _percentile_bootstrap(losses, rng, resamples=2000):
+    """95% percentile bootstrap interval on the sample variance, as an independent oracle."""
+    variances = np.empty(resamples)
+    chunk = max(1, 5_000_000 // losses.size)
+    for lo in range(0, resamples, chunk):
+        idx = rng.integers(0, losses.size, size=(min(chunk, resamples - lo), losses.size))
+        variances[lo : lo + len(idx)] = np.var(losses[idx], axis=1, ddof=1)
+    return np.percentile(variances, [2.5, 97.5])
+
+
 class TestVarianceLb:
     def test_hypothesis_violation(self):
         with pytest.raises(ValueError):
@@ -247,6 +270,45 @@ class TestVarianceLb:
         a = verify_variance_lb(2, 64, 2000, seed=7)
         b = verify_variance_lb(2, 64, 2000, seed=7)
         assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
+
+    @pytest.mark.filterwarnings("error")
+    def test_interval_at_tiny_reps(self):
+        assert all(map(math.isnan, _ci(verify_variance_lb(2, 20, 1, seed=3))))
+        for reps in (2, 3):
+            low, high = _ci(verify_variance_lb(2, 20, reps, seed=3))
+            assert math.isfinite(high) and 0.0 <= low <= high
+
+    def test_interval_covers_exact_variance(self):
+        exact = _exact_var_k2(20)
+        reports = (verify_variance_lb(2, 20, 8192, seed) for seed in range(400))
+        hits = sum(r.ci_low <= exact <= r.ci_high for r in reports)
+        assert hits / 400 >= 0.90
+
+    @pytest.mark.parametrize("k,n", [(2, 20), (10, 100), (64, 10240)])
+    def test_interval_agrees_with_percentile_bootstrap(self, k, n):
+        r = verify_variance_lb(k, n, 8192, seed=3)
+        # resampling noise moves the bootstrap's ends by ~2% of the width; this
+        # fixed stream gives the ci95 that `check` printed while it bootstrapped
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3, spawn_key=(1, 0))))
+        boot = _percentile_bootstrap(_kl_loss_samples(uniform_pmf(k), n, 1.0, 3, 8192), rng)
+        width = r.ci_high - r.ci_low
+        assert abs(boot[0] - r.ci_low) <= 0.05 * width
+        assert abs(boot[1] - r.ci_high) <= 0.05 * width
+
+
+@pytest.mark.parametrize("check,args", [
+    (verify_variance_lb, (2, 20)),
+    (poisson_tail_check, (1.0, 0.1)),
+    (coupling_diagnostic, (100, 0.5)),
+    (coupling_marginal_gof, (100, 0.5)),
+])
+def test_reps_above_storage_cap_rejected_before_drawing(check, args, monkeypatch):
+    def no_draw(*_):
+        raise AssertionError("drew trials before checking the cap")
+
+    monkeypatch.setattr("klconc.harness.derive_trial_rng", no_draw)
+    with pytest.raises(ValueError, match="capped"):
+        check(*args, MAX_STORED_TRIALS + 1, seed=0)
 
 
 class TestTailBound:

@@ -7,7 +7,6 @@ from scipy import stats
 from klconc.distributions import Pmf, uniform_pmf
 from klconc.harness import chi_square_gof
 from klconc.sampling import (
-    _aux_rng,
     _derive_subseed,
     coupled_pairs,
     derive_trial_rng,
@@ -45,8 +44,6 @@ class TestStreamDerivation:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError):
                 derive_trial_rng(seed, 0)
-            with pytest.raises(ValueError):
-                _aux_rng(seed, 1)
             with pytest.raises(ValueError):
                 _derive_subseed(seed, 2)
 
