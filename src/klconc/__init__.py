@@ -1,9 +1,9 @@
 """Concentration of the KL loss of add-constant estimators.
 
 Estimators and divergences for discrete distributions, exact seeded
-samplers (multinomial, Poissonized counts, and a binomial/Poisson
-coupling), closed-form deviation and variance bounds, and a Monte Carlo
-harness that verifies the distributional claims.
+samplers (multinomial counts and a binomial/Poisson coupling), closed-form
+deviation and variance bounds, and a Monte Carlo harness that verifies the
+distributional claims.
 """
 
 from .bounds import (
@@ -43,6 +43,7 @@ from .harness import (
     coupling_marginal_gof,
     expected_kl_check,
     poisson_tail_check,
+    poisson_tail_checks,
     run_facts_checks,
     run_kl_trials,
     sweep_std_vs_heuristic,
@@ -60,7 +61,6 @@ from .sampling import (
     coupled_pairs,
     derive_trial_rng,
     multinomial_counts,
-    poissonized_counts,
 )
 
 __version__ = "0.1.0"

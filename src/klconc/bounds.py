@@ -4,7 +4,9 @@ Every formula is evaluated with its explicit constants; the one bound known
 only up to order of magnitude (:func:`prior_deviation_bound`) uses constant
 1 and is documented as approximate. Exact-summation companions are provided
 for the inverse-moment formulas so they can be checked against an
-independent oracle.
+independent oracle. The binomial and Poisson pmfs and the regularised
+incomplete gamma function that these oracles and the harness's
+goodness-of-fit tests need are computed here with numpy and ``math`` alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "BoundInputs",
@@ -139,6 +140,75 @@ def binomial_inverse_moment(m: int, prob: float) -> float:
     return numer / (prob * (m + 1))
 
 
+def _binomial_pmf(m: int, prob: float) -> np.ndarray:
+    """P[X = x] for X ~ Bin(m, prob) and x = 0..m: the ratios P[x+1]/P[x]
+    multiplied outward from the mode, then normalised to sum 1."""
+    pmf = np.zeros(m + 1)
+    mode = min(m, int((m + 1) * prob))
+    pmf[mode] = 1.0
+    if prob < 1.0:
+        odds = prob / (1.0 - prob)
+        up = np.arange(mode, m)  # x -> x + 1
+        pmf[mode + 1 :] = np.cumprod((m - up) / (up + 1.0) * odds)
+        down = np.arange(mode, 0, -1)  # x -> x - 1
+        pmf[:mode] = np.cumprod(down / ((m - down + 1.0) * odds))[::-1]
+    return pmf / math.fsum(pmf)
+
+
+def _poisson_pmf(lam: float, hi: int) -> np.ndarray:
+    """P[N = j] for N ~ Poi(lam) and j = 0..hi: one log-gamma value at the
+    mode, then the ratios P[j+1]/P[j] = lam/(j+1) multiplied outward."""
+    mode = min(hi, int(lam))
+    pmf = np.empty(hi + 1)
+    pmf[mode] = math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1))
+    pmf[mode + 1 :] = pmf[mode] * np.cumprod(lam / np.arange(mode + 1, hi + 1))
+    pmf[:mode] = pmf[mode] * np.cumprod(np.arange(mode, 0, -1) / lam)[::-1]
+    return pmf
+
+
+def _regularized_gamma(a: float, x: float) -> tuple[float, float]:
+    """Regularised incomplete gamma functions (P(a, x), Q(a, x)) for a > 0
+    and finite x >= 0.
+
+    Below x = a + 1 the power series gives P, above it the modified Lentz
+    continued fraction gives Q; the other one is the complement, which on
+    each side of x = a + 1 stays away from 0. Two uses:
+    ``chi2.sf(s, d) = Q(d/2, s/2)`` and ``Pr[Poi(lam) > j] = P(j+1, lam)``.
+    """
+    if not (a > 0 and 0 <= x < math.inf):
+        raise ValueError(f"need a > 0 and finite x >= 0, got a={a}, x={x}")
+    if x == 0:
+        return 0.0, 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))  # x^a e^-x / Gamma(a)
+    eps = np.finfo(np.float64).eps
+    max_terms = 100 + int(50 * math.sqrt(a))  # both converge in O(sqrt(a)) terms near x = a
+    if x < a + 1:
+        term = total = 1.0 / a
+        for i in range(1, max_terms):
+            term *= x / (a + i)
+            total += term
+            if term < total * eps:
+                p = front * total
+                return p, 1.0 - p
+    else:
+        tiny = 1e-300
+        b = x + 1.0 - a
+        c, d = 1.0 / tiny, 1.0 / b
+        h = d
+        for i in range(1, max_terms):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = b + an / c
+            c = c if abs(c) >= tiny else tiny
+            h *= d * c
+            if abs(d * c - 1.0) < eps:
+                q = front * h
+                return 1.0 - q, q
+    raise ArithmeticError(f"incomplete gamma did not converge at a={a}, x={x}")
+
+
 def binomial_inverse_moment_exact(m: int, prob: float) -> float:
     """Exact-summation oracle for :func:`binomial_inverse_moment`."""
     if m < 0:
@@ -146,7 +216,7 @@ def binomial_inverse_moment_exact(m: int, prob: float) -> float:
     if not 0.0 < prob <= 1.0:
         raise ValueError(f"probability must lie in (0, 1], got {prob}")
     x = np.arange(m + 1)
-    return math.fsum(stats.binom.pmf(x, m, prob) / (x + 1.0))
+    return math.fsum(_binomial_pmf(m, prob) / (x + 1.0))
 
 
 def binomial_inverse_moment2_bound(m: int, prob: float) -> float:
@@ -165,7 +235,7 @@ def binomial_inverse_moment2_exact(m: int, prob: float) -> float:
     if not 0.0 < prob <= 1.0:
         raise ValueError(f"probability must lie in (0, 1], got {prob}")
     x = np.arange(m + 1)
-    return math.fsum(stats.binom.pmf(x, m, prob) / ((x + 1.0) * (x + 2.0)))
+    return math.fsum(_binomial_pmf(m, prob) / ((x + 1.0) * (x + 2.0)))
 
 
 # Stirling series for log(n!) - (n log n - n + 0.5*log(2 pi n)); truncating

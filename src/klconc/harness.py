@@ -20,10 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 from .bounds import (
     BoundInputs,
+    _binomial_pmf,
+    _poisson_pmf,
+    _regularized_gamma,
     binomial_inverse_moment,
     binomial_inverse_moment_exact,
     binomial_inverse_moment2_bound,
@@ -59,6 +61,7 @@ __all__ = [
     "verify_variance_lb",
     "verify_kl_tail_bound",
     "poisson_tail_check",
+    "poisson_tail_checks",
     "coupling_diagnostic",
     "check_gof_reps",
     "coupling_marginal_gof",
@@ -209,9 +212,10 @@ class RunningMoments:
 
     @property
     def variance(self) -> float:
-        """Unbiased sample variance (divisor count - 1)."""
+        """Unbiased sample variance (divisor count - 1); nan (undefined) below
+        two samples."""
         if self.count < 2:
-            return 0.0
+            return math.nan
         return self._m2 / (self.count - 1)
 
 
@@ -427,14 +431,23 @@ class PoissonTailReport:
 def poisson_tail_check(lam: float, delta: float, reps: int, seed: int) -> PoissonTailReport:
     """Failure rate of |N + 1 - lam| <= 6*sqrt(N+1)*log(2/delta) over Poisson
     draws; must stay within delta (plus sampling slack)."""
+    return poisson_tail_checks(lam, (delta,), reps, seed)[0]
+
+
+def poisson_tail_checks(lam: float, deltas, reps: int, seed: int) -> list[PoissonTailReport]:
+    """:func:`poisson_tail_check` at each delta in ``deltas``, in order, all
+    on the one sample of draws that each of those calls would make."""
     _check_stored(reps)
-    rng = derive_trial_rng(seed, 0)
-    draws = rng.poisson(lam, size=reps)
-    fail_frac = float(np.mean(np.abs(draws + 1.0 - lam) > poisson_tail_radius(draws, delta)))
-    allowed = exceedance_allowance(delta, reps)
-    return PoissonTailReport(
-        lam=lam, delta=delta, reps=reps, fail_frac=fail_frac, allowed=allowed, passed=bool(fail_frac <= allowed)
-    )
+    draws = derive_trial_rng(seed, 0).poisson(lam, size=reps)
+    deviation = np.abs(draws + 1.0 - lam)
+    reports = []
+    for delta in deltas:
+        fail_frac = float(np.mean(deviation > poisson_tail_radius(draws, delta)))
+        allowed = exceedance_allowance(delta, reps)
+        reports.append(PoissonTailReport(
+            lam=lam, delta=delta, reps=reps, fail_frac=fail_frac, allowed=allowed, passed=bool(fail_frac <= allowed)
+        ))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -523,9 +536,8 @@ def chi_square_gof(values: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0
     exp = np.array(merged_exp)
     statistic = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(merged_exp) - 1
-    return GofResult(
-        statistic=statistic, p_value=float(stats.chi2.sf(statistic, dof)), dof=dof, bins=len(merged_exp)
-    )
+    p_value = _regularized_gamma(dof / 2.0, statistic / 2.0)[1]  # chi2.sf(statistic, dof)
+    return GofResult(statistic=statistic, p_value=p_value, dof=dof, bins=len(merged_exp))
 
 
 @dataclass(frozen=True)
@@ -546,6 +558,13 @@ def check_gof_reps(reps: int) -> None:
         raise ValueError(f"marginal GOF needs reps >= 1e5, got {reps}")
 
 
+def _poisson_upper(lam: float) -> int:
+    """A count j with Pr[Poi(lam) >= j] <= 1e-12, from Bernstein's bound
+    Pr[N >= lam + t] <= exp(-t^2 / (2 (lam + t/3))) = 1e-12 solved for t."""
+    third = 12 * math.log(10.0) / 3.0
+    return math.ceil(lam + third + math.sqrt(third * third + 6.0 * third * lam))
+
+
 def coupling_marginal_gof(n: int, prob: float, reps: int, seed: int) -> MarginalGofReport:
     """Goodness of fit of the coupling's two coordinates against their exact
     marginals: Bin(n, prob) for M and Poi(n * prob) for M'."""
@@ -554,15 +573,11 @@ def coupling_marginal_gof(n: int, prob: float, reps: int, seed: int) -> Marginal
     rng = derive_trial_rng(seed, 0)
     m, m_prime, *_ = coupled_pairs(rng, n, prob, reps)
 
-    gof_m = chi_square_gof(m, stats.binom.pmf(np.arange(n + 1), n, prob))
+    gof_m = chi_square_gof(m, _binomial_pmf(n, prob))
 
     lam = n * prob
-    hi = max(int(m_prime.max()), int(stats.poisson.ppf(1.0 - 1e-12, lam)))
-    gof_mp = chi_square_gof(
-        m_prime,
-        stats.poisson.pmf(np.arange(hi + 1), lam),
-        tail_prob=float(stats.poisson.sf(hi, lam)),
-    )
+    hi = max(int(m_prime.max()), _poisson_upper(lam))
+    gof_mp = chi_square_gof(m_prime, _poisson_pmf(lam, hi), tail_prob=_regularized_gamma(hi + 1, lam)[0])
     passed = gof_m.p_value >= GOF_P_THRESHOLD and gof_mp.p_value >= GOF_P_THRESHOLD
     return MarginalGofReport(
         n=n,

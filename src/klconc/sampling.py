@@ -1,5 +1,5 @@
-"""Seeded, exact random generation: multinomial, Poissonized counts, and a
-joint binomial/Poisson construction with both marginals exact.
+"""Seeded, exact random generation: multinomial counts and a joint
+binomial/Poisson construction with both marginals exact.
 
 Streams are derived counter-style from a 64-bit master seed and a stream
 index, so any experiment is a pure function of (master_seed, indices). The
@@ -22,7 +22,6 @@ from .distributions import Counts, Pmf
 __all__ = [
     "derive_trial_rng",
     "multinomial_counts",
-    "poissonized_counts",
     "coupled_pairs",
 ]
 
@@ -57,19 +56,6 @@ def multinomial_counts(rng: Generator, p: Pmf, n: int) -> Counts:
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     return Counts(rng.multinomial(n, p.probs), total=n)
-
-
-def poissonized_counts(rng: Generator, p: Pmf, n: int) -> Counts:
-    """Counts under Poissonized sampling with nominal size n.
-
-    Drawn as independent Poi(n * p_i) per symbol, which is distributed
-    identically to first drawing N ~ Poi(n) and then Mult(N, p) but costs
-    O(k) rather than O(N). The realized total is the Counts total.
-    """
-    if n < 1:
-        raise ValueError(f"nominal sample size must be >= 1, got {n}")
-    c = rng.poisson(n * p.probs)
-    return Counts(c)
 
 
 def coupled_pairs(

@@ -1,10 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import klconc
 from klconc.bounds import (
     BoundInputs,
+    _binomial_pmf,
+    _poisson_pmf,
+    _regularized_gamma,
     binomial_inverse_moment,
     binomial_inverse_moment_exact,
     binomial_inverse_moment2_bound,
@@ -19,6 +28,7 @@ from klconc.bounds import (
     prior_deviation_bound,
     variance_lower_bound,
 )
+from klconc.harness import _poisson_upper
 
 # Pr[Poi(n) = n] computed with 60-digit mpmath arithmetic.
 _PMF_AT_MEAN_ORACLE = {
@@ -224,3 +234,89 @@ class TestBinomialProductVariance:
         mean = float(np.sum(weights * values))
         var = float(np.sum(weights * (values - mean) ** 2))
         assert binomial_product_variance(2) == pytest.approx(var, abs=1e-15)
+
+
+def _max_rel_err(got, ref, floor=1e-250):
+    """Largest |got - ref| / ref over the reference entries >= floor."""
+    got, ref = np.asarray(got, dtype=np.float64), np.asarray(ref, dtype=np.float64)
+    keep = ref >= floor
+    return float(np.max(np.abs(got[keep] - ref[keep]) / ref[keep]))
+
+
+# The numpy pmfs and incomplete gamma replace scipy in the package; scipy is
+# their independent oracle here.
+class TestBinomialPmf:
+    @pytest.mark.parametrize("prob", [1e-9, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0])
+    def test_matches_scipy(self, prob):
+        worst = max(
+            _max_rel_err(_binomial_pmf(m, prob), stats.binom.pmf(np.arange(m + 1), m, prob))
+            for m in [*range(201), 10**4]
+        )
+        assert worst <= 1e-10
+
+    def test_sums_to_one_and_nonnegative(self):
+        for m, prob in ((0, 0.3), (1, 1e-9), (37, 0.5), (10**4, 0.99)):
+            pmf = _binomial_pmf(m, prob)
+            assert pmf.shape == (m + 1,)
+            assert np.all(pmf >= 0)
+            assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-15)
+
+    def test_certain_success(self):
+        assert list(_binomial_pmf(3, 1.0)) == [0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 4.0, 10.0, 100.0, 1e4])
+class TestPoissonPmfAndTail:
+    def _hi(self, lam):
+        return int(lam + 20 * math.sqrt(lam) + 40)
+
+    def test_pmf_matches_scipy(self, lam):
+        hi = self._hi(lam)
+        assert _max_rel_err(_poisson_pmf(lam, hi), stats.poisson.pmf(np.arange(hi + 1), lam)) <= 1e-9
+
+    def test_pmf_prefix_below_mode(self, lam):
+        # hi below the mode: the top entry comes from the log-gamma value itself
+        hi = max(0, int(lam - 2 * math.sqrt(lam)))
+        assert _max_rel_err(_poisson_pmf(lam, hi), stats.poisson.pmf(np.arange(hi + 1), lam)) <= 1e-9
+
+    def test_tail_matches_scipy(self, lam):
+        hi = self._hi(lam)
+        js = np.arange(0, hi + 1, max(1, hi // 500))
+        got = [_regularized_gamma(j + 1, lam)[0] for j in js]  # Pr[N > j] = P(j + 1, lam)
+        assert _max_rel_err(got, stats.poisson.sf(js, lam)) <= 1e-9
+
+    def test_upper_cut_leaves_tail_below_1e12(self, lam):
+        hi = _poisson_upper(lam)
+        assert stats.poisson.sf(hi - 1, lam) <= 1e-12
+
+
+class TestRegularizedGamma:
+    @pytest.mark.parametrize("dof", [1, 2, 3, 17, 100, 2001])
+    def test_chi2_sf_matches_scipy(self, dof):
+        s = np.linspace(0.5, 3 * dof + 10, 400)
+        got = [_regularized_gamma(dof / 2, x / 2)[1] for x in s]  # chi2.sf(x, dof)
+        assert _max_rel_err(got, stats.chi2.sf(s, dof)) <= 1e-10
+
+    def test_p_and_q_are_complements(self):
+        for a, x in ((0.5, 0.1), (3.0, 4.0), (3.0, 4.1), (50.0, 20.0), (50.0, 80.0)):
+            p, q = _regularized_gamma(a, x)
+            assert p + q == pytest.approx(1.0, abs=1e-15)
+            assert p == pytest.approx(stats.gamma.cdf(x, a), rel=1e-12)
+
+    def test_zero_argument(self):
+        assert _regularized_gamma(2.5, 0.0) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("a,x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (1.0, math.nan),
+                                     (1.0, math.inf), (math.nan, 1.0)])
+    def test_rejects_bad_arguments(self, a, x):
+        with pytest.raises(ValueError):
+            _regularized_gamma(a, x)
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(klconc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, klconc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -29,6 +29,14 @@ class TestSimulate:
         assert float(cells[4]) > 0
         assert cells[10] == "" and cells[11] == ""  # no --delta given
 
+    def test_one_trial_has_undefined_variance(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run("simulate", "--dist", "uniform", "--k", "8", "--n", "500", "--reps", "1",
+                   "--seed", "11", "--out", str(out)) == 0
+        cells = out.read_text().strip().split("\n")[1].split(",")
+        assert float(cells[4]) > 0
+        assert cells[5] == "nan" and cells[6] == "nan"  # var_kl, std_kl
+
     def test_delta_fills_exceedance_columns(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run(
@@ -160,6 +168,26 @@ class TestCheck:
         assert run("check", "--suite", "poisson-tail", "--lam", "5", "--delta", "0.3",
                    "--reps", "20000", "--seed", "7") == 0
         assert len(_claim_lines(capsys.readouterr().out)) == 1
+
+    def test_variance_undefined_at_one_trial(self, capsys):
+        # one loss has no sample variance: nan, not a measured zero
+        assert run("check", "--suite", "variance", "--reps", "1", "--seed", "7") == 1
+        claims = _claim_lines(capsys.readouterr().out)
+        assert len(claims) == 3
+        assert all(line.startswith("FAIL  ") and " var=nan " in line and " ratio=nan " in line
+                   for line in claims)
+
+    def test_poisson_tail_lines_match_one_run_per_delta(self, capsys):
+        # a default config checks its three deltas on one sample of draws
+        assert run("check", "--suite", "poisson-tail", "--lam", "2", "--reps", "20000", "--seed", "7") == 0
+        grouped = _claim_lines(capsys.readouterr().out)
+        single = []
+        for delta in ("0.05", "0.1", "0.5"):
+            assert run("check", "--suite", "poisson-tail", "--lam", "2", "--delta", delta,
+                       "--reps", "20000", "--seed", "7") == 0
+            single += _claim_lines(capsys.readouterr().out)
+        assert grouped == single
+        assert len(grouped) == 3
 
     def test_variance_suite_fails_against_inflated_floor(self, monkeypatch, capsys):
         # negative control: a floor 100x the true one must turn the verdict to FAIL

@@ -17,6 +17,7 @@ from klconc.harness import (
     coupling_marginal_gof,
     expected_kl_check,
     poisson_tail_check,
+    poisson_tail_checks,
     run_kl_trials,
     sweep_std_vs_heuristic,
     verify_kl_tail_bound,
@@ -89,6 +90,11 @@ class TestRunningMoments:
             mom.merge(RunningMoments.from_array(np.array([v])))
         assert mom.mean == pytest.approx(7 / 3)
         assert mom.variance == pytest.approx(np.var([1.0, 2.0, 4.0], ddof=1))
+
+    def test_variance_undefined_below_two_samples(self):
+        assert math.isnan(RunningMoments().variance)
+        assert math.isnan(RunningMoments.from_array(np.array([3.0])).variance)
+        assert RunningMoments.from_array(np.array([3.0, 3.0])).variance == 0.0
 
 
 class TestRunKlTrials:
@@ -345,6 +351,13 @@ class TestPoissonTailCheck:
     def test_tiny_rate(self):
         r = poisson_tail_check(1.0, 0.5, 10**5, seed=3)
         assert r.passed
+
+    def test_several_deltas_on_one_sample(self):
+        # the grouped check reports exactly what one call per delta reports
+        deltas = (0.05, 0.1, 0.5, 0.9)
+        grouped = poisson_tail_checks(3.0, deltas, 20_000, seed=5)
+        assert grouped == [poisson_tail_check(3.0, d, 20_000, seed=5) for d in deltas]
+        assert [r.delta for r in grouped] == list(deltas)
 
 
 class TestCouplingDiagnostics:

@@ -11,7 +11,6 @@ from klconc.sampling import (
     coupled_pairs,
     derive_trial_rng,
     multinomial_counts,
-    poissonized_counts,
 )
 
 GOF_ALPHA = 1e-3
@@ -125,39 +124,6 @@ class TestMultinomialCounts:
         probs = np.zeros(hi + 1)
         probs[lo:] = stats.binom.pmf(np.arange(lo, hi + 1), 10**4, 0.5)
         gof = chi_square_gof(n1, probs, tail_prob=float(stats.binom.sf(hi, 10**4, 0.5)))
-        assert gof.p_value >= GOF_ALPHA
-
-
-class TestPoissonizedCounts:
-    def test_total_is_sum(self):
-        for i in range(50):
-            c = poissonized_counts(derive_trial_rng(21, i), uniform_pmf(5), 40)
-            assert c.total == int(c.counts.sum())
-
-    def test_single_symbol_total_is_poisson(self):
-        draws = [poissonized_counts(derive_trial_rng(23, i), Pmf([1.0]), 9).total for i in range(2000)]
-        assert np.mean(draws) == pytest.approx(9.0, abs=4 * math.sqrt(9 / 2000))
-
-    def test_counts_uncorrelated(self):
-        reps = 2 * 10**5
-        pairs = np.empty((reps, 2))
-        p = uniform_pmf(2)
-        for i in range(reps):
-            pairs[i] = poissonized_counts(derive_trial_rng(25, i), p, 100).counts
-        r = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
-        assert abs(r) < 0.01
-
-    def test_marginal_goodness_of_fit(self):
-        reps = 2 * 10**5
-        n1 = np.empty(reps, dtype=np.int64)
-        p = Pmf([0.3, 0.7])
-        for i in range(reps):
-            n1[i] = poissonized_counts(derive_trial_rng(27, i), p, 50).counts[0]
-        lam = 50 * 0.3
-        hi = int(n1.max())
-        gof = chi_square_gof(
-            n1, stats.poisson.pmf(np.arange(hi + 1), lam), tail_prob=float(stats.poisson.sf(hi, lam))
-        )
         assert gof.p_value >= GOF_ALPHA
 
 
