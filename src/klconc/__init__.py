@@ -56,6 +56,7 @@ from .losses import (
     adjusted_kl_terms,
     kl_divergence,
     kl_losses,
+    kl_losses_from_draws,
 )
 from .sampling import (
     coupled_pairs,

@@ -110,6 +110,8 @@ def _real(accept, what: str):
 _delta = _real(lambda x: 0.0 < x < 1.0, "in (0, 1)")
 _prob = _real(lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 _rate = _real(lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+_mass = _real(lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+_finite = _real(math.isfinite, "finite")
 
 # check flags named like a suite config field: field -> (argparse type, what it is)
 _FIELD_FLAGS = {
@@ -369,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=_count, required=True, help="samples per trial")
     sim.add_argument("--reps", type=_reps, required=True, help="number of trials")
     sim.add_argument("--seed", type=_seed, required=True, help="64-bit master seed")
-    sim.add_argument("--t", type=float, default=1.0, help="add-constant parameter (default 1)")
+    sim.add_argument("--t", type=_rate, default=1.0, help="add-constant parameter (default 1)")
     sim.add_argument("--delta", type=_delta, help="failure probability for exceedance columns")
-    sim.add_argument("--zipf-s", type=float, default=1.0, help="zipf exponent (default 1)")
-    sim.add_argument("--mass", type=float, default=0.99, help="twopoint head mass (default 0.99)")
+    sim.add_argument("--zipf-s", type=_finite, default=1.0, help="zipf exponent (default 1)")
+    sim.add_argument("--mass", type=_mass, default=0.99, help="twopoint head mass (default 0.99)")
     sim.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     sim.add_argument("--format", choices=("csv", "tsv"), default="csv")
     sim.add_argument("--threads", type=_count, help=_THREADS_HELP)

@@ -1,11 +1,14 @@
 """Seeded Monte Carlo experiments for the distributional claims.
 
 Every report here is a pure function of its arguments. Trials come in
-blocks of 2048: trial i is row ``i mod 2048`` of the Mult(n, p) count
-matrix that block ``i // 2048`` draws from the stream derived from
-(master_seed, i // 2048). A block is drawn in sub-chunks of at most 2^18
-cells from that one stream, which yields the same rows as one draw, so
-``reps=r`` gives the first r trials of any longer run. Aggregation walks
+blocks of 2048: trial i is row ``i mod 2048`` of the matrix that block
+``i // 2048`` draws from the stream derived from (master_seed, i // 2048).
+When 4n <= k a row is n categorical symbols (``Generator.choice``, one
+uniform per symbol) scored by ``kl_losses_from_draws``; otherwise it is a
+Mult(n, p) count vector scored by ``kl_losses``. A block is drawn in
+sub-chunks of at most 2^18 cells (rows x n symbols or rows x k counts) from
+that one stream, which yields the same rows as one draw, so ``reps=r``
+gives the first r trials of any longer run. Aggregation walks
 the same blocks in index order, and the only auxiliary randomness, the
 figure-1 sweep's per-row sub-seeds, lives on a reserved stream domain.
 Intervals are closed-form functions of the losses and draw nothing.
@@ -38,7 +41,7 @@ from .bounds import (
     variance_lower_bound,
 )
 from .distributions import Pmf, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
-from .losses import kl_losses
+from .losses import kl_losses, kl_losses_from_draws
 from .sampling import _derive_subseed, coupled_pairs, derive_trial_rng
 
 __all__ = [
@@ -74,7 +77,8 @@ QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 MAX_STORED_TRIALS = 10**7
 GOF_P_THRESHOLD = 1e-3
 _BLOCK = 2048
-_CHUNK_CELLS = 2**18  # counts held at once: 2 MB of int64, whatever k is
+_CHUNK_CELLS = 2**18  # symbols or counts held at once: 2 MB of int64, whatever k and n are
+_CATEGORICAL = 4  # rows are drawn as symbols when _CATEGORICAL * n <= k
 
 # Reserved stream domain of the sweep rows' sub-seeds (see sampling._derive_subseed).
 _DOMAIN_SWEEP_ROW = 2
@@ -227,16 +231,23 @@ def _check_stored(reps: int) -> None:
 
 def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int) -> np.ndarray:
     """Per-trial KL(p || add-t estimate) losses; trial i is row i mod 2048 of
-    the counts drawn on stream (master_seed, i // 2048)."""
+    the block drawn on stream (master_seed, i // 2048): n symbols when
+    4n <= k, else Mult(n, p) counts."""
     _check_stored(reps)
+    k = len(pmf)
+    categorical = _CATEGORICAL * n <= k
     losses = np.empty(reps, dtype=np.float64)
-    chunk = max(1, _CHUNK_CELLS // len(pmf))
+    chunk = max(1, _CHUNK_CELLS // (n if categorical else k))
     for block_lo in range(0, reps, _BLOCK):
         rng = derive_trial_rng(master_seed, block_lo // _BLOCK)
         block_hi = min(block_lo + _BLOCK, reps)
         for lo in range(block_lo, block_hi, chunk):
             hi = min(lo + chunk, block_hi)
-            losses[lo:hi] = kl_losses(pmf, rng.multinomial(n, pmf.probs, size=hi - lo), t)
+            if categorical:
+                draws = rng.choice(k, size=(hi - lo, n), p=pmf.probs)
+                losses[lo:hi] = kl_losses_from_draws(pmf, draws, t)
+            else:
+                losses[lo:hi] = kl_losses(pmf, rng.multinomial(n, pmf.probs, size=hi - lo), t)
     if t > 0 and not np.all(np.isfinite(losses)):
         raise RuntimeError("add-t losses with t > 0 must be finite")
     return losses

@@ -4,9 +4,12 @@ binomial/Poisson construction with both marginals exact.
 Streams are derived counter-style from a 64-bit master seed and a stream
 index, so any experiment is a pure function of (master_seed, indices). The
 KL-loss engine (``klconc.harness``) takes one stream per block of 2048
-trials: trial i is row ``i mod 2048`` of the Mult(n, p) counts that stream
-(master_seed, i // 2048) yields. ``Generator.multinomial`` draws rows one
-after another, so drawing a block in several calls gives the same rows.
+trials: trial i is row ``i mod 2048`` of the block that stream
+(master_seed, i // 2048) yields. When 4n <= k a row is n categorical
+symbols from ``Generator.choice`` (inverse CDF, one uniform per symbol);
+otherwise it is a Mult(n, p) count vector from ``Generator.multinomial``.
+Both consume the stream row after row, so drawing a block in sub-chunks of
+at most 2^18 cells gives the same rows as one draw.
 numpy's binomial and Poisson generators are exact-rejection samplers (no
 normal or translated approximations), which the test suite certifies by
 goodness-of-fit and Kolmogorov-distance checks.

@@ -323,6 +323,8 @@ _SUBCOMMANDS = {
 # valid command lines that the out-of-range cases append one flag to
 _VALID = {
     **_SUBCOMMANDS,
+    "simulate-zipf": ["simulate", "--dist", "zipf", "--k", "2", "--n", "10", "--reps", "5",
+                      "--seed", "1", "--out", "-"],
     "bounds": ["bounds", "--k", "2", "--n", "10", "--delta", "0.1"],
     **{suite: ["check", "--suite", suite, "--reps", "5", "--seed", "1"]
        for suite in ("thm", "poisson-tail", "coupling", "expectation")},
@@ -340,6 +342,9 @@ _OUT_OF_RANGE = [
       for value in ("0", "1", "nan")],
     *[("poisson-tail", "--lam", value) for value in ("-1", "inf", "nan")],
     *[("coupling", "--prob", value) for value in ("0", "1.5", "nan")],
+    *[("simulate", "--t", value) for value in ("-1", "inf", "nan")],
+    *[("simulate", "--mass", value) for value in ("-0.5", "1.5", "nan")],
+    *[("simulate-zipf", "--zipf-s", value) for value in ("inf", "nan")],
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from klconc.bounds import poisson_tail_radius
-from klconc.distributions import Counts, Pmf, add_t_estimate, uniform_pmf
+from klconc.distributions import Counts, Pmf, add_t_estimate, uniform_pmf, zipf_pmf
 from klconc.harness import (
     MAX_STORED_TRIALS,
     DistSpec,
@@ -24,7 +24,7 @@ from klconc.harness import (
     verify_variance_lb,
     _kl_loss_samples,
 )
-from klconc.losses import kl_divergence, kl_losses
+from klconc.losses import kl_divergence, kl_losses, kl_losses_from_draws
 from klconc.sampling import derive_trial_rng, multinomial_counts
 
 
@@ -155,8 +155,8 @@ class TestRunKlTrials:
 
 
 class TestTrialStreams:
-    """Trial i is row i mod 2048 of the counts block i // 2048 draws on stream
-    (master_seed, i // 2048)."""
+    """Trial i is row i mod 2048 of the block i // 2048 draws on stream
+    (master_seed, i // 2048): n symbols when 4n <= k, else Mult(n, p) counts."""
 
     def test_trial_is_row_of_its_block(self):
         p = Pmf([0.5, 0.3, 0.15, 0.05])
@@ -169,23 +169,44 @@ class TestTrialStreams:
                 assert losses[2048 * block + row] == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_sub_chunks_keep_the_stream(self):
-        # k=1000 holds at most 2^18 // 1000 = 262 rows at once: eight sub-chunks a block
+        # k=1000 holds at most 2^18 // 1000 = 262 count rows at once: eight sub-chunks a block
         p = uniform_pmf(1000)
-        one_shot = kl_losses(p, derive_trial_rng(4, 0).multinomial(50, p.probs, size=2048), 1.0)
-        assert np.array_equal(_kl_loss_samples(p, 50, 1.0, 4, 2048), one_shot)
+        one_shot = kl_losses(p, derive_trial_rng(4, 0).multinomial(300, p.probs, size=2048), 1.0)
+        assert np.array_equal(_kl_loss_samples(p, 300, 1.0, 4, 2048), one_shot)
 
-    @pytest.mark.parametrize("short,long", [(1, 2048), (2047, 2049), (3000, 4500)])
-    def test_fewer_reps_give_a_prefix(self, short, long):
-        p = uniform_pmf(5)
-        head = _kl_loss_samples(p, 40, 1.0, 9, short)
-        assert np.array_equal(head, _kl_loss_samples(p, 40, 1.0, 9, long)[:short])
+    def test_categorical_sub_chunks_keep_the_stream(self):
+        # n=1000 holds at most 2^18 // 1000 = 262 symbol rows at once: eight sub-chunks a block
+        p = zipf_pmf(10_000)
+        draws = derive_trial_rng(4, 0).choice(10_000, size=(2048, 1000), p=p.probs)
+        assert np.array_equal(_kl_loss_samples(p, 1000, 1.0, 4, 2048), kl_losses_from_draws(p, draws, 1.0))
+
+    @pytest.mark.parametrize("short,long,k,n", [
+        *[pytest.param(short, long, 5, 40, id=f"{short}-{long}")
+          for short, long in ((1, 2048), (2047, 2049), (3000, 4500))],
+        *[pytest.param(short, long, 200, 50, id=f"categorical-{short}-{long}")
+          for short, long in ((1, 2048), (2047, 2049))],
+    ])
+    def test_fewer_reps_give_a_prefix(self, short, long, k, n):
+        p = uniform_pmf(k)
+        head = _kl_loss_samples(p, n, 1.0, 9, short)
+        assert np.array_equal(head, _kl_loss_samples(p, n, 1.0, 9, long)[:short])
+
+    def test_switch_to_symbols_at_a_quarter_of_k(self):
+        # n = k/4 draws n symbols a row; n = k/4 + 1 draws Mult(n, p) counts
+        p, t, seed, reps = zipf_pmf(64), 0.5, 13, 100
+        draws = derive_trial_rng(seed, 0).choice(64, size=(reps, 16), p=p.probs)
+        assert np.array_equal(_kl_loss_samples(p, 16, t, seed, reps), kl_losses_from_draws(p, draws, t))
+        counts = derive_trial_rng(seed, 0).multinomial(17, p.probs, size=reps)
+        assert np.array_equal(_kl_loss_samples(p, 17, t, seed, reps), kl_losses(p, counts, t))
 
 
 def _exact_mean_add_one(p: np.ndarray, n: int) -> float:
     """E[KL(p || (C+1)/(n+k))] for C ~ Mult(n, p), from the Bin(n, p_i) marginals:
     sum p_i log p_i - sum p_i E[log(C_i + 1)] + log(n + k)."""
     c = np.arange(n + 1)
-    expected_log = stats.binom.pmf(c[None, :], n, p[:, None]) @ np.log1p(c)
+    expected_log = np.concatenate([  # 512 symbols at a time: a (512, n+1) pmf table
+        stats.binom.pmf(c[None, :], n, p[lo : lo + 512, None]) @ np.log1p(c) for lo in range(0, p.size, 512)
+    ])
     positive = p > 0
     return math.fsum(p[positive] * np.log(p[positive])) - math.fsum(p * expected_log) + math.log(n + p.size)
 
@@ -212,6 +233,25 @@ class TestExactMeanOracle:
         w = p.probs.copy()
         w[-1] *= 0.01
         assert abs(_z_from_exact(Pmf(w / w.sum()), _exact_mean_add_one(p.probs, 1000))) > 4.0
+
+
+class TestExactMeanOracleCategorical:
+    """The same oracle on the categorical path: zipf(10^4) at n=1000, so 4n <= k."""
+
+    P = zipf_pmf(10_000)
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        return _exact_mean_add_one(self.P.probs, 1000)
+
+    def test_engine_mean_within_4_se_of_exact(self, exact):
+        assert abs(_z_from_exact(self.P, exact, reps=4096)) <= 4.0
+
+    def test_perturbed_pmf_is_caught(self, exact):
+        # negative control: the head symbol loses a tenth of its mass (about 35 SE)
+        w = self.P.probs.copy()
+        w[0] *= 0.9
+        assert abs(_z_from_exact(Pmf(w / w.sum()), exact, reps=4096)) > 4.0
 
 
 class TestChiSquareGof:

@@ -10,6 +10,7 @@ from klconc.losses import (
     adjusted_kl_terms,
     kl_divergence,
     kl_losses,
+    kl_losses_from_draws,
 )
 
 
@@ -128,6 +129,64 @@ class TestKlLosses:
             kl_losses(p, np.ones((1, 3), dtype=np.int64), -1.0)
         with pytest.raises(ValueError, match="at least one draw"):
             kl_losses(p, np.zeros((1, 3), dtype=np.int64), 0.0)
+
+
+def _random_draws(rng, groups, rows):
+    """(p, draws) groups: random k and n, p with zeros in every third group, and
+    symbols drawn from another pmf, so some fall outside p's support."""
+    for g in range(groups):
+        k = int(rng.integers(1, 400))
+        n = int(rng.integers(1, 300))
+        w = rng.dirichlet(np.ones(k))
+        if g % 3 == 0:
+            w[rng.random(k) < 0.3] = 0.0
+            w[int(rng.integers(k))] += 0.5
+        yield Pmf(w / w.sum()), rng.choice(k, size=(rows, n), p=rng.dirichlet(np.ones(k)))
+
+
+def _bincounted(draws, k):
+    return np.stack([np.bincount(row, minlength=k) for row in draws])
+
+
+class TestKlLossesFromDraws:
+    def test_matches_dense_kernel(self):
+        rng = np.random.default_rng(53)
+        worst = 0.0
+        infinite = finite = 0
+        for p, draws in _random_draws(rng, 400, 20):
+            k, n = len(p), draws.shape[1]
+            t = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+            got = kl_losses_from_draws(p, draws, t)
+            want = kl_losses(p, _bincounted(draws, k), t)
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            ok = np.isfinite(want)
+            if ok.any():
+                worst = max(worst, float(np.max(np.abs(got[ok] - want[ok]))) / max(1.0, math.log(n)))
+            infinite += int(np.sum(~ok))
+            finite += int(np.sum(ok))
+        assert worst <= 1e-12
+        assert infinite > 0 and finite > 0  # both kinds of unsmoothed row were exercised
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        rng = np.random.default_rng(59)
+        p = Pmf(rng.dirichlet(np.ones(500)))
+        draws = rng.choice(500, size=(301, 90), p=p.probs)
+        for t in (0.0, 1.0):
+            whole = kl_losses_from_draws(p, draws, t)
+            parts = [kl_losses_from_draws(p, draws[lo : lo + 7], t) for lo in range(0, 301, 7)]
+            assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_validation(self):
+        p = uniform_pmf(3)
+        with pytest.raises(ValueError, match="shape"):
+            kl_losses_from_draws(p, np.zeros(3, dtype=np.int64), 1.0)
+        with pytest.raises(ValueError, match="smoothing"):
+            kl_losses_from_draws(p, np.zeros((1, 2), dtype=np.int64), -1.0)
+        with pytest.raises(ValueError, match="at least one draw"):
+            kl_losses_from_draws(p, np.zeros((2, 0), dtype=np.int64), 0.0)
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="symbols"):
+                kl_losses_from_draws(p, np.array([[0, bad]]), 1.0)
 
 
 class TestAdjustedKl:
