@@ -35,6 +35,7 @@ from .distributions import (
     zipf_pmf,
 )
 from .harness import (
+    ClaimResult,
     DistSpec,
     ExperimentConfig,
     TrialSummary,
@@ -42,7 +43,6 @@ from .harness import (
     coupling_diagnostic,
     coupling_marginal_gof,
     expected_kl_check,
-    poisson_tail_check,
     poisson_tail_checks,
     run_facts_checks,
     run_kl_trials,

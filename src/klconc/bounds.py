@@ -76,9 +76,10 @@ def prior_deviation_bound(b: BoundInputs) -> float:
 
 
 def variance_lower_bound(k: int, n: int) -> float:
-    """k / (32 * n**2), valid for the uniform distribution when n >= 10k."""
-    if k < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {k}")
+    """k / (32 * n**2), valid for the uniform distribution when k >= 2 and
+    n >= 10k. At k = 1 the loss is identically 0, so no floor holds."""
+    if k < 2:
+        raise ValueError(f"variance lower bound requires k >= 2, got k={k}")
     if n < 10 * k:
         raise ValueError(f"variance lower bound requires n >= 10*k, got n={n}, k={k}")
     return k / (32.0 * n**2)
@@ -110,9 +111,10 @@ def poisson_tail_radius(n_obs, delta: float):
     return 6.0 * np.sqrt(n_obs + 1.0) * math.log(2.0 / delta)
 
 
-def expectation_gap_bound(k: int, n: int) -> float:
+def expectation_gap_bound(k: float, n: int) -> float:
     """311/n + 160*k / n**1.5: gap between the Poissonized and fixed-n
-    expected adjusted KL."""
+    expected adjusted KL. k is a real >= 1: the alphabet size, or 1/p for the
+    coupling of one symbol of mass p."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
     return 311.0 / n + 160.0 * k / n**1.5

@@ -137,6 +137,8 @@ def _parse_dist(args) -> DistSpec:
         raise UsageError(f"unknown distribution {spec!r}")
     if args.k is None:
         raise UsageError(f"--dist {spec} requires --k")
+    if spec == "twopoint" and args.k < 2:
+        raise UsageError(f"--dist twopoint needs --k >= 2, got {args.k}")
     if spec == "uniform":
         return DistSpec.uniform(args.k)
     if spec == "zipf":
@@ -165,7 +167,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bounds(args) -> int:
     b = BoundInputs(k=args.k, n=args.n, delta=args.delta)
-    variance_lb = variance_lower_bound(args.k, args.n) if args.n >= 10 * args.k else None
+    try:
+        variance_lb = variance_lower_bound(args.k, args.n)
+    except ValueError:  # (k, n) outside the floor's regime: the cell stays blank
+        variance_lb = None
     prior = prior_deviation_bound(b) if args.n >= 2 else None
     header = ["kl_tail_bound", "prior_tail_bound", "variance_lb", "heuristic_std",
               "expectation_gap", "clip_threshold"]
@@ -253,10 +258,11 @@ def _cmd_plot(args) -> int:
 
 class _Suite(NamedTuple):
     """One claim suite of ``check``. Each default config gives a value per
-    field; ``run(**config, reps=reps, seed=seed)`` returns a report, or a list
-    of them, whose fields fill the ``claim: detail`` template ``line``.
-    ``regime``, given the same arguments, raises ValueError for a config
-    outside the claim's regime; every config is checked before any output."""
+    field; ``run(**config, reps=reps, seed=seed)`` returns a ``ClaimResult``,
+    or a list of them. The run's arguments and then each result's ``values``
+    fill the ``claim: detail`` template ``line``. ``regime``, given the same
+    arguments, raises ValueError for a config outside the claim's regime;
+    every config is checked before any output."""
 
     fields: tuple[str, ...]
     configs: list[tuple]
@@ -281,7 +287,7 @@ def _suites() -> dict[str, _Suite]:
             "variance of add-one KL loss >= k/(32 n^2): k={k} n={n} reps={reps} "
             "var={empirical_var:.4e} bound={lower_bound:.4e} ratio={ratio:.2f} "
             "ci95=[{ci_low:.4e}, {ci_high:.4e}]",
-            lambda k, n, **_: variance_lower_bound(k, n),  # raises unless n >= 10k
+            lambda k, n, **_: variance_lower_bound(k, n),  # raises unless k >= 2 and n >= 10k
         ),
         "thm": _Suite(
             ("k", "n", "delta"), [(10, 1000, 0.1), (100, 10_000, 0.05)], 10_000, verify_kl_tail_bound,
@@ -347,10 +353,10 @@ def _cmd_check(args) -> int:
         print(f"== suite: {name}")
         for kwargs in configs:
             out = suite.run(**kwargs)
-            for report in out if isinstance(out, list) else [out]:
-                verdict = "PASS" if report.passed else "FAIL"
-                print(f"{verdict}  {suite.line.format_map(vars(report))}")
-                all_ok = all_ok and report.passed
+            for result in out if isinstance(out, list) else [out]:
+                verdict = "PASS" if result.passed else "FAIL"
+                print(f"{verdict}  {suite.line.format_map({**kwargs, **result.values})}")
+                all_ok = all_ok and result.passed
     print("== verdict:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 

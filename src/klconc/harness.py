@@ -1,8 +1,9 @@
 """Seeded Monte Carlo experiments for the distributional claims.
 
-Every report here is a pure function of its arguments. Trials come in
-blocks of 2048: trial i is row ``i mod 2048`` of the matrix that block
-``i // 2048`` draws from the stream derived from (master_seed, i // 2048).
+Every claim check here is a pure function of its arguments and returns a
+``ClaimResult``. Trials come in blocks of 2048: trial i is row ``i mod 2048``
+of the matrix that block ``i // 2048`` draws from the stream derived from
+(master_seed, i // 2048).
 When 4n <= k a row is n categorical symbols (``Generator.choice``, one
 uniform per symbol) scored by ``kl_losses_from_draws``; otherwise it is a
 Mult(n, p) count vector scored by ``kl_losses``. A block is drawn in
@@ -18,7 +19,6 @@ Everything runs on the calling thread.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +34,7 @@ from .bounds import (
     binomial_inverse_moment2_bound,
     binomial_inverse_moment2_exact,
     binomial_product_variance,
+    expectation_gap_bound,
     heuristic_kl_std,
     kl_deviation_bound,
     poisson_pmf_at_mean,
@@ -51,19 +52,12 @@ __all__ = [
     "RunningMoments",
     "GofResult",
     "StdSweepRow",
-    "VarianceLbReport",
-    "TailBoundReport",
-    "PoissonTailReport",
-    "CouplingGapReport",
-    "MarginalGofReport",
-    "ExpectedKlReport",
-    "FactCheck",
+    "ClaimResult",
     "exceedance_allowance",
     "run_kl_trials",
     "sweep_std_vs_heuristic",
     "verify_variance_lb",
     "verify_kl_tail_bound",
-    "poisson_tail_check",
     "poisson_tail_checks",
     "coupling_diagnostic",
     "check_gof_reps",
@@ -176,7 +170,6 @@ class TrialSummary:
     quantiles: dict[float, float]
     exceed_count: int | None
     t_delta: float | None
-    wall_seconds: float
 
 
 class RunningMoments:
@@ -274,7 +267,6 @@ def _exact_quantiles(losses: np.ndarray, levels=QUANTILE_LEVELS) -> dict[float, 
 def run_kl_trials(cfg: ExperimentConfig) -> TrialSummary:
     """Draw Mult(n, p) counts per trial, smooth with add-t, and aggregate the
     KL losses. Deterministic given cfg."""
-    start = time.perf_counter()
     pmf = cfg.dist.make()
     k = len(pmf)
     losses = _kl_loss_samples(pmf, cfg.n, cfg.t, cfg.master_seed, cfg.reps)
@@ -305,7 +297,6 @@ def run_kl_trials(cfg: ExperimentConfig) -> TrialSummary:
         quantiles=_exact_quantiles(losses),
         exceed_count=exceed_count,
         t_delta=t_delta,
-        wall_seconds=time.perf_counter() - start,
     )
 
 
@@ -342,16 +333,12 @@ def sweep_std_vs_heuristic(
 
 
 @dataclass(frozen=True)
-class VarianceLbReport:
-    k: int
-    n: int
-    reps: int
-    empirical_var: float
-    lower_bound: float
-    ratio: float
-    ci_low: float
-    ci_high: float
+class ClaimResult:
+    """Verdict of one claim check, and the values the check computed (not
+    the config it was given), keyed by name."""
+
     passed: bool
+    values: dict
 
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -370,37 +357,16 @@ def _variance_interval(losses: np.ndarray, moments: RunningMoments) -> tuple[flo
     return max(0.0, s2 - half), s2 + half
 
 
-def verify_variance_lb(k: int, n: int, reps: int, seed: int) -> VarianceLbReport:
+def verify_variance_lb(k: int, n: int, reps: int, seed: int) -> ClaimResult:
     """Empirical Var(KL) for the add-one estimator on uniform(k) against the
-    closed-form floor k/(32 n^2); requires n >= 10k."""
-    lb = variance_lower_bound(k, n)  # validates n >= 10k
+    closed-form floor k/(32 n^2); requires k >= 2 and n >= 10k."""
+    lb = variance_lower_bound(k, n)  # validates k >= 2 and n >= 10k
     losses = _kl_loss_samples(uniform_pmf(k), n, 1.0, seed, reps)
     moments = _moments_blockwise(losses)
     empirical = moments.variance
     ci_low, ci_high = _variance_interval(losses, moments)
-    return VarianceLbReport(
-        k=k,
-        n=n,
-        reps=reps,
-        empirical_var=empirical,
-        lower_bound=lb,
-        ratio=empirical / lb,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        passed=bool(empirical >= lb),
-    )
-
-
-@dataclass(frozen=True)
-class TailBoundReport:
-    k: int
-    n: int
-    reps: int
-    delta: float
-    t_delta: float
-    exceed_frac: float
-    allowed: float
-    passed: bool
+    return ClaimResult(bool(empirical >= lb), {"empirical_var": empirical, "lower_bound": lb,
+                                               "ratio": empirical / lb, "ci_low": ci_low, "ci_high": ci_high})
 
 
 def exceedance_allowance(delta: float, reps: int) -> float:
@@ -409,7 +375,7 @@ def exceedance_allowance(delta: float, reps: int) -> float:
     return delta + 3.0 * math.sqrt(delta * (1.0 - delta) / reps)
 
 
-def verify_kl_tail_bound(k: int, n: int, reps: int, delta: float, seed: int) -> TailBoundReport:
+def verify_kl_tail_bound(k: int, n: int, reps: int, delta: float, seed: int) -> ClaimResult:
     """Fraction of trials whose KL loss exceeds mean + deviation bound; must
     stay within delta (plus sampling slack)."""
     t_delta = kl_deviation_bound(BoundInputs(k=k, n=n, delta=delta))
@@ -417,69 +383,35 @@ def verify_kl_tail_bound(k: int, n: int, reps: int, delta: float, seed: int) -> 
     mean = _moments_blockwise(losses).mean
     exceed_frac = float(np.mean(losses > mean + t_delta))
     allowed = exceedance_allowance(delta, reps)
-    return TailBoundReport(
-        k=k,
-        n=n,
-        reps=reps,
-        delta=delta,
-        t_delta=t_delta,
-        exceed_frac=exceed_frac,
-        allowed=allowed,
-        passed=bool(exceed_frac <= allowed),
-    )
+    return ClaimResult(bool(exceed_frac <= allowed),
+                       {"t_delta": t_delta, "exceed_frac": exceed_frac, "allowed": allowed})
 
 
-@dataclass(frozen=True)
-class PoissonTailReport:
-    lam: float
-    delta: float
-    reps: int
-    fail_frac: float
-    allowed: float
-    passed: bool
-
-
-def poisson_tail_check(lam: float, delta: float, reps: int, seed: int) -> PoissonTailReport:
+def poisson_tail_checks(lam: float, deltas, reps: int, seed: int) -> list[ClaimResult]:
     """Failure rate of |N + 1 - lam| <= 6*sqrt(N+1)*log(2/delta) over Poisson
-    draws; must stay within delta (plus sampling slack)."""
-    return poisson_tail_checks(lam, (delta,), reps, seed)[0]
-
-
-def poisson_tail_checks(lam: float, deltas, reps: int, seed: int) -> list[PoissonTailReport]:
-    """:func:`poisson_tail_check` at each delta in ``deltas``, in order, all
-    on the one sample of draws that each of those calls would make."""
+    draws, which must stay within delta (plus sampling slack): one result per
+    delta in ``deltas``, in order, all on one sample of draws, so a delta's
+    result does not depend on the other deltas checked with it."""
     _check_stored(reps)
     draws = derive_trial_rng(seed, 0).poisson(lam, size=reps)
     deviation = np.abs(draws + 1.0 - lam)
-    reports = []
+    results = []
     for delta in deltas:
         fail_frac = float(np.mean(deviation > poisson_tail_radius(draws, delta)))
         allowed = exceedance_allowance(delta, reps)
-        reports.append(PoissonTailReport(
-            lam=lam, delta=delta, reps=reps, fail_frac=fail_frac, allowed=allowed, passed=bool(fail_frac <= allowed)
-        ))
-    return reports
-
-
-@dataclass(frozen=True)
-class CouplingGapReport:
-    n: int
-    prob: float
-    reps: int
-    est_gap: float
-    ci_low: float
-    ci_high: float
-    bound: float
-    passed: bool
+        results.append(ClaimResult(bool(fail_frac <= allowed),
+                                   {"delta": delta, "fail_frac": fail_frac, "allowed": allowed}))
+    return results
 
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
-def coupling_diagnostic(n: int, prob: float, reps: int, seed: int) -> CouplingGapReport:
+def coupling_diagnostic(n: int, prob: float, reps: int, seed: int) -> ClaimResult:
     """Monte Carlo estimate of E[(M - M')/(M' + 1)] over the coupling versus
-    the closed-form ceiling 311/n + 160/(n^1.5 * prob). Passes unless the 99%
-    CI certifies a violation (lower edge above the ceiling)."""
+    the closed-form ceiling 311/n + 160/(n^1.5 * prob), the expectation gap
+    bound at k = 1/prob. Passes unless the 99% CI certifies a violation
+    (lower edge above the ceiling)."""
     _check_stored(reps)
     rng = derive_trial_rng(seed, 0)
     m, m_prime, *_ = coupled_pairs(rng, n, prob, reps)
@@ -487,17 +419,9 @@ def coupling_diagnostic(n: int, prob: float, reps: int, seed: int) -> CouplingGa
     moments = _moments_blockwise(gaps)
     se = math.sqrt(moments.variance / reps)
     est = moments.mean
-    bound = 311.0 / n + 160.0 / (n**1.5 * prob)
-    return CouplingGapReport(
-        n=n,
-        prob=prob,
-        reps=reps,
-        est_gap=est,
-        ci_low=est - _Z99 * se,
-        ci_high=est + _Z99 * se,
-        bound=bound,
-        passed=bool(est - _Z99 * se <= bound),
-    )
+    bound = expectation_gap_bound(1.0 / prob, n)
+    return ClaimResult(bool(est - _Z99 * se <= bound),
+                       {"est_gap": est, "ci_low": est - _Z99 * se, "ci_high": est + _Z99 * se, "bound": bound})
 
 
 @dataclass(frozen=True)
@@ -551,18 +475,6 @@ def chi_square_gof(values: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0
     return GofResult(statistic=statistic, p_value=p_value, dof=dof, bins=len(merged_exp))
 
 
-@dataclass(frozen=True)
-class MarginalGofReport:
-    n: int
-    prob: float
-    reps: int
-    chi2_m: float
-    p_m: float
-    chi2_m_prime: float
-    p_m_prime: float
-    passed: bool
-
-
 def check_gof_reps(reps: int) -> None:
     """Raise ValueError unless reps is enough draws for the marginal GOF tests."""
     if reps < 10**5:
@@ -576,7 +488,7 @@ def _poisson_upper(lam: float) -> int:
     return math.ceil(lam + third + math.sqrt(third * third + 6.0 * third * lam))
 
 
-def coupling_marginal_gof(n: int, prob: float, reps: int, seed: int) -> MarginalGofReport:
+def coupling_marginal_gof(n: int, prob: float, reps: int, seed: int) -> ClaimResult:
     """Goodness of fit of the coupling's two coordinates against their exact
     marginals: Bin(n, prob) for M and Poi(n * prob) for M'."""
     check_gof_reps(reps)
@@ -590,33 +502,14 @@ def coupling_marginal_gof(n: int, prob: float, reps: int, seed: int) -> Marginal
     hi = max(int(m_prime.max()), _poisson_upper(lam))
     gof_mp = chi_square_gof(m_prime, _poisson_pmf(lam, hi), tail_prob=_regularized_gamma(hi + 1, lam)[0])
     passed = gof_m.p_value >= GOF_P_THRESHOLD and gof_mp.p_value >= GOF_P_THRESHOLD
-    return MarginalGofReport(
-        n=n,
-        prob=prob,
-        reps=reps,
-        chi2_m=gof_m.statistic,
-        p_m=gof_m.p_value,
-        chi2_m_prime=gof_mp.statistic,
-        p_m_prime=gof_mp.p_value,
-        passed=bool(passed),
-    )
+    return ClaimResult(bool(passed), {"chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
+                                      "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value})
 
 
-@dataclass(frozen=True)
-class ExpectedKlReport:
-    dist: str
-    k: int
-    n: int
-    reps: int
-    mean_kl: float
-    ceiling: float
-    slack: float
-    passed: bool
-
-
-def expected_kl_check(dist: DistSpec, n: int, reps: int, seed: int) -> ExpectedKlReport:
+def expected_kl_check(dist: DistSpec, n: int, reps: int, seed: int) -> ClaimResult:
     """Mean add-one KL loss against the worst-case expectation (k-1)/n, with
-    one-sided CI slack of three standard errors."""
+    one-sided CI slack of three standard errors. ``values["dist"]`` is the
+    distribution's label."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     pmf = dist.make()
@@ -625,23 +518,8 @@ def expected_kl_check(dist: DistSpec, n: int, reps: int, seed: int) -> ExpectedK
     moments = _moments_blockwise(losses)
     ceiling = (k - 1) / n
     slack = 3.0 * math.sqrt(moments.variance / reps)
-    return ExpectedKlReport(
-        dist=dist.label(),
-        k=k,
-        n=n,
-        reps=reps,
-        mean_kl=moments.mean,
-        ceiling=ceiling,
-        slack=slack,
-        passed=bool(moments.mean <= ceiling + slack),
-    )
-
-
-@dataclass(frozen=True)
-class FactCheck:
-    name: str
-    detail: str
-    passed: bool
+    return ClaimResult(bool(moments.mean <= ceiling + slack),
+                       {"dist": dist.label(), "mean_kl": moments.mean, "ceiling": ceiling, "slack": slack})
 
 
 def _exact_binomial_product_variance(n0: int) -> Fraction:
@@ -672,8 +550,9 @@ _INV_MOMENT_PROBS = (0.01, 0.1, 0.5, 0.9, 1.0)
 _INV_MOMENT_MAX_M = 200
 
 
-def run_facts_checks() -> list[FactCheck]:
-    """Exact-oracle verification of the closed-form combinatorial facts."""
+def run_facts_checks() -> list[ClaimResult]:
+    """Exact-oracle verification of the closed-form combinatorial facts; each
+    result's values are the fact's ``name`` and a ``detail`` line."""
     checks = []
 
     worst = 0.0
@@ -682,13 +561,9 @@ def run_facts_checks() -> list[FactCheck]:
             closed = binomial_inverse_moment(m, p)
             exact = binomial_inverse_moment_exact(m, p)
             worst = max(worst, abs(closed - exact) / exact)
-    checks.append(
-        FactCheck(
-            name="binomial inverse moment closed form vs exact summation",
-            detail=f"max relative error {worst:.3e} over m<=200, p in {_INV_MOMENT_PROBS}",
-            passed=worst <= 1e-12,
-        )
-    )
+    checks.append(ClaimResult(worst <= 1e-12, {
+        "name": "binomial inverse moment closed form vs exact summation",
+        "detail": f"max relative error {worst:.3e} over m<=200, p in {_INV_MOMENT_PROBS}"}))
 
     ok = True
     for m in range(_INV_MOMENT_MAX_M + 1):
@@ -706,22 +581,14 @@ def run_facts_checks() -> list[FactCheck]:
                     ok = ok and exact < bound
                 else:
                     ok = ok and exact <= bound * (1 + 1e-12)
-    checks.append(
-        FactCheck(
-            name="second inverse moment within 1/(p^2 (m+1)(m+2))",
-            detail="equality on p=1; strict below it wherever the gap is representable",
-            passed=ok,
-        )
-    )
+    checks.append(ClaimResult(ok, {
+        "name": "second inverse moment within 1/(p^2 (m+1)(m+2))",
+        "detail": "equality on p=1; strict below it wherever the gap is representable"}))
 
     floor_ok = all(poisson_pmf_at_mean(n) >= 1.0 / (3.0 * math.sqrt(n)) for n in range(1, 10**4 + 1))
-    checks.append(
-        FactCheck(
-            name="Pr[Poi(n) = n] >= 1/(3 sqrt(n))",
-            detail="checked exhaustively for n in [1, 1e4]",
-            passed=floor_ok,
-        )
-    )
+    checks.append(ClaimResult(floor_ok, {
+        "name": "Pr[Poi(n) = n] >= 1/(3 sqrt(n))",
+        "detail": "checked exhaustively for n in [1, 1e4]"}))
 
     prod_ok = all(
         _exact_binomial_product_variance(n0) * 8 == n0 * n0 - n0 for n0 in range(0, 61)
@@ -729,13 +596,9 @@ def run_facts_checks() -> list[FactCheck]:
         abs(binomial_product_variance(n0) - float(_exact_binomial_product_variance(n0))) <= 1e-10
         for n0 in range(0, 61)
     )
-    checks.append(
-        FactCheck(
-            name="Var(X(n0-X)) = (n0^2 - n0)/8 for X ~ Bin(n0, 1/2)",
-            detail="exact rational enumeration for n0 in [0, 60]",
-            passed=prod_ok,
-        )
-    )
+    checks.append(ClaimResult(prod_ok, {
+        "name": "Var(X(n0-X)) = (n0^2 - n0)/8 for X ~ Bin(n0, 1/2)",
+        "detail": "exact rational enumeration for n0 in [0, 60]"}))
 
     mono_ok = True
     details = []
@@ -744,12 +607,8 @@ def run_facts_checks() -> list[FactCheck]:
         details.append(f"[{a},{b}]: {var_f:.4g} >= {floor:.4g}")
         if not var_f >= floor:
             mono_ok = False
-    checks.append(
-        FactCheck(
-            name="Var(f(X)) >= min f'^2 * Var(X) for f = log(1+x), X uniform",
-            detail="; ".join(details),
-            passed=mono_ok,
-        )
-    )
+    checks.append(ClaimResult(mono_ok, {
+        "name": "Var(f(X)) >= min f'^2 * Var(X) for f = log(1+x), X uniform",
+        "detail": "; ".join(details)}))
 
     return checks

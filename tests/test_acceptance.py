@@ -23,7 +23,7 @@ from klconc.harness import (
     coupling_marginal_gof,
     exceedance_allowance,
     expected_kl_check,
-    poisson_tail_check,
+    poisson_tail_checks,
     run_facts_checks,
     sweep_std_vs_heuristic,
     verify_kl_tail_bound,
@@ -107,22 +107,21 @@ def test_criterion_1_std_sweep_matches_heuristic():
 
 
 def test_criterion_2_variance_floor():
-    reports = [verify_variance_lb(k, n, 100_000, SEED) for k, n in ((2, 20), (10, 100), (64, 10240))]
-    passed = all(r.passed and r.ratio >= 5.0 for r in reports)
-    detail = ", ".join(f"(k={r.k},n={r.n}): ratio={r.ratio:.2f}" for r in reports)
+    configs = ((2, 20), (10, 100), (64, 10240))
+    reports = [verify_variance_lb(k, n, 100_000, SEED) for k, n in configs]
+    passed = all(r.passed and r.values["ratio"] >= 5.0 for r in reports)
+    detail = ", ".join(f"(k={k},n={n}): ratio={r.values['ratio']:.2f}" for (k, n), r in zip(configs, reports))
     _report(2, "empirical Var(KL) >= k/(32 n^2) with ratio >= 5", passed, detail)
     assert passed, detail
 
 
 def test_criterion_3_tail_bound_exceedance():
-    reports = [
-        verify_kl_tail_bound(k, n, 10_000, delta, SEED)
-        for k, n, delta in ((10, 1000, 0.1), (100, 10_000, 0.05))
-    ]
+    configs = ((10, 1000, 0.1), (100, 10_000, 0.05))
+    reports = [verify_kl_tail_bound(k, n, 10_000, delta, SEED) for k, n, delta in configs]
     passed = all(r.passed for r in reports)
     detail = ", ".join(
-        f"(k={r.k},n={r.n},delta={r.delta}): exceed={r.exceed_frac:.5f}<=allowed={r.allowed:.5f}"
-        for r in reports
+        f"(k={k},n={n},delta={delta}): exceed={r.values['exceed_frac']:.5f}<=allowed={r.values['allowed']:.5f}"
+        for (k, n, delta), r in zip(configs, reports)
     )
     _report(3, "KL exceeds mean + t_delta on at most a delta fraction", passed, detail)
     assert passed, detail
@@ -130,12 +129,12 @@ def test_criterion_3_tail_bound_exceedance():
 
 def test_criterion_4_poisson_tail_failure_rate():
     reports = [
-        poisson_tail_check(lam, delta, 1_000_000, SEED)
+        poisson_tail_checks(lam, (delta,), 1_000_000, SEED)[0]
         for lam in (1.0, 10.0, 100.0, 10_000.0)
         for delta in (0.05, 0.1, 0.5)
     ]
     passed = all(r.passed for r in reports)
-    worst = max(r.fail_frac - r.allowed for r in reports)
+    worst = max(r.values["fail_frac"] - r.values["allowed"] for r in reports)
     _report(4, "|N+1-lam| tail radius fails on at most a delta fraction", passed,
             f"12 configurations, worst margin {worst:+.2e}")
     assert passed
@@ -147,9 +146,9 @@ def test_criterion_5_coupling_marginals_and_gap():
     gap = [coupling_diagnostic(n, p, 1_000_000, SEED) for n, p in configs]
     passed = all(r.passed for r in gof) and all(r.passed for r in gap)
     detail = "; ".join(
-        f"(n={g.n},p={g.prob}): pM={g.p_m:.4f}, pM'={g.p_m_prime:.4f}, "
-        f"gap_ci_low={d.ci_low:.3e}<=bound={d.bound:.3e}"
-        for g, d in zip(gof, gap)
+        f"(n={n},p={p}): pM={g.values['p_m']:.4f}, pM'={g.values['p_m_prime']:.4f}, "
+        f"gap_ci_low={d.values['ci_low']:.3e}<=bound={d.values['bound']:.3e}"
+        for (n, p), g, d in zip(configs, gof, gap)
     )
     _report(5, "coupling has exact Bin/Poi marginals and bounded expectation gap", passed, detail)
     assert passed, detail
@@ -158,7 +157,7 @@ def test_criterion_5_coupling_marginals_and_gap():
 def test_criterion_6_exact_oracle_facts():
     checks = run_facts_checks()
     passed = all(c.passed for c in checks)
-    detail = "; ".join(f"{c.name}: {'ok' if c.passed else 'FAIL'}" for c in checks)
+    detail = "; ".join(f"{c.values['name']}: {'ok' if c.passed else 'FAIL'}" for c in checks)
     _report(6, "closed-form facts match exact oracles", passed, detail)
     assert passed, detail
 
@@ -167,8 +166,9 @@ def test_criterion_7_expectation_ceiling():
     dists = (DistSpec.uniform(10), DistSpec.zipf(10, 1.0), DistSpec.twopoint(10, 0.99))
     reports = [expected_kl_check(d, 1000, 100_000, SEED) for d in dists]
     passed = all(r.passed for r in reports)
-    detail = ", ".join(f"{r.dist}: mean={r.mean_kl:.3e}<=ceil+slack={r.ceiling + r.slack:.3e}"
-                       for r in reports)
+    detail = ", ".join(f"{d.label()}: mean={r.values['mean_kl']:.3e}"
+                       f"<=ceil+slack={r.values['ceiling'] + r.values['slack']:.3e}"
+                       for d, r in zip(dists, reports))
     _report(7, "mean KL under (k-1)/n for three distributions", passed, detail)
     assert passed, detail
 

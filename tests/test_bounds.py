@@ -128,6 +128,9 @@ class TestVarianceLowerBound:
     def test_hypothesis_enforced(self):
         with pytest.raises(ValueError, match="n >= 10"):
             variance_lower_bound(10, 50)
+        # at k = 1 the loss is identically 0, so no floor holds at any n
+        with pytest.raises(ValueError, match="k >= 2"):
+            variance_lower_bound(1, 100)
 
 
 class TestHeuristicStd:

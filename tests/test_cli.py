@@ -106,9 +106,11 @@ class TestBounds:
         assert float(cells[2]) == pytest.approx(100 / (32 * 1e12))
 
     def test_variance_floor_empty_outside_regime(self, capsys):
-        assert run("bounds", "--k", "10", "--n", "50", "--delta", "0.1") == 0
-        cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
-        assert cells[2] == ""
+        # n < 10k; and k = 1, where the loss is identically 0
+        for k, n in (("10", "50"), ("1", "100")):
+            assert run("bounds", "--k", k, "--n", n, "--delta", "0.1") == 0
+            cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
+            assert cells[2] == ""
 
     def test_minimal_inputs(self, capsys):
         # n=1: the prior bound needs log(n) > 0, so its column stays empty
@@ -229,6 +231,7 @@ def test_field_flag_that_no_selected_suite_has_is_usage_error(argv, capsys):
     ["variance", "--k", "5", "--reps", "100"],  # k=5 in the default n=20 config: n < 10k
     ["marginals", "--reps", "1000"],  # the marginal GOF needs reps >= 1e5
     ["all", "--reps", "1000"],  # marginals is the fifth suite: nothing may run before it
+    ["variance", "--k", "1", "--n", "100", "--reps", "1000"],  # k=1: the loss is identically 0
 ])
 def test_config_outside_a_claim_regime_is_usage_error(argv, capsys):
     assert run("check", "--suite", *argv, "--seed", "7") == 2
@@ -325,6 +328,8 @@ _VALID = {
     **_SUBCOMMANDS,
     "simulate-zipf": ["simulate", "--dist", "zipf", "--k", "2", "--n", "10", "--reps", "5",
                       "--seed", "1", "--out", "-"],
+    "simulate-twopoint": ["simulate", "--dist", "twopoint", "--k", "2", "--n", "10", "--reps", "5",
+                          "--seed", "1", "--out", "-"],
     "bounds": ["bounds", "--k", "2", "--n", "10", "--delta", "0.1"],
     **{suite: ["check", "--suite", suite, "--reps", "5", "--seed", "1"]
        for suite in ("thm", "poisson-tail", "coupling", "expectation")},
@@ -345,6 +350,7 @@ _OUT_OF_RANGE = [
     *[("simulate", "--t", value) for value in ("-1", "inf", "nan")],
     *[("simulate", "--mass", value) for value in ("-0.5", "1.5", "nan")],
     *[("simulate-zipf", "--zipf-s", value) for value in ("inf", "nan")],
+    ("simulate-twopoint", "--k", "1"),
 ]
 
 

@@ -16,7 +16,6 @@ from klconc.harness import (
     coupling_diagnostic,
     coupling_marginal_gof,
     expected_kl_check,
-    poisson_tail_check,
     poisson_tail_checks,
     run_kl_trials,
     sweep_std_vs_heuristic,
@@ -287,8 +286,8 @@ def _exact_var_k2(n: int) -> float:
     return float(w @ (loss - w @ loss) ** 2)
 
 
-def _ci(report):
-    return report.ci_low, report.ci_high
+def _ci(result):
+    return result.values["ci_low"], result.values["ci_high"]
 
 
 def _percentile_bootstrap(losses, rng, resamples=2000):
@@ -309,13 +308,13 @@ class TestVarianceLb:
     def test_two_symbols_large_n(self):
         r = verify_variance_lb(2, 10240, 10_000, seed=7)
         assert r.passed
-        assert r.ratio > 5
-        assert r.ci_low <= r.empirical_var <= r.ci_high
+        assert r.values["ratio"] > 5
+        assert r.values["ci_low"] <= r.values["empirical_var"] <= r.values["ci_high"]
 
     def test_bootstrap_deterministic(self):
         a = verify_variance_lb(2, 64, 2000, seed=7)
         b = verify_variance_lb(2, 64, 2000, seed=7)
-        assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
+        assert _ci(a) == _ci(b)
 
     @pytest.mark.filterwarnings("error")
     def test_interval_at_tiny_reps(self):
@@ -327,7 +326,7 @@ class TestVarianceLb:
     def test_interval_covers_exact_variance(self):
         exact = _exact_var_k2(20)
         reports = (verify_variance_lb(2, 20, 8192, seed) for seed in range(400))
-        hits = sum(r.ci_low <= exact <= r.ci_high for r in reports)
+        hits = sum(r.values["ci_low"] <= exact <= r.values["ci_high"] for r in reports)
         assert hits / 400 >= 0.90
 
     @pytest.mark.parametrize("k,n", [(2, 20), (10, 100), (64, 10240)])
@@ -337,14 +336,15 @@ class TestVarianceLb:
         # fixed stream gives the ci95 that `check` printed while it bootstrapped
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3, spawn_key=(1, 0))))
         boot = _percentile_bootstrap(_kl_loss_samples(uniform_pmf(k), n, 1.0, 3, 8192), rng)
-        width = r.ci_high - r.ci_low
-        assert abs(boot[0] - r.ci_low) <= 0.05 * width
-        assert abs(boot[1] - r.ci_high) <= 0.05 * width
+        low, high = _ci(r)
+        width = high - low
+        assert abs(boot[0] - low) <= 0.05 * width
+        assert abs(boot[1] - high) <= 0.05 * width
 
 
 @pytest.mark.parametrize("check,args", [
     (verify_variance_lb, (2, 20)),
-    (poisson_tail_check, (1.0, 0.1)),
+    (poisson_tail_checks, (1.0, (0.1,))),
     (coupling_diagnostic, (100, 0.5)),
     (coupling_marginal_gof, (100, 0.5)),
 ])
@@ -361,15 +361,15 @@ class TestTailBound:
     def test_small_run_passes(self):
         r = verify_kl_tail_bound(10, 1000, 2000, 0.1, seed=7)
         assert r.passed
-        assert r.exceed_frac == 0.0
+        assert r.values["exceed_frac"] == 0.0
 
     def test_median_center_also_passes(self):
         # strictly weaker exceedance check than the mean-centered one
         losses = _kl_loss_samples(uniform_pmf(10), 1000, 1.0, 7, 2000)
         r = verify_kl_tail_bound(10, 1000, 2000, 0.1, seed=7)
         median = float(np.median(losses))
-        frac = float(np.mean(losses > median + r.t_delta))
-        assert frac <= r.allowed
+        frac = float(np.mean(losses > median + r.values["t_delta"]))
+        assert frac <= r.values["allowed"]
 
     def test_half_delta_is_looser(self):
         r = verify_kl_tail_bound(4, 100, 500, 0.5, seed=7)
@@ -384,20 +384,20 @@ class TestPoissonTailCheck:
             assert poisson_tail_radius(int(d), 0.2) == v
 
     def test_generous_radius_rarely_fails(self):
-        r = poisson_tail_check(100.0, 0.1, 10**5, seed=3)
+        r = poisson_tail_checks(100.0, (0.1,), 10**5, seed=3)[0]
         assert r.passed
-        assert r.fail_frac <= 1e-4
+        assert r.values["fail_frac"] <= 1e-4
 
     def test_tiny_rate(self):
-        r = poisson_tail_check(1.0, 0.5, 10**5, seed=3)
+        r = poisson_tail_checks(1.0, (0.5,), 10**5, seed=3)[0]
         assert r.passed
 
     def test_several_deltas_on_one_sample(self):
         # the grouped check reports exactly what one call per delta reports
         deltas = (0.05, 0.1, 0.5, 0.9)
         grouped = poisson_tail_checks(3.0, deltas, 20_000, seed=5)
-        assert grouped == [poisson_tail_check(3.0, d, 20_000, seed=5) for d in deltas]
-        assert [r.delta for r in grouped] == list(deltas)
+        assert grouped == [poisson_tail_checks(3.0, (d,), 20_000, seed=5)[0] for d in deltas]
+        assert [r.values["delta"] for r in grouped] == list(deltas)
 
 
 class TestCouplingDiagnostics:
@@ -405,12 +405,12 @@ class TestCouplingDiagnostics:
         # prob=1 collapses the gap to (n - N)/(N + 1)
         r = coupling_diagnostic(100, 1.0, 10**5, seed=9)
         assert r.passed
-        assert 0 < r.est_gap < 0.1
+        assert 0 < r.values["est_gap"] < 0.1
 
     def test_moderate_configuration(self):
         r = coupling_diagnostic(100, 0.5, 10**5, seed=9)
         assert r.passed
-        assert r.ci_low <= r.est_gap <= r.ci_high
+        assert r.values["ci_low"] <= r.values["est_gap"] <= r.values["ci_high"]
 
     def test_marginal_gof_requires_bulk(self):
         with pytest.raises(ValueError):
@@ -424,7 +424,7 @@ class TestCouplingDiagnostics:
         # M is constant n; M' reduces to the latent Poisson itself
         r = coupling_marginal_gof(5, 1.0, 10**5, seed=9)
         assert r.passed
-        assert r.chi2_m == 0.0
+        assert r.values["chi2_m"] == 0.0
 
     def test_marginal_gof_small_n_high_prob(self):
         r = coupling_marginal_gof(5, 0.9, 10**5, seed=9)
@@ -435,12 +435,12 @@ class TestExpectedKl:
     def test_degenerate_alphabet(self):
         r = expected_kl_check(DistSpec.uniform(1), 50, 200, seed=1)
         assert r.passed
-        assert r.mean_kl == 0.0 and r.ceiling == 0.0
+        assert r.values["mean_kl"] == 0.0 and r.values["ceiling"] == 0.0
 
     def test_uniform_comfortably_below_ceiling(self):
         r = expected_kl_check(DistSpec.uniform(10), 1000, 5000, seed=1)
         assert r.passed
-        assert r.mean_kl < r.ceiling
+        assert r.values["mean_kl"] < r.values["ceiling"]
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
