@@ -242,13 +242,14 @@ def binomial_inverse_moment2_exact(m: int, prob: float) -> float:
 
 # Stirling series for log(n!) - (n log n - n + 0.5*log(2 pi n)); truncating
 # after the n**-9 term leaves a relative error below 1e-20 for n >= 20.
-_STIRLING_COEFFS = (
+# Held as the doubles nearest the exact rationals, converted once.
+_STIRLING_COEFFS = tuple(float(c) for c in (
     Fraction(1, 12),
     Fraction(-1, 360),
     Fraction(1, 1260),
     Fraction(-1, 1680),
     Fraction(1, 1188),
-)
+))
 
 
 def poisson_pmf_at_mean(n: int) -> float:
@@ -266,7 +267,7 @@ def poisson_pmf_at_mean(n: int) -> float:
         return math.exp(-n) * float(Fraction(n**n, math.factorial(n)))
     r = 0.0
     for j, c in enumerate(_STIRLING_COEFFS, start=1):
-        r += float(c) / n ** (2 * j - 1)
+        r += c / n ** (2 * j - 1)
     return math.exp(-r) / math.sqrt(2.0 * math.pi * n)
 
 

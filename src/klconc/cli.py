@@ -207,6 +207,7 @@ def _cmd_figure1(args) -> int:
             [
                 ("sample std", [r.k for r in rows], [r.sample_std for r in rows]),
                 ("sqrt(k/2)/n", [r.k for r in rows], [r.heuristic_std for r in rows]),
+                ("sqrt((k-1)/2)/n", [r.k for r in rows], [math.sqrt((r.k - 1) / 2) / args.n for r in rows]),
             ],
             x_label="alphabet size k",
             y_label="std of KL loss",

@@ -161,7 +161,8 @@ def zipf_pmf(k: int, s: float = 1.0) -> Pmf:
 
 
 def two_point_pmf(k: int, mass: float) -> Pmf:
-    """Puts ``mass`` on symbol 1 and spreads the remaining mass uniformly."""
+    """Puts ``mass`` on symbol 0 and spreads the remaining mass uniformly
+    over symbols 1..k-1."""
     if k < 2:
         raise ValueError(f"two-point distribution needs k >= 2, got {k}")
     if not 0.0 <= mass <= 1.0:

@@ -4,14 +4,16 @@ Every claim check here is a pure function of its arguments and returns a
 ``ClaimResult``. Trials come in blocks of 2048: trial i is row ``i mod 2048``
 of the matrix that block ``i // 2048`` draws from the stream derived from
 (master_seed, i // 2048).
-When 4n <= k a row is n categorical symbols (``Generator.choice``, one
-uniform per symbol) scored by ``kl_losses_from_draws``; otherwise it is a
-Mult(n, p) count vector scored by ``kl_losses``. A block is drawn in
-sub-chunks of at most 2^18 cells (rows x n symbols or rows x k counts) from
-that one stream, which yields the same rows as one draw, so ``reps=r``
-gives the first r trials of any longer run. Aggregation walks
-the same blocks in index order, and the only auxiliary randomness, the
-figure-1 sweep's per-row sub-seeds, lives on a reserved stream domain.
+When 4n <= k a row is n categorical symbols, drawn as row-sorted uniforms
+mapped through the normalised cumulative pmf (the same rows as
+``Generator.choice``, sorted), and scored by ``kl_losses_from_draws``'s
+sorted-row core; otherwise it is a Mult(n, p) count vector scored by
+``kl_losses``. A block is drawn in sub-chunks of at most 2^18 cells
+(rows x n symbols or rows x k counts) from that one stream, which yields
+the same rows as one draw, so ``reps=r`` gives the first r trials of any
+longer run. Aggregation walks the same blocks in index order, and the
+only auxiliary randomness, the figure-1 sweep's per-row sub-seeds, lives
+on a reserved stream domain.
 Intervals are closed-form functions of the losses and draw nothing.
 Everything runs on the calling thread.
 """
@@ -42,7 +44,7 @@ from .bounds import (
     variance_lower_bound,
 )
 from .distributions import Pmf, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
-from .losses import kl_losses, kl_losses_from_draws
+from .losses import _kl_losses_from_sorted_draws, kl_losses
 from .sampling import _derive_subseed, coupled_pairs, derive_trial_rng
 
 __all__ = [
@@ -225,20 +227,26 @@ def _check_stored(reps: int) -> None:
 def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int) -> np.ndarray:
     """Per-trial KL(p || add-t estimate) losses; trial i is row i mod 2048 of
     the block drawn on stream (master_seed, i // 2048): n symbols when
-    4n <= k, else Mult(n, p) counts."""
+    4n <= k (row-sorted uniforms mapped through the normalised cumulative
+    pmf), else Mult(n, p) counts."""
     _check_stored(reps)
     k = len(pmf)
     categorical = _CATEGORICAL * n <= k
     losses = np.empty(reps, dtype=np.float64)
     chunk = max(1, _CHUNK_CELLS // (n if categorical else k))
+    if categorical:
+        cdf = pmf.probs.cumsum()
+        cdf /= cdf[-1]
     for block_lo in range(0, reps, _BLOCK):
         rng = derive_trial_rng(master_seed, block_lo // _BLOCK)
         block_hi = min(block_lo + _BLOCK, reps)
         for lo in range(block_lo, block_hi, chunk):
             hi = min(lo + chunk, block_hi)
             if categorical:
-                draws = rng.choice(k, size=(hi - lo, n), p=pmf.probs)
-                losses[lo:hi] = kl_losses_from_draws(pmf, draws, t)
+                # A monotone map of row-sorted uniforms: Generator.choice's rows, sorted.
+                u = rng.random((hi - lo, n))
+                u.sort(axis=1)
+                losses[lo:hi] = _kl_losses_from_sorted_draws(pmf, cdf.searchsorted(u, side="right"), t)
             else:
                 losses[lo:hi] = kl_losses(pmf, rng.multinomial(n, pmf.probs, size=hi - lo), t)
     if t > 0 and not np.all(np.isfinite(losses)):
@@ -265,8 +273,9 @@ def _exact_quantiles(losses: np.ndarray, levels=QUANTILE_LEVELS) -> dict[float, 
 
 
 def run_kl_trials(cfg: ExperimentConfig) -> TrialSummary:
-    """Draw Mult(n, p) counts per trial, smooth with add-t, and aggregate the
-    KL losses. Deterministic given cfg."""
+    """Draw n samples from p per trial (as symbols or as counts, see
+    ``_kl_loss_samples``), smooth with add-t, and aggregate the KL losses.
+    Deterministic given cfg."""
     pmf = cfg.dist.make()
     k = len(pmf)
     losses = _kl_loss_samples(pmf, cfg.n, cfg.t, cfg.master_seed, cfg.reps)
@@ -590,11 +599,9 @@ def run_facts_checks() -> list[ClaimResult]:
         "name": "Pr[Poi(n) = n] >= 1/(3 sqrt(n))",
         "detail": "checked exhaustively for n in [1, 1e4]"}))
 
-    prod_ok = all(
-        _exact_binomial_product_variance(n0) * 8 == n0 * n0 - n0 for n0 in range(0, 61)
-    ) and all(
-        abs(binomial_product_variance(n0) - float(_exact_binomial_product_variance(n0))) <= 1e-10
-        for n0 in range(0, 61)
+    exact_prod = [_exact_binomial_product_variance(n0) for n0 in range(0, 61)]
+    prod_ok = all(v * 8 == n0 * n0 - n0 for n0, v in enumerate(exact_prod)) and all(
+        abs(binomial_product_variance(n0) - float(v)) <= 1e-10 for n0, v in enumerate(exact_prod)
     )
     checks.append(ClaimResult(prod_ok, {
         "name": "Var(X(n0-X)) = (n0^2 - n0)/8 for X ~ Bin(n0, 1/2)",

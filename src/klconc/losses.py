@@ -101,15 +101,20 @@ def kl_losses_from_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarray:
     Symbols must lie in [0, k).
     """
     draws = np.asarray(draws)
-    k = len(p)
     if draws.ndim != 2:
         raise ValueError(f"draws must have shape (rows, n), got {draws.shape}")
+    return _kl_losses_from_sorted_draws(p, np.sort(draws, axis=1), t)
+
+
+def _kl_losses_from_sorted_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarray:
+    """:func:`kl_losses_from_draws` of a 2-D matrix whose rows are already
+    sorted ascending, as the Monte Carlo engine draws them."""
+    k = len(p)
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"smoothing constant must be a finite nonnegative real, got {t}")
     rows, n = draws.shape
     if t == 0 and n == 0:
         raise ValueError("empirical estimate requires at least one draw")
-    draws = np.sort(draws, axis=1)
     if draws.size and (draws[:, 0].min() < 0 or draws[:, -1].max() >= k):
         raise ValueError(f"symbols must lie in [0, {k})")
     flat = draws.ravel()

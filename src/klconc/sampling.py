@@ -6,7 +6,8 @@ index, so any experiment is a pure function of (master_seed, indices). The
 KL-loss engine (``klconc.harness``) takes one stream per block of 2048
 trials: trial i is row ``i mod 2048`` of the block that stream
 (master_seed, i // 2048) yields. When 4n <= k a row is n categorical
-symbols from ``Generator.choice`` (inverse CDF, one uniform per symbol);
+symbols: row-sorted uniforms mapped through the normalised cumulative pmf
+(the same rows as ``Generator.choice``, sorted), one uniform per symbol;
 otherwise it is a Mult(n, p) count vector from ``Generator.multinomial``.
 Both consume the stream row after row, so drawing a block in sub-chunks of
 at most 2^18 cells gives the same rows as one draw.

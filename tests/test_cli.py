@@ -150,6 +150,7 @@ class TestFigure1:
         body = svg.read_text()
         assert body.startswith("<svg")
         assert "sample std" in body
+        assert "sqrt((k-1)/2)/n" in body
 
 
 class TestCheck:

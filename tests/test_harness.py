@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from klconc.bounds import poisson_tail_radius
-from klconc.distributions import Counts, Pmf, add_t_estimate, uniform_pmf, zipf_pmf
+from klconc.distributions import Counts, Pmf, add_t_estimate, two_point_pmf, uniform_pmf, zipf_pmf
 from klconc.harness import (
     MAX_STORED_TRIALS,
     DistSpec,
@@ -178,6 +178,29 @@ class TestTrialStreams:
         p = zipf_pmf(10_000)
         draws = derive_trial_rng(4, 0).choice(10_000, size=(2048, 1000), p=p.probs)
         assert np.array_equal(_kl_loss_samples(p, 1000, 1.0, 4, 2048), kl_losses_from_draws(p, draws, 1.0))
+
+    @pytest.mark.parametrize("pmf,n", [
+        pytest.param(zipf_pmf(10_000), 1000, id="zipf-10000-1000"),
+        pytest.param(uniform_pmf(1000), 250, id="uniform-1000-250"),
+        # zero-mass symbols are flat segments of the cdf, which no uniform may land in
+        pytest.param(two_point_pmf(400, 1.0), 100, id="twopoint-400-1"),
+        pytest.param(two_point_pmf(400, 0.0), 100, id="twopoint-400-0"),
+    ])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+    def test_categorical_rows_are_sorted_choice_rows(self, pmf, n, t):
+        # 300 rows of n=1000 span two sub-chunks of 262 rows
+        k, seed, rows = len(pmf), 5, 300
+        draws = np.sort(derive_trial_rng(seed, 0).choice(k, size=(rows, n), p=pmf.probs), axis=1)
+        assert np.array_equal(_kl_loss_samples(pmf, n, t, seed, rows), kl_losses_from_draws(pmf, draws, t))
+
+    @pytest.mark.parametrize("pmf,n", [(zipf_pmf(10_000), 1000), (uniform_pmf(1000), 250)], ids=["zipf", "uniform"])
+    def test_column_major_uniforms_are_another_stream(self, pmf, n):
+        # negative control: the same uniforms read column by column give other rows
+        seed, rows = 5, 300
+        cdf = pmf.probs.cumsum()
+        cdf /= cdf[-1]
+        draws = cdf.searchsorted(derive_trial_rng(seed, 0).random((n, rows)).T, side="right")
+        assert not np.any(_kl_loss_samples(pmf, n, 1.0, seed, rows) == kl_losses_from_draws(pmf, draws, 1.0))
 
     @pytest.mark.parametrize("short,long,k,n", [
         *[pytest.param(short, long, 5, 40, id=f"{short}-{long}")

@@ -5,6 +5,7 @@ import pytest
 
 from klconc.distributions import Counts, Measure, Pmf, add_t_estimate, pseudo_estimate, uniform_pmf
 from klconc.losses import (
+    _kl_losses_from_sorted_draws,
     adjusted_kl_divergence,
     adjusted_kl_shift,
     adjusted_kl_terms,
@@ -175,6 +176,14 @@ class TestKlLossesFromDraws:
             whole = kl_losses_from_draws(p, draws, t)
             parts = [kl_losses_from_draws(p, draws[lo : lo + 7], t) for lo in range(0, 301, 7)]
             assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_sorted_row_core_matches_on_shuffled_rows(self):
+        rng = np.random.default_rng(61)
+        for p, draws in _random_draws(rng, 60, 20):
+            rows = np.sort(draws, axis=1)
+            t = float(rng.choice([0.0, 0.5, 1.0]))
+            want = kl_losses_from_draws(p, rng.permuted(rows, axis=1), t)
+            assert np.array_equal(_kl_losses_from_sorted_draws(p, rows, t), want)
 
     def test_validation(self):
         p = uniform_pmf(3)
