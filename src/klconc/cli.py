@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -279,6 +280,17 @@ def _poisson_tail(lam, delta, reps, seed):
     return poisson_tail_checks(lam, delta if isinstance(delta, tuple) else (delta,), reps, seed)
 
 
+def _two_reps(reps, **_):
+    """Regime of the claims judged by a sample variance, which one trial leaves undefined."""
+    if reps < 2:
+        raise ValueError(f"a sample variance needs reps >= 2, got {reps}")
+
+
+def _variance_regime(k, n, reps, **_):
+    _two_reps(reps)
+    variance_lower_bound(k, n)  # raises unless k >= 2 and n >= 10k
+
+
 def _suites() -> dict[str, _Suite]:
     # Built per call, so each runner is looked up in this module when check runs.
     coupling = [(20, 0.4), (100, 0.5), (10_000, 0.01)]
@@ -288,7 +300,7 @@ def _suites() -> dict[str, _Suite]:
             "variance of add-one KL loss >= k/(32 n^2): k={k} n={n} reps={reps} "
             "var={empirical_var:.4e} bound={lower_bound:.4e} ratio={ratio:.2f} "
             "ci95=[{ci_low:.4e}, {ci_high:.4e}]",
-            lambda k, n, **_: variance_lower_bound(k, n),  # raises unless k >= 2 and n >= 10k
+            _variance_regime,
         ),
         "thm": _Suite(
             ("k", "n", "delta"), [(10, 1000, 0.1), (100, 10_000, 0.05)], 10_000, verify_kl_tail_bound,
@@ -307,6 +319,7 @@ def _suites() -> dict[str, _Suite]:
             ("n", "prob"), coupling, 1_000_000, coupling_diagnostic,
             "coupling gap E[(M-M')/(M'+1)] within 311/n + 160/(n^1.5 p): n={n} p={prob} "
             "reps={reps} est={est_gap:.4e} ci99=[{ci_low:.4e}, {ci_high:.4e}] bound={bound:.4e}",
+            _two_reps,
         ),
         "marginals": _Suite(
             ("n", "prob"), coupling, 1_000_000, coupling_marginal_gof,
@@ -321,6 +334,7 @@ def _suites() -> dict[str, _Suite]:
             100_000, expected_kl_check,
             "mean add-one KL loss <= (k-1)/n: {dist} n={n} reps={reps} mean={mean_kl:.6e} "
             "ceiling={ceiling:.6e} slack={slack:.2e}",
+            _two_reps,
         ),
         "facts": _Suite((), [()], None, run_facts_checks, "{name}: {detail}"),
     }
@@ -333,11 +347,10 @@ def _cmd_check(args) -> int:
     for field in given:
         if not any(field in suites[name].fields for name in names):
             raise UsageError(f"--{field} is a field of none of the suites run: {', '.join(names)}")
-    runs = {}
+    runs = []  # (suite name, runner arguments), in output order
     for name in names:
         suite = suites[name]
         configs = [tuple(given.get(f, v) for f, v in zip(suite.fields, cfg)) for cfg in suite.configs]
-        runs[name] = []
         for cfg in dict.fromkeys(configs):  # configs an override made equal run once
             kwargs = dict(zip(suite.fields, cfg))
             if suite.reps is not None:
@@ -347,22 +360,50 @@ def _cmd_check(args) -> int:
                     suite.regime(**kwargs)
                 except ValueError as exc:
                     raise UsageError(f"suite {name}: {exc}") from None
-            runs[name].append(kwargs)
+            runs.append((name, kwargs))
+
+    def run(job):
+        name, kwargs = job
+        return suites[name].run(**kwargs)
+
+    threads = min(args.threads or _usable_cores(), len(runs))
+    if threads == 1:
+        return _report_check(suites, runs, map(run, runs))
+    # Runners build their own generators and share no state, and numpy's draws release
+    # the interpreter lock. map yields in submission order, so the output is that of one
+    # thread. Imported here: a one-thread check does not pay for the import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return _report_check(suites, runs, pool.map(run, runs))
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _report_check(suites, runs, outs) -> int:
+    """Print each run's results, from the iterator ``outs``, under its suite's header;
+    a header is printed before its suite's first result is awaited."""
     all_ok = True
-    for name, configs in runs.items():
+    shown = None
+    for name, kwargs in runs:
         suite = suites[name]
-        print(f"== suite: {name}")
-        for kwargs in configs:
-            out = suite.run(**kwargs)
-            for result in out if isinstance(out, list) else [out]:
-                verdict = "PASS" if result.passed else "FAIL"
-                print(f"{verdict}  {suite.line.format_map({**kwargs, **result.values})}")
-                all_ok = all_ok and result.passed
+        if name != shown:
+            print(f"== suite: {name}")
+            shown = name
+        out = next(outs)
+        for result in out if isinstance(out, list) else [out]:
+            verdict = "PASS" if result.passed else "FAIL"
+            print(f"{verdict}  {suite.line.format_map({**kwargs, **result.values})}")
+            all_ok = all_ok and result.passed
     print("== verdict:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 
 
-_THREADS_HELP = "accepted and ignored: trials run on one thread, and results do not depend on it"
+_THREADS_HELP = "accepted and ignored: results do not depend on it"
+_CHECK_THREADS_HELP = ("worker threads for the suite configs (default: usable cores); "
+                       "output does not depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         takers = ", ".join(name for name, suite in suites.items() if field in suite.fields)
         chk.add_argument(f"--{field}", type=kind,
                          help=f"{what}: replaces {field} in every default config of {takers}")
-    chk.add_argument("--threads", type=_count, help=_THREADS_HELP)
+    chk.add_argument("--threads", type=_count, help=_CHECK_THREADS_HELP)
     chk.set_defaults(func=_cmd_check)
 
     plt = sub.add_parser("plot", help="render CSV columns to a standalone SVG")

@@ -14,8 +14,13 @@ the same rows as one draw, so ``reps=r`` gives the first r trials of any
 longer run. Aggregation walks the same blocks in index order, and the
 only auxiliary randomness, the figure-1 sweep's per-row sub-seeds, lives
 on a reserved stream domain.
+The coupling and Poisson-tail claims stream their draws in chunks of 2^16
+(``sampling._DRAW_CHUNK``) with the same values as one draw, and fold each
+chunk into counts or block moments in index order, so their results are
+those of the whole arrays.
 Intervals are closed-form functions of the losses and draw nothing.
-Everything runs on the calling thread.
+Every check runs on the calling thread and shares no mutable state, so
+checks may run on concurrent threads.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .bounds import (
 )
 from .distributions import Pmf, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
 from .losses import _kl_losses_from_sorted_draws, kl_losses
-from .sampling import _derive_subseed, coupled_pairs, derive_trial_rng
+from .sampling import _DRAW_CHUNK, _derive_subseed, coupled_pairs, derive_trial_rng
 
 __all__ = [
     "DistSpec",
@@ -254,9 +259,10 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int) ->
     return losses
 
 
-def _moments_blockwise(losses: np.ndarray) -> RunningMoments:
-    """Single stable pass: pairwise block statistics merged in index order."""
-    total = RunningMoments()
+def _moments_blockwise(losses: np.ndarray, total: RunningMoments | None = None) -> RunningMoments:
+    """Single stable pass: pairwise block statistics merged in index order,
+    into ``total`` when it is given (a new accumulator otherwise)."""
+    total = RunningMoments() if total is None else total
     for lo in range(0, losses.size, _BLOCK):
         total.merge(RunningMoments.from_array(losses[lo : lo + _BLOCK]))
     return total
@@ -402,11 +408,16 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int) -> list[ClaimR
     delta in ``deltas``, in order, all on one sample of draws, so a delta's
     result does not depend on the other deltas checked with it."""
     _check_stored(reps)
-    draws = derive_trial_rng(seed, 0).poisson(lam, size=reps)
-    deviation = np.abs(draws + 1.0 - lam)
+    rng = derive_trial_rng(seed, 0)
+    fails = [0] * len(deltas)
+    for lo in range(0, reps, _DRAW_CHUNK):
+        draws = rng.poisson(lam, size=min(_DRAW_CHUNK, reps - lo))
+        deviation = np.abs(draws + 1.0 - lam)
+        for i, delta in enumerate(deltas):
+            fails[i] += int(np.count_nonzero(deviation > poisson_tail_radius(draws, delta)))
     results = []
-    for delta in deltas:
-        fail_frac = float(np.mean(deviation > poisson_tail_radius(draws, delta)))
+    for delta, count in zip(deltas, fails):
+        fail_frac = count / reps
         allowed = exceedance_allowance(delta, reps)
         results.append(ClaimResult(bool(fail_frac <= allowed),
                                    {"delta": delta, "fail_frac": fail_frac, "allowed": allowed}))
@@ -422,10 +433,9 @@ def coupling_diagnostic(n: int, prob: float, reps: int, seed: int) -> ClaimResul
     bound at k = 1/prob. Passes unless the 99% CI certifies a violation
     (lower edge above the ceiling)."""
     _check_stored(reps)
-    rng = derive_trial_rng(seed, 0)
-    m, m_prime, *_ = coupled_pairs(rng, n, prob, reps)
-    gaps = (m - m_prime) / (m_prime + 1.0)
-    moments = _moments_blockwise(gaps)
+    moments = RunningMoments()
+    for m, m_prime, *_ in coupled_pairs(derive_trial_rng(seed, 0), n, prob, reps):
+        _moments_blockwise((m - m_prime) / (m_prime + 1.0), moments)  # chunks are whole blocks
     se = math.sqrt(moments.variance / reps)
     est = moments.mean
     bound = expectation_gap_bound(1.0 / prob, n)
@@ -450,11 +460,18 @@ def chi_square_gof(values: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0
     until each carries expected count >= min_expected (the remainder folds
     into the last bin), which collapses the sparse tails.
     """
-    values = np.asarray(values)
-    n_draws = values.size
+    clipped = np.minimum(np.asarray(values), len(probs))  # values at or past the last bin share a bin
+    return _chi_square_counts(np.bincount(clipped), probs, tail_prob, min_expected)
+
+
+def _chi_square_counts(counts: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0,
+                       min_expected: float = 5.0) -> GofResult:
+    """``chi_square_gof`` of the draws whose value j occurs ``counts[j]`` times."""
     n_bins = len(probs)
-    observed = np.bincount(np.minimum(values, n_bins), minlength=n_bins + 1).astype(np.float64)
-    expected = np.append(np.asarray(probs, dtype=np.float64), tail_prob) * n_draws
+    observed = np.zeros(n_bins + 1, dtype=np.float64)
+    observed[: min(counts.size, n_bins)] = counts[:n_bins]
+    observed[n_bins] = counts[n_bins:].sum()
+    expected = np.append(np.asarray(probs, dtype=np.float64), tail_prob) * counts.sum()
 
     merged_obs: list[float] = []
     merged_exp: list[float] = []
@@ -497,19 +514,30 @@ def _poisson_upper(lam: float) -> int:
     return math.ceil(lam + third + math.sqrt(third * third + 6.0 * third * lam))
 
 
+def _add_counts(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Elementwise sum of two count vectors of any lengths; may reuse either."""
+    if counts.size > total.size:
+        total, counts = counts, total
+    total[: counts.size] += counts
+    return total
+
+
 def coupling_marginal_gof(n: int, prob: float, reps: int, seed: int) -> ClaimResult:
     """Goodness of fit of the coupling's two coordinates against their exact
     marginals: Bin(n, prob) for M and Poi(n * prob) for M'."""
     check_gof_reps(reps)
     _check_stored(reps)
-    rng = derive_trial_rng(seed, 0)
-    m, m_prime, *_ = coupled_pairs(rng, n, prob, reps)
+    counts_m = np.zeros(0, dtype=np.int64)
+    counts_mp = np.zeros(0, dtype=np.int64)
+    for m, m_prime, *_ in coupled_pairs(derive_trial_rng(seed, 0), n, prob, reps):
+        counts_m = _add_counts(counts_m, np.bincount(m))
+        counts_mp = _add_counts(counts_mp, np.bincount(m_prime))
 
-    gof_m = chi_square_gof(m, _binomial_pmf(n, prob))
+    gof_m = _chi_square_counts(counts_m, _binomial_pmf(n, prob))
 
     lam = n * prob
-    hi = max(int(m_prime.max()), _poisson_upper(lam))
-    gof_mp = chi_square_gof(m_prime, _poisson_pmf(lam, hi), tail_prob=_regularized_gamma(hi + 1, lam)[0])
+    hi = max(counts_mp.size - 1, _poisson_upper(lam))  # the largest M' drawn is counts_mp.size - 1
+    gof_mp = _chi_square_counts(counts_mp, _poisson_pmf(lam, hi), tail_prob=_regularized_gamma(hi + 1, lam)[0])
     passed = gof_m.p_value >= GOF_P_THRESHOLD and gof_mp.p_value >= GOF_P_THRESHOLD
     return ClaimResult(bool(passed), {"chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
                                       "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value})

@@ -10,13 +10,17 @@ symbols: row-sorted uniforms mapped through the normalised cumulative pmf
 (the same rows as ``Generator.choice``, sorted), one uniform per symbol;
 otherwise it is a Mult(n, p) count vector from ``Generator.multinomial``.
 Both consume the stream row after row, so drawing a block in sub-chunks of
-at most 2^18 cells gives the same rows as one draw.
+at most 2^18 cells gives the same rows as one draw. The coupled
+binomial/Poisson draws come in chunks of 2^16 (``_DRAW_CHUNK``) with the
+same values as one draw of each array.
 numpy's binomial and Poisson generators are exact-rejection samplers (no
 normal or translated approximations), which the test suite certifies by
 goodness-of-fit and Kolmogorov-distance checks.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
@@ -28,6 +32,8 @@ __all__ = [
     "multinomial_counts",
     "coupled_pairs",
 ]
+
+_DRAW_CHUNK = 2**16  # draws held at once by the vectorised claims: 512 KB of int64
 
 
 def _seed_sequence(master_seed: int, spawn_key: tuple[int, ...]) -> SeedSequence:
@@ -62,11 +68,12 @@ def multinomial_counts(rng: Generator, p: Pmf, n: int) -> Counts:
     return Counts(rng.multinomial(n, p.probs), total=n)
 
 
-def coupled_pairs(
-    rng: Generator, n: int, prob: float, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``size`` draws from the joint binomial/Poisson construction; returns
-    arrays (m, m_prime, n_latent, x, y).
+_Pairs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def coupled_pairs(rng: Generator, n: int, prob: float, size: int) -> Iterator[_Pairs]:
+    """``size`` draws from the joint binomial/Poisson construction, yielded
+    as arrays (m, m_prime, n_latent, x, y) in chunks of at most 2^16 draws.
 
     ``m`` has the Bin(n, prob) marginal and ``m_prime`` the Poi(n * prob)
     marginal; ``n_latent`` is the shared latent Poi(n) total and (x, y) the
@@ -74,6 +81,11 @@ def coupled_pairs(
     trials and y on |n - n_latent| trials. When n_latent > n the pair is
     (m, m_prime) = (x, x + y), otherwise (x + y, x); hence
     |m - m_prime| = y always.
+
+    The stream gives every n_latent, then every x, then every y. Drawing x
+    and y a chunk at a time consumes it in the same order, so the chunks,
+    concatenated, are the arrays of one draw of each. The arguments are
+    checked when this is called, before anything is drawn.
     """
     if n < 1:
         raise ValueError(f"nominal sample size must be >= 1, got {n}")
@@ -81,10 +93,17 @@ def coupled_pairs(
         raise ValueError(f"probability must lie in (0, 1], got {prob}")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    return _coupled_chunks(rng, n, prob, size)
+
+
+def _coupled_chunks(rng: Generator, n: int, prob: float, size: int) -> Iterator[_Pairs]:
     n_latent = rng.poisson(n, size=size)
-    x = rng.binomial(np.minimum(n_latent, n), prob)
-    y = rng.binomial(np.abs(n_latent - n), prob)
-    over = n_latent > n
-    m = np.where(over, x, x + y)
-    m_prime = np.where(over, x + y, x)
-    return m, m_prime, n_latent, x, y
+    x = np.empty_like(n_latent)
+    bounds = [(lo, min(lo + _DRAW_CHUNK, size)) for lo in range(0, size, _DRAW_CHUNK)]
+    for lo, hi in bounds:
+        x[lo:hi] = rng.binomial(np.minimum(n_latent[lo:hi], n), prob)
+    for lo, hi in bounds:
+        latent, xs = n_latent[lo:hi], x[lo:hi]
+        y = rng.binomial(np.abs(latent - n), prob)
+        over = latent > n
+        yield np.where(over, xs, xs + y), np.where(over, xs + y, xs), latent, xs, y

@@ -172,14 +172,6 @@ class TestCheck:
                    "--reps", "20000", "--seed", "7") == 0
         assert len(_claim_lines(capsys.readouterr().out)) == 1
 
-    def test_variance_undefined_at_one_trial(self, capsys):
-        # one loss has no sample variance: nan, not a measured zero
-        assert run("check", "--suite", "variance", "--reps", "1", "--seed", "7") == 1
-        claims = _claim_lines(capsys.readouterr().out)
-        assert len(claims) == 3
-        assert all(line.startswith("FAIL  ") and " var=nan " in line and " ratio=nan " in line
-                   for line in claims)
-
     def test_poisson_tail_lines_match_one_run_per_delta(self, capsys):
         # a default config checks its three deltas on one sample of draws
         assert run("check", "--suite", "poisson-tail", "--lam", "2", "--reps", "20000", "--seed", "7") == 0
@@ -233,6 +225,9 @@ def test_field_flag_that_no_selected_suite_has_is_usage_error(argv, capsys):
     ["marginals", "--reps", "1000"],  # the marginal GOF needs reps >= 1e5
     ["all", "--reps", "1000"],  # marginals is the fifth suite: nothing may run before it
     ["variance", "--k", "1", "--n", "100", "--reps", "1000"],  # k=1: the loss is identically 0
+    ["variance", "--reps", "1"],  # one loss has no sample variance
+    ["coupling", "--reps", "1"],  # nor one gap a standard error
+    ["expectation", "--reps", "1"],  # nor one loss a standard error
 ])
 def test_config_outside_a_claim_regime_is_usage_error(argv, capsys):
     assert run("check", "--suite", *argv, "--seed", "7") == 2
@@ -243,8 +238,8 @@ def test_config_outside_a_claim_regime_is_usage_error(argv, capsys):
 
 def _shift_m(pairs):
     def shifted(rng, n, prob, size):
-        m, *rest = pairs(rng, n, prob, size)
-        return (m + 100 * n, *rest)
+        for m, *rest in pairs(rng, n, prob, size):
+            yield (m + 100 * n, *rest)
 
     return shifted
 
@@ -264,6 +259,28 @@ _NEGATIVE_CONTROLS = {
                     ["--n", "1000", "--reps", "1000"]),
     "facts": ("binomial_product_variance", lambda f: lambda n0: f(n0) + 1.0, []),
 }
+
+
+@pytest.mark.parametrize("suite", ["thm", "poisson-tail"])
+def test_one_trial_is_enough_where_no_variance_is_judged(suite, capsys):
+    assert run("check", "--suite", suite, "--reps", "1", "--seed", "7") == 0
+    assert "== verdict: PASS" in capsys.readouterr().out
+
+
+# Per suite, reps small enough for a quick run (marginals needs 1e5); facts takes no reps.
+_SMALL_REPS = {"variance": ["--reps", "2000"], "thm": ["--reps", "2000"], "poisson-tail": ["--reps", "20000"],
+               "coupling": ["--reps", "20000"], "marginals": ["--reps", "100000"],
+               "expectation": ["--reps", "2000"], "facts": []}
+
+
+@pytest.mark.parametrize("suite", list(_suites()))
+def test_check_byte_identical_across_thread_counts(suite, capsys):
+    outs = []
+    for threads in ("1", "2", "4"):
+        assert run("check", "--suite", suite, *_SMALL_REPS[suite], "--seed", "7", "--threads", threads) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0].count("== suite: ") == 1
 
 
 def test_every_suite_has_a_negative_control():

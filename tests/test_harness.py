@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from klconc.bounds import poisson_tail_radius
+from klconc import harness
+from klconc.bounds import _binomial_pmf, _poisson_pmf, _regularized_gamma, poisson_tail_radius
 from klconc.distributions import Counts, Pmf, add_t_estimate, two_point_pmf, uniform_pmf, zipf_pmf
 from klconc.harness import (
     MAX_STORED_TRIALS,
@@ -21,10 +22,16 @@ from klconc.harness import (
     sweep_std_vs_heuristic,
     verify_kl_tail_bound,
     verify_variance_lb,
+    _Z99,
     _kl_loss_samples,
+    _moments_blockwise,
+    _poisson_upper,
 )
 from klconc.losses import kl_divergence, kl_losses, kl_losses_from_draws
-from klconc.sampling import derive_trial_rng, multinomial_counts
+from klconc.sampling import _DRAW_CHUNK, coupled_pairs, derive_trial_rng, multinomial_counts
+
+# Draw counts around the 2^16-draw chunks that the coupling and Poisson-tail claims stream.
+CHUNK_EDGE_SIZES = [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5]
 
 
 class TestDistSpec:
@@ -452,6 +459,44 @@ class TestCouplingDiagnostics:
     def test_marginal_gof_small_n_high_prob(self):
         r = coupling_marginal_gof(5, 0.9, 10**5, seed=9)
         assert r.passed
+
+
+class TestStreamedClaims:
+    """The streamed claims report exactly what one pass over whole arrays reports."""
+
+    @pytest.mark.parametrize("size", CHUNK_EDGE_SIZES)
+    @pytest.mark.parametrize("lam", [1.0, 10.0, 10_000.0])
+    @pytest.mark.parametrize("radius", [poisson_tail_radius, lambda draws, delta: delta * np.sqrt(draws + 1.0)],
+                             ids=["bound", "narrow"])
+    def test_poisson_tail_is_one_draw(self, lam, size, radius, monkeypatch):
+        # the narrow radius fails often, so the counts are not all zero
+        monkeypatch.setattr(harness, "poisson_tail_radius", radius)
+        deltas = (0.05, 0.5, 0.99)
+        draws = derive_trial_rng(4, 0).poisson(lam, size=size)
+        want = [float(np.mean(np.abs(draws + 1 - lam) > radius(draws, d))) for d in deltas]
+        got = poisson_tail_checks(lam, deltas, size, seed=4)
+        assert [r.values["fail_frac"] for r in got] == want
+
+    @pytest.mark.parametrize("size", CHUNK_EDGE_SIZES)
+    @pytest.mark.parametrize("n,prob", [(20, 0.4), (100, 0.5), (10_000, 0.01), (7, 1.0)])
+    def test_coupling_claims_are_those_of_the_whole_arrays(self, n, prob, size, monkeypatch):
+        monkeypatch.setattr(harness, "check_gof_reps", lambda reps: None)  # let sizes below 1e5 in
+        chunks = coupled_pairs(derive_trial_rng(6, 0), n, prob, size)
+        m, m_prime = (np.concatenate(parts) for parts in list(zip(*chunks))[:2])
+
+        moments = _moments_blockwise((m - m_prime) / (m_prime + 1.0))
+        se = math.sqrt(moments.variance / size)
+        gap = coupling_diagnostic(n, prob, size, seed=6).values
+        np.testing.assert_equal([gap["est_gap"], gap["ci_low"], gap["ci_high"]],
+                                [moments.mean, moments.mean - _Z99 * se, moments.mean + _Z99 * se])
+
+        lam = n * prob
+        hi = max(int(m_prime.max()), _poisson_upper(lam))
+        gof_m = chi_square_gof(m, _binomial_pmf(n, prob))
+        gof_mp = chi_square_gof(m_prime, _poisson_pmf(lam, hi), tail_prob=_regularized_gamma(hi + 1, lam)[0])
+        assert coupling_marginal_gof(n, prob, size, seed=6).values == {
+            "chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
+            "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value}
 
 
 class TestExpectedKl:

@@ -7,6 +7,7 @@ from scipy import stats
 from klconc.distributions import Pmf, uniform_pmf
 from klconc.harness import chi_square_gof
 from klconc.sampling import (
+    _DRAW_CHUNK,
     _derive_subseed,
     coupled_pairs,
     derive_trial_rng,
@@ -27,6 +28,7 @@ class TestStreamDerivation:
         b = derive_trial_rng(42, 1).integers(0, 2**64, dtype=np.uint64)
         assert a != b
 
+    @pytest.mark.slow
     def test_million_streams_distinct_first_outputs(self):
         n = 10**6
         out = np.empty(n, dtype=np.uint64)
@@ -127,22 +129,49 @@ class TestMultinomialCounts:
         assert gof.p_value >= GOF_ALPHA
 
 
+def _whole(chunks):
+    """The five coupled arrays, each the concatenation of its chunks."""
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+
+def _one_draw_pairs(rng, n, prob, size):
+    """The coupled arrays drawn in one call each, as the stream defines them."""
+    n_latent = rng.poisson(n, size=size)
+    x = rng.binomial(np.minimum(n_latent, n), prob)
+    y = rng.binomial(np.abs(n_latent - n), prob)
+    over = n_latent > n
+    return np.where(over, x, x + y), np.where(over, x + y, x), n_latent, x, y
+
+
+CHUNK_EDGE_SIZES = [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5]
+
+
 class TestCoupling:
     def test_certain_success_forces_structure(self):
         # prob=1: X = min(N, n) and Y = |n - N|, so M = n and M' = N always
         n = 17
-        m, m_prime, n_latent, _, _ = coupled_pairs(derive_trial_rng(31, 0), n, 1.0, size=200)
+        m, m_prime, n_latent, _, _ = _whole(coupled_pairs(derive_trial_rng(31, 0), n, 1.0, size=200))
         assert np.all(m == n)
         np.testing.assert_array_equal(m_prime, n_latent)
 
     def test_gap_is_y_with_sign_from_latent(self):
         n = 20
-        m, m_prime, n_latent, x, y = coupled_pairs(derive_trial_rng(33, 0), n, 0.4, size=2000)
+        m, m_prime, n_latent, x, y = _whole(coupled_pairs(derive_trial_rng(33, 0), n, 0.4, size=2000))
         np.testing.assert_array_equal(np.abs(m - m_prime), y)
         under = n_latent <= n
         np.testing.assert_array_equal((m - m_prime)[under], y[under])
         np.testing.assert_array_equal((m_prime - m)[~under], y[~under])
         assert np.all(x <= np.minimum(m, m_prime) + y)
+
+    @pytest.mark.parametrize("size", CHUNK_EDGE_SIZES)
+    @pytest.mark.parametrize("n,prob", [(20, 0.4), (100, 0.5), (10_000, 0.01), (7, 1.0)])
+    def test_chunks_are_one_draw(self, n, prob, size):
+        chunks = list(coupled_pairs(derive_trial_rng(35, 0), n, prob, size))
+        assert [len(chunk[0]) for chunk in chunks[:-1]] == [_DRAW_CHUNK] * (len(chunks) - 1)
+        assert 0 < len(chunks[-1][0]) <= _DRAW_CHUNK
+        want = _one_draw_pairs(derive_trial_rng(35, 0), n, prob, size)
+        for got, ref in zip(_whole(chunks), want, strict=True):
+            np.testing.assert_array_equal(got, ref)
 
     def test_prob_validation(self):
         rng = derive_trial_rng(1, 0)
