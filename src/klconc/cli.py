@@ -8,7 +8,6 @@ wall-clock time is never written to files.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -130,10 +129,10 @@ def _sep(fmt: str) -> str:
 
 def _parse_dist(args) -> DistSpec:
     spec = args.dist
+    if spec in ("file", "file:"):
+        raise UsageError("file distributions are given as --dist file:PATH")
     if spec.startswith("file:"):
         return DistSpec.from_file(spec[len("file:") :])
-    if spec == "file":
-        raise UsageError("file distributions are given as --dist file:PATH")
     if spec not in ("uniform", "zipf", "twopoint"):
         raise UsageError(f"unknown distribution {spec!r}")
     if args.k is None:
@@ -212,49 +211,10 @@ def _cmd_figure1(args) -> int:
             ],
             x_label="alphabet size k",
             y_label="std of KL loss",
-            log_x=True,
-            log_y=True,
             title=f"add-one estimator, n={args.n}, {args.reps} trials per point",
         )
         with open(args.svg, "w", encoding="utf-8", newline="") as fh:
             fh.write(svg)
-    return 0
-
-
-def _cmd_plot(args) -> int:
-    with open(args.infile, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise UsageError(f"{args.infile}: empty CSV") from None
-        data = [row for row in reader if row]
-    if not data:
-        raise UsageError(f"{args.infile}: CSV has a header but no rows")
-    columns = {name: i for i, name in enumerate(header)}
-    if args.x not in columns:
-        raise UsageError(f"missing column {args.x!r} in {args.infile}")
-    y_names = [name.strip() for name in args.y.split(",") if name.strip()]
-    if not y_names:
-        raise UsageError("--y must name at least one column")
-    for name in y_names:
-        if name not in columns:
-            raise UsageError(f"missing column {name!r} in {args.infile}")
-
-    series = []
-    xi = columns[args.x]
-    for name in y_names:
-        yi = columns[name]
-        xs, ys = [], []
-        for row in data:
-            if not row[xi] or not row[yi]:
-                continue
-            xs.append(float(row[xi]))
-            ys.append(float(row[yi]))
-        series.append((name, xs, ys))
-    svg = render_xy_plot(series, x_label=args.x, log_x=args.logx, log_y=args.logy)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg)
     return 0
 
 
@@ -458,15 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"{what}: replaces {field} in every default config of {takers}")
     chk.add_argument("--threads", type=_count, help=_CHECK_THREADS_HELP)
     chk.set_defaults(func=_cmd_check)
-
-    plt = sub.add_parser("plot", help="render CSV columns to a standalone SVG")
-    plt.add_argument("--in", dest="infile", required=True, help="input CSV path")
-    plt.add_argument("--x", required=True, help="x column name")
-    plt.add_argument("--y", required=True, help="comma-separated y column names")
-    plt.add_argument("--out", required=True, help="output SVG path")
-    plt.add_argument("--logx", action="store_true")
-    plt.add_argument("--logy", action="store_true")
-    plt.set_defaults(func=_cmd_plot)
 
     return parser
 

@@ -1,4 +1,4 @@
-"""Tiny hand-rolled SVG scatter/line plots.
+"""Tiny hand-rolled SVG log-log line plots.
 
 No plotting dependency: elements are emitted directly with fixed float
 formatting, so the same data always yields byte-identical files.
@@ -18,24 +18,6 @@ _MARGIN_L = 78
 _MARGIN_R = 24
 _MARGIN_T = 40
 _MARGIN_B = 56
-
-
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / target
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        step = mult * mag
-        if raw <= step:
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + step * 1e-9:
-        ticks.append(0.0 if abs(t) < step * 1e-9 else t)
-        t += step
-    return ticks
 
 
 def _decade_ticks(lo: float, hi: float) -> list[float]:
@@ -62,15 +44,13 @@ def _label(v: float) -> str:
 
 def render_xy_plot(
     series: list[tuple[str, list[float], list[float]]],
-    x_label: str = "",
-    y_label: str = "",
-    log_x: bool = False,
-    log_y: bool = False,
-    title: str = "",
+    x_label: str,
+    y_label: str,
+    title: str,
 ) -> str:
-    """Render named (x, y) series as polylines with circle markers.
+    """Render named (x, y) series as polylines with circle markers on log-log axes.
 
-    On a log axis, points with nonpositive coordinates are dropped. Raises
+    Points with a nonpositive or nonfinite coordinate are dropped. Raises
     ValueError when no plottable points remain.
     """
     cleaned = []
@@ -78,43 +58,31 @@ def render_xy_plot(
         pts = [
             (float(x), float(y))
             for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y) and (not log_x or x > 0) and (not log_y or y > 0)
+            if math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0
         ]
         cleaned.append((name, pts))
     all_pts = [pt for _, pts in cleaned for pt in pts]
     if not all_pts:
         raise ValueError("nothing to plot: no finite points in range")
 
-    def span(vals, log_axis):
+    def span(vals):
         lo, hi = min(vals), max(vals)
-        if log_axis:
-            if hi == lo:
-                lo, hi = lo / 2.0, hi * 2.0
-            return lo, hi
         if hi == lo:
-            pad = 1.0 if lo == 0 else abs(lo) * 0.5
-            return lo - pad, hi + pad
-        pad = (hi - lo) * 0.05
-        return lo - pad, hi + pad
+            lo, hi = lo / 2.0, hi * 2.0
+        return lo, hi
 
-    x_lo, x_hi = span([p[0] for p in all_pts], log_x)
-    y_lo, y_hi = span([p[1] for p in all_pts], log_y)
+    x_lo, x_hi = span([p[0] for p in all_pts])
+    y_lo, y_hi = span([p[1] for p in all_pts])
 
-    def to_px(v, lo, hi, log_axis, px_lo, px_hi):
-        if log_axis:
-            frac = (math.log10(v) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
-        else:
-            frac = (v - lo) / (hi - lo)
+    def to_px(v, lo, hi, px_lo, px_hi):
+        frac = (math.log10(v) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
         return px_lo + frac * (px_hi - px_lo)
 
     def xp(v):
-        return to_px(v, x_lo, x_hi, log_x, _MARGIN_L, _WIDTH - _MARGIN_R)
+        return to_px(v, x_lo, x_hi, _MARGIN_L, _WIDTH - _MARGIN_R)
 
     def yp(v):
-        return to_px(v, y_lo, y_hi, log_y, _HEIGHT - _MARGIN_B, _MARGIN_T)
-
-    x_ticks = _decade_ticks(x_lo, x_hi) if log_x else _nice_ticks(x_lo, x_hi)
-    y_ticks = _decade_ticks(y_lo, y_hi) if log_y else _nice_ticks(y_lo, y_hi)
+        return to_px(v, y_lo, y_hi, _HEIGHT - _MARGIN_B, _MARGIN_T)
 
     out = []
     out.append(
@@ -122,11 +90,10 @@ def render_xy_plot(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-    if title:
-        out.append(
-            f'<text x="{_WIDTH / 2:.0f}" y="22" font-family="sans-serif" font-size="15" '
-            f'text-anchor="middle">{_escape(title)}</text>'
-        )
+    out.append(
+        f'<text x="{_WIDTH / 2:.0f}" y="22" font-family="sans-serif" font-size="15" '
+        f'text-anchor="middle">{_escape(title)}</text>'
+    )
 
     ax_bottom = _HEIGHT - _MARGIN_B
     out.append(
@@ -138,7 +105,7 @@ def render_xy_plot(
         f'stroke="black" stroke-width="1"/>'
     )
 
-    for t in x_ticks:
+    for t in _decade_ticks(x_lo, x_hi):
         px = xp(t)
         out.append(
             f'<line x1="{_fmt(px)}" y1="{ax_bottom}" x2="{_fmt(px)}" y2="{ax_bottom + 5}" stroke="black"/>'
@@ -147,7 +114,7 @@ def render_xy_plot(
             f'<text x="{_fmt(px)}" y="{ax_bottom + 18}" font-family="sans-serif" font-size="11" '
             f'text-anchor="middle">{_label(t)}</text>'
         )
-    for t in y_ticks:
+    for t in _decade_ticks(y_lo, y_hi):
         py = yp(t)
         out.append(f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(py)}" x2="{_MARGIN_L}" y2="{_fmt(py)}" stroke="black"/>')
         out.append(
@@ -155,17 +122,15 @@ def render_xy_plot(
             f'text-anchor="end">{_label(t)}</text>'
         )
 
-    if x_label:
-        out.append(
-            f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.0f}" y="{_HEIGHT - 14}" '
-            f'font-family="sans-serif" font-size="13" text-anchor="middle">{_escape(x_label)}</text>'
-        )
-    if y_label:
-        cy = (_MARGIN_T + ax_bottom) / 2
-        out.append(
-            f'<text x="18" y="{cy:.0f}" font-family="sans-serif" font-size="13" text-anchor="middle" '
-            f'transform="rotate(-90 18 {cy:.0f})">{_escape(y_label)}</text>'
-        )
+    out.append(
+        f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.0f}" y="{_HEIGHT - 14}" '
+        f'font-family="sans-serif" font-size="13" text-anchor="middle">{_escape(x_label)}</text>'
+    )
+    cy = (_MARGIN_T + ax_bottom) / 2
+    out.append(
+        f'<text x="18" y="{cy:.0f}" font-family="sans-serif" font-size="13" text-anchor="middle" '
+        f'transform="rotate(-90 18 {cy:.0f})">{_escape(y_label)}</text>'
+    )
 
     for idx, (name, pts) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from klconc import harness
-from klconc.cli import _suites, main
+from klconc.cli import _suites, build_parser, main
 
 
 def run(*argv):
@@ -144,13 +144,18 @@ class TestFigure1:
         assert run("figure1", "--ks", "", "--out", str(tmp_path / "x.csv")) == 2
 
     def test_svg_output(self, tmp_path):
-        out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
-        assert run("figure1", "--ks", "2,4,8", "--n", "128", "--reps", "60", "--seed", "2",
-                   "--out", str(out), "--svg", str(svg)) == 0
-        body = svg.read_text()
+        out, a, b = tmp_path / "f.csv", tmp_path / "a.svg", tmp_path / "b.svg"
+        args = ["figure1", "--ks", "1,2,4,8", "--n", "128", "--reps", "60", "--seed", "2",
+                "--out", str(out)]
+        assert run(*args, "--svg", str(a)) == 0
+        assert run(*args, "--svg", str(b)) == 0
+        assert read(a) == read(b)
+        body = a.read_text()
         assert body.startswith("<svg")
         assert "sample std" in body
         assert "sqrt((k-1)/2)/n" in body
+        # at k=1 the sample std and sqrt((k-1)/2)/n are 0: off the log axes, so 4 + 3 + 3 markers
+        assert body.count("<circle") == 10
 
 
 class TestCheck:
@@ -300,39 +305,12 @@ def test_negative_control_fails(suite, monkeypatch, capsys):
     assert "== verdict: FAIL" in out
 
 
-class TestPlot:
-    def _figure_csv(self, tmp_path):
-        out = tmp_path / "f.csv"
-        assert run("figure1", "--ks", "2,4,8", "--n", "128", "--reps", "60", "--seed", "2",
-                   "--out", str(out)) == 0
-        return out
-
-    def test_plot_from_csv(self, tmp_path):
-        src = self._figure_csv(tmp_path)
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        args = ["plot", "--in", str(src), "--x", "k", "--y", "sample_std,heuristic_std",
-                "--logx", "--logy"]
-        assert run(*args, "--out", str(a)) == 0
-        assert run(*args, "--out", str(b)) == 0
-        assert read(a) == read(b)
-        assert a.read_text().startswith("<svg")
-
-    def test_missing_column_named(self, tmp_path, capsys):
-        src = self._figure_csv(tmp_path)
-        code = run("plot", "--in", str(src), "--x", "k", "--y", "nope",
-                   "--out", str(tmp_path / "x.svg"))
-        assert code == 2
-        assert "nope" in capsys.readouterr().err
-
-    def test_empty_csv_body(self, tmp_path):
-        empty = tmp_path / "e.csv"
-        empty.write_text("k,v\n")
-        assert run("plot", "--in", str(empty), "--x", "k", "--y", "v",
-                   "--out", str(tmp_path / "x.svg")) == 2
-
-
 def test_no_subcommand_is_usage_error():
     assert run() == 2
+
+
+def test_subcommands_are_the_documented_four():
+    assert "{simulate,bounds,figure1,check}" in build_parser().format_usage()
 
 
 _SUBCOMMANDS = {
@@ -369,6 +347,7 @@ _OUT_OF_RANGE = [
     *[("simulate", "--mass", value) for value in ("-0.5", "1.5", "nan")],
     *[("simulate-zipf", "--zipf-s", value) for value in ("inf", "nan")],
     ("simulate-twopoint", "--k", "1"),
+    ("simulate", "--dist", "file:"),
 ]
 
 
