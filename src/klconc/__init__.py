@@ -1,7 +1,7 @@
 """Concentration of the KL loss of add-constant estimators.
 
-Estimators and divergences for discrete distributions, exact seeded
-samplers (multinomial counts and a binomial/Poisson coupling), closed-form
+Estimators and divergences for discrete distributions, seeded trial
+streams and an exact binomial/Poisson coupling, closed-form
 deviation and variance bounds, and a Monte Carlo harness that verifies the
 distributional claims.
 """
@@ -36,9 +36,6 @@ from .distributions import (
 )
 from .harness import (
     ClaimResult,
-    DistSpec,
-    ExperimentConfig,
-    TrialSummary,
     chi_square_gof,
     coupling_diagnostic,
     coupling_marginal_gof,
@@ -58,10 +55,6 @@ from .losses import (
     kl_losses,
     kl_losses_from_draws,
 )
-from .sampling import (
-    coupled_pairs,
-    derive_trial_rng,
-    multinomial_counts,
-)
+from .sampling import coupled_pairs, derive_trial_rng
 
 __version__ = "0.1.0"

@@ -126,16 +126,21 @@ def clip_threshold(b: BoundInputs) -> float:
     return 36.0 * math.log(4.0 * b.k / b.delta) ** 2 / b.n
 
 
+def _check_binomial(m: int, prob: float) -> None:
+    """Raise ValueError unless Bin(m, prob) has m >= 0 and prob in (0, 1]."""
+    if m < 0:
+        raise ValueError(f"number of trials must be >= 0, got {m}")
+    if not 0.0 < prob <= 1.0:
+        raise ValueError(f"probability must lie in (0, 1], got {prob}")
+
+
 def binomial_inverse_moment(m: int, prob: float) -> float:
     """E[1/(X+1)] for X ~ Bin(m, prob): (1 - (1-prob)**(m+1)) / (prob*(m+1)).
 
     (1-prob)**(m+1) is evaluated via expm1/log1p so the result stays
     accurate for small prob.
     """
-    if m < 0:
-        raise ValueError(f"number of trials must be >= 0, got {m}")
-    if not 0.0 < prob <= 1.0:
-        raise ValueError(f"probability must lie in (0, 1], got {prob}")
+    _check_binomial(m, prob)
     if prob == 1.0:
         return 1.0 / (m + 1)
     numer = -math.expm1((m + 1) * math.log1p(-prob))
@@ -213,29 +218,20 @@ def _regularized_gamma(a: float, x: float) -> tuple[float, float]:
 
 def binomial_inverse_moment_exact(m: int, prob: float) -> float:
     """Exact-summation oracle for :func:`binomial_inverse_moment`."""
-    if m < 0:
-        raise ValueError(f"number of trials must be >= 0, got {m}")
-    if not 0.0 < prob <= 1.0:
-        raise ValueError(f"probability must lie in (0, 1], got {prob}")
+    _check_binomial(m, prob)
     x = np.arange(m + 1)
     return math.fsum(_binomial_pmf(m, prob) / (x + 1.0))
 
 
 def binomial_inverse_moment2_bound(m: int, prob: float) -> float:
     """Upper bound 1 / (prob**2 * (m+1) * (m+2)) on E[1/((X+1)(X+2))]."""
-    if m < 0:
-        raise ValueError(f"number of trials must be >= 0, got {m}")
-    if not 0.0 < prob <= 1.0:
-        raise ValueError(f"probability must lie in (0, 1], got {prob}")
+    _check_binomial(m, prob)
     return 1.0 / (prob**2 * (m + 1) * (m + 2))
 
 
 def binomial_inverse_moment2_exact(m: int, prob: float) -> float:
     """Exact summation of E[1/((X+1)(X+2))] for X ~ Bin(m, prob)."""
-    if m < 0:
-        raise ValueError(f"number of trials must be >= 0, got {m}")
-    if not 0.0 < prob <= 1.0:
-        raise ValueError(f"probability must lie in (0, 1], got {prob}")
+    _check_binomial(m, prob)
     x = np.arange(m + 1)
     return math.fsum(_binomial_pmf(m, prob) / ((x + 1.0) * (x + 2.0)))
 

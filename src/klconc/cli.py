@@ -22,10 +22,9 @@ from .bounds import (
     prior_deviation_bound,
     variance_lower_bound,
 )
+from .distributions import Pmf, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
 from .harness import (
     MAX_STORED_TRIALS,
-    DistSpec,
-    ExperimentConfig,
     check_gof_reps,
     coupling_diagnostic,
     coupling_marginal_gof,
@@ -127,12 +126,12 @@ def _sep(fmt: str) -> str:
     return "\t" if fmt == "tsv" else ","
 
 
-def _parse_dist(args) -> DistSpec:
+def _parse_dist(args) -> Pmf:
     spec = args.dist
     if spec in ("file", "file:"):
         raise UsageError("file distributions are given as --dist file:PATH")
     if spec.startswith("file:"):
-        return DistSpec.from_file(spec[len("file:") :])
+        return load_pmf(spec[len("file:") :])
     if spec not in ("uniform", "zipf", "twopoint"):
         raise UsageError(f"unknown distribution {spec!r}")
     if args.k is None:
@@ -140,28 +139,21 @@ def _parse_dist(args) -> DistSpec:
     if spec == "twopoint" and args.k < 2:
         raise UsageError(f"--dist twopoint needs --k >= 2, got {args.k}")
     if spec == "uniform":
-        return DistSpec.uniform(args.k)
+        return uniform_pmf(args.k)
     if spec == "zipf":
-        return DistSpec.zipf(args.k, args.zipf_s)
-    return DistSpec.twopoint(args.k, args.mass)
+        return zipf_pmf(args.k, args.zipf_s)
+    return two_point_pmf(args.k, args.mass)
 
 
 def _cmd_simulate(args) -> int:
-    dist = _parse_dist(args)
-    cfg = ExperimentConfig(
-        dist=dist, n=args.n, reps=args.reps, master_seed=args.seed, t=args.t, delta=args.delta
-    )
-    summary = run_kl_trials(cfg)
-    exceed_frac = None if summary.exceed_count is None else summary.exceed_count / summary.reps
+    pmf = _parse_dist(args)
+    k = len(pmf)
+    if not math.isfinite(args.n + k * args.t):
+        raise UsageError(f"--t {args.t:g} overflows the add-t denominator n + k*t at k={k}")
+    summary = run_kl_trials(pmf, args.n, args.reps, args.seed, t=args.t, delta=args.delta)
     header = ["k", "n", "reps", "t", "mean_kl", "var_kl", "std_kl", "q50", "q90", "q99",
               "exceed_frac", "t_delta"]
-    row = [
-        summary.k, summary.n, summary.reps, summary.t,
-        summary.mean_kl, summary.var_kl, summary.std_kl,
-        summary.quantiles[0.5], summary.quantiles[0.9], summary.quantiles[0.99],
-        exceed_frac, summary.t_delta,
-    ]
-    _write_table(args.out, header, [row], _sep(args.format))
+    _write_table(args.out, header, [[k, args.n, args.reps, args.t, *summary.values()]], _sep(args.format))
     return 0
 
 
@@ -254,6 +246,8 @@ def _variance_regime(k, n, reps, **_):
 def _suites() -> dict[str, _Suite]:
     # Built per call, so each runner is looked up in this module when check runs.
     coupling = [(20, 0.4), (100, 0.5), (10_000, 0.01)]
+    expectation = {"uniform(10)": uniform_pmf(10), "zipf(10,1)": zipf_pmf(10, 1.0),
+                   "twopoint(10,0.99)": two_point_pmf(10, 0.99)}
     return {
         "variance": _Suite(
             ("k", "n"), [(2, 20), (10, 100), (64, 10240)], 100_000, verify_variance_lb,
@@ -288,10 +282,8 @@ def _suites() -> dict[str, _Suite]:
             lambda reps, **_: check_gof_reps(reps),
         ),
         "expectation": _Suite(
-            ("dist", "n"),
-            [(dist, 1000) for dist in (DistSpec.uniform(10), DistSpec.zipf(10, 1.0),
-                                       DistSpec.twopoint(10, 0.99))],
-            100_000, expected_kl_check,
+            ("dist", "n"), [(label, 1000) for label in expectation], 100_000,
+            lambda dist, n, reps, seed: expected_kl_check(expectation[dist], n, reps, seed),
             "mean add-one KL loss <= (k-1)/n: {dist} n={n} reps={reps} mean={mean_kl:.6e} "
             "ceiling={ceiling:.6e} slack={slack:.2e}",
             _two_reps,

@@ -1,9 +1,11 @@
 """Seeded Monte Carlo experiments for the distributional claims.
 
-Every claim check here is a pure function of its arguments and returns a
-``ClaimResult``. Trials come in blocks of 2048: trial i is row ``i mod 2048``
-of the matrix that block ``i // 2048`` draws from the stream derived from
-(master_seed, i // 2048).
+Every experiment takes the distribution as a ``Pmf`` and plain arguments
+and is a pure function of them: ``run_kl_trials`` returns the aggregated
+losses keyed as ``simulate``'s CSV columns, and each claim check returns a
+``ClaimResult``. Trials come in blocks of 2048: trial i is row
+``i mod 2048`` of the matrix that block ``i // 2048`` draws from the stream
+derived from (master_seed, i // 2048).
 When 4n <= k a row is n categorical symbols, drawn as row-sorted uniforms
 mapped through the normalised cumulative pmf (the same rows as
 ``Generator.choice``, sorted), and scored by ``kl_losses_from_draws``'s
@@ -48,14 +50,11 @@ from .bounds import (
     poisson_tail_radius,
     variance_lower_bound,
 )
-from .distributions import Pmf, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
+from .distributions import Pmf, uniform_pmf
 from .losses import _kl_losses_from_sorted_draws, kl_losses
 from .sampling import _DRAW_CHUNK, _derive_subseed, coupled_pairs, derive_trial_rng
 
 __all__ = [
-    "DistSpec",
-    "ExperimentConfig",
-    "TrialSummary",
     "RunningMoments",
     "GofResult",
     "StdSweepRow",
@@ -83,100 +82,6 @@ _CATEGORICAL = 4  # rows are drawn as symbols when _CATEGORICAL * n <= k
 
 # Reserved stream domain of the sweep rows' sub-seeds (see sampling._derive_subseed).
 _DOMAIN_SWEEP_ROW = 2
-
-
-@dataclass(frozen=True)
-class DistSpec:
-    """Test-distribution spec: uniform(k), zipf(k, s), twopoint(k, mass), or a file."""
-
-    kind: str
-    k: int | None = None
-    s: float = 1.0
-    mass: float = 0.99
-    path: str | None = None
-
-    _KINDS = ("uniform", "zipf", "twopoint", "file")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown distribution kind {self.kind!r}; expected one of {self._KINDS}")
-        if self.kind == "file":
-            if not self.path:
-                raise ValueError("file distribution needs a path")
-        elif self.k is None or self.k < 1:
-            raise ValueError(f"{self.kind} distribution needs k >= 1, got {self.k}")
-
-    @staticmethod
-    def uniform(k: int) -> "DistSpec":
-        return DistSpec("uniform", k=k)
-
-    @staticmethod
-    def zipf(k: int, s: float = 1.0) -> "DistSpec":
-        return DistSpec("zipf", k=k, s=s)
-
-    @staticmethod
-    def twopoint(k: int, mass: float = 0.99) -> "DistSpec":
-        return DistSpec("twopoint", k=k, mass=mass)
-
-    @staticmethod
-    def from_file(path: str) -> "DistSpec":
-        return DistSpec("file", path=path)
-
-    def make(self) -> Pmf:
-        if self.kind == "uniform":
-            return uniform_pmf(self.k)
-        if self.kind == "zipf":
-            return zipf_pmf(self.k, self.s)
-        if self.kind == "twopoint":
-            return two_point_pmf(self.k, self.mass)
-        return load_pmf(self.path)
-
-    def label(self) -> str:
-        if self.kind == "uniform":
-            return f"uniform({self.k})"
-        if self.kind == "zipf":
-            return f"zipf({self.k},{self.s:g})"
-        if self.kind == "twopoint":
-            return f"twopoint({self.k},{self.mass:g})"
-        return f"file:{self.path}"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Inputs of one KL-loss experiment."""
-
-    dist: DistSpec
-    n: int
-    reps: int
-    master_seed: int
-    t: float = 1.0
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"sample size must be >= 1, got {self.n}")
-        if self.reps < 1:
-            raise ValueError(f"repetition count must be >= 1, got {self.reps}")
-        if not (self.t >= 0 and math.isfinite(self.t)):
-            raise ValueError(f"smoothing constant must be finite and >= 0, got {self.t}")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ValueError(f"failure probability must lie in (0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
-class TrialSummary:
-    """Aggregated per-trial KL losses of one experiment."""
-
-    k: int
-    n: int
-    reps: int
-    t: float
-    mean_kl: float
-    var_kl: float
-    std_kl: float
-    quantiles: dict[float, float]
-    exceed_count: int | None
-    t_delta: float | None
 
 
 class RunningMoments:
@@ -224,16 +129,19 @@ class RunningMoments:
 
 
 def _check_stored(reps: int) -> None:
-    """Raise ValueError before a reps-sized array above MAX_STORED_TRIALS is drawn."""
-    if reps > MAX_STORED_TRIALS:
-        raise ValueError(f"repetition count capped at {MAX_STORED_TRIALS} (got {reps})")
+    """Raise ValueError before drawing unless reps lies in [1, MAX_STORED_TRIALS]."""
+    if not 1 <= reps <= MAX_STORED_TRIALS:
+        raise ValueError(f"repetition count must be >= 1 and is capped at {MAX_STORED_TRIALS} (got {reps})")
 
 
 def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int) -> np.ndarray:
     """Per-trial KL(p || add-t estimate) losses; trial i is row i mod 2048 of
     the block drawn on stream (master_seed, i // 2048): n symbols when
     4n <= k (row-sorted uniforms mapped through the normalised cumulative
-    pmf), else Mult(n, p) counts."""
+    pmf), else Mult(n, p) counts. Rejects n < 1 and reps outside
+    [1, MAX_STORED_TRIALS] before drawing."""
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
     _check_stored(reps)
     k = len(pmf)
     categorical = _CATEGORICAL * n <= k
@@ -268,24 +176,23 @@ def _moments_blockwise(losses: np.ndarray, total: RunningMoments | None = None) 
     return total
 
 
-def _exact_quantiles(losses: np.ndarray, levels=QUANTILE_LEVELS) -> dict[float, float]:
-    """Order-statistic quantiles: level q maps to the ceil(q * reps)-th smallest."""
+def _exact_quantiles(losses: np.ndarray) -> list[float]:
+    """Order-statistic quantiles at QUANTILE_LEVELS: level q is the
+    ceil(q * reps)-th smallest loss."""
     srt = np.sort(losses)
-    out = {}
-    for q in levels:
-        idx = max(0, math.ceil(q * losses.size) - 1)
-        out[q] = float(srt[idx])
-    return out
+    return [float(srt[max(0, math.ceil(q * losses.size) - 1)]) for q in QUANTILE_LEVELS]
 
 
-def run_kl_trials(cfg: ExperimentConfig) -> TrialSummary:
+def run_kl_trials(pmf: Pmf, n: int, reps: int, seed: int, t: float = 1.0,
+                  delta: float | None = None) -> dict:
     """Draw n samples from p per trial (as symbols or as counts, see
-    ``_kl_loss_samples``), smooth with add-t, and aggregate the KL losses.
-    Deterministic given cfg."""
-    pmf = cfg.dist.make()
-    k = len(pmf)
-    losses = _kl_loss_samples(pmf, cfg.n, cfg.t, cfg.master_seed, cfg.reps)
-
+    ``_kl_loss_samples``), smooth with add-t, and aggregate the KL losses,
+    keyed as ``simulate``'s columns. Given ``delta``, ``t_delta`` is the
+    deviation bound and ``exceed_frac`` the fraction of losses above
+    mean + t_delta; both are None otherwise. Deterministic given its
+    arguments; delta is checked before anything is drawn."""
+    t_delta = None if delta is None else kl_deviation_bound(BoundInputs(k=len(pmf), n=n, delta=delta))
+    losses = _kl_loss_samples(pmf, n, t, seed, reps)
     if np.isinf(losses).any():
         # Only reachable with t = 0 (unsmoothed estimate misses support).
         mean_kl = var_kl = std_kl = math.inf
@@ -294,25 +201,10 @@ def run_kl_trials(cfg: ExperimentConfig) -> TrialSummary:
         mean_kl = moments.mean
         var_kl = moments.variance
         std_kl = math.sqrt(var_kl)
-
-    exceed_count = None
-    t_delta = None
-    if cfg.delta is not None:
-        t_delta = kl_deviation_bound(BoundInputs(k=k, n=cfg.n, delta=cfg.delta))
-        exceed_count = int(np.sum(losses > mean_kl + t_delta))
-
-    return TrialSummary(
-        k=k,
-        n=cfg.n,
-        reps=cfg.reps,
-        t=cfg.t,
-        mean_kl=mean_kl,
-        var_kl=var_kl,
-        std_kl=std_kl,
-        quantiles=_exact_quantiles(losses),
-        exceed_count=exceed_count,
-        t_delta=t_delta,
-    )
+    q50, q90, q99 = _exact_quantiles(losses)
+    exceed_frac = None if delta is None else float(np.mean(losses > mean_kl + t_delta))
+    return {"mean_kl": mean_kl, "var_kl": var_kl, "std_kl": std_kl, "q50": q50, "q90": q90, "q99": q99,
+            "exceed_frac": exceed_frac, "t_delta": t_delta}
 
 
 @dataclass(frozen=True)
@@ -339,11 +231,10 @@ def sweep_std_vs_heuristic(
     rows = []
     for k in ks:
         sub_seed = _derive_subseed(master_seed, _DOMAIN_SWEEP_ROW, k)
-        cfg = ExperimentConfig(dist=DistSpec.uniform(k), n=n, reps=reps, master_seed=sub_seed)
-        summary = run_kl_trials(cfg)
+        std = run_kl_trials(uniform_pmf(k), n, reps, sub_seed)["std_kl"]
         heuristic = heuristic_kl_std(k, n)
-        ratio = summary.std_kl / heuristic if summary.std_kl > 0 else None
-        rows.append(StdSweepRow(k=k, sample_std=summary.std_kl, heuristic_std=heuristic, ratio=ratio))
+        ratio = std / heuristic if std > 0 else None
+        rows.append(StdSweepRow(k=k, sample_std=std, heuristic_std=heuristic, ratio=ratio))
     return rows
 
 
@@ -393,13 +284,10 @@ def exceedance_allowance(delta: float, reps: int) -> float:
 def verify_kl_tail_bound(k: int, n: int, reps: int, delta: float, seed: int) -> ClaimResult:
     """Fraction of trials whose KL loss exceeds mean + deviation bound; must
     stay within delta (plus sampling slack)."""
-    t_delta = kl_deviation_bound(BoundInputs(k=k, n=n, delta=delta))
-    losses = _kl_loss_samples(uniform_pmf(k), n, 1.0, seed, reps)
-    mean = _moments_blockwise(losses).mean
-    exceed_frac = float(np.mean(losses > mean + t_delta))
+    trials = run_kl_trials(uniform_pmf(k), n, reps, seed, delta=delta)
     allowed = exceedance_allowance(delta, reps)
-    return ClaimResult(bool(exceed_frac <= allowed),
-                       {"t_delta": t_delta, "exceed_frac": exceed_frac, "allowed": allowed})
+    return ClaimResult(bool(trials["exceed_frac"] <= allowed),
+                       {"t_delta": trials["t_delta"], "exceed_frac": trials["exceed_frac"], "allowed": allowed})
 
 
 def poisson_tail_checks(lam: float, deltas, reps: int, seed: int) -> list[ClaimResult]:
@@ -451,22 +339,17 @@ class GofResult:
     bins: int
 
 
-def chi_square_gof(values: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0,
+def chi_square_gof(counts: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0,
                    min_expected: float = 5.0) -> GofResult:
-    """Chi-square goodness of fit of integer draws against an exact pmf.
+    """Chi-square goodness of fit against an exact pmf of the integer draws
+    whose value j occurs ``counts[j]`` times (``np.bincount`` of the draws).
 
     ``probs[j]`` is the target P[X = j] for j < len(probs) and ``tail_prob``
-    the mass at or beyond len(probs). Adjacent bins are merged left to right
-    until each carries expected count >= min_expected (the remainder folds
-    into the last bin), which collapses the sparse tails.
+    the mass at or beyond len(probs), whose counts share one bin. Adjacent
+    bins are merged left to right until each carries expected count >=
+    min_expected (the remainder folds into the last bin), which collapses
+    the sparse tails.
     """
-    clipped = np.minimum(np.asarray(values), len(probs))  # values at or past the last bin share a bin
-    return _chi_square_counts(np.bincount(clipped), probs, tail_prob, min_expected)
-
-
-def _chi_square_counts(counts: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0,
-                       min_expected: float = 5.0) -> GofResult:
-    """``chi_square_gof`` of the draws whose value j occurs ``counts[j]`` times."""
     n_bins = len(probs)
     observed = np.zeros(n_bins + 1, dtype=np.float64)
     observed[: min(counts.size, n_bins)] = counts[:n_bins]
@@ -533,30 +416,25 @@ def coupling_marginal_gof(n: int, prob: float, reps: int, seed: int) -> ClaimRes
         counts_m = _add_counts(counts_m, np.bincount(m))
         counts_mp = _add_counts(counts_mp, np.bincount(m_prime))
 
-    gof_m = _chi_square_counts(counts_m, _binomial_pmf(n, prob))
+    gof_m = chi_square_gof(counts_m, _binomial_pmf(n, prob))
 
     lam = n * prob
     hi = max(counts_mp.size - 1, _poisson_upper(lam))  # the largest M' drawn is counts_mp.size - 1
-    gof_mp = _chi_square_counts(counts_mp, _poisson_pmf(lam, hi), tail_prob=_regularized_gamma(hi + 1, lam)[0])
+    gof_mp = chi_square_gof(counts_mp, _poisson_pmf(lam, hi), tail_prob=_regularized_gamma(hi + 1, lam)[0])
     passed = gof_m.p_value >= GOF_P_THRESHOLD and gof_mp.p_value >= GOF_P_THRESHOLD
     return ClaimResult(bool(passed), {"chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
                                       "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value})
 
 
-def expected_kl_check(dist: DistSpec, n: int, reps: int, seed: int) -> ClaimResult:
-    """Mean add-one KL loss against the worst-case expectation (k-1)/n, with
-    one-sided CI slack of three standard errors. ``values["dist"]`` is the
-    distribution's label."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    pmf = dist.make()
-    k = len(pmf)
+def expected_kl_check(pmf: Pmf, n: int, reps: int, seed: int) -> ClaimResult:
+    """Mean add-one KL loss on p against the worst-case expectation (k-1)/n,
+    with one-sided CI slack of three standard errors."""
     losses = _kl_loss_samples(pmf, n, 1.0, seed, reps)
     moments = _moments_blockwise(losses)
-    ceiling = (k - 1) / n
+    ceiling = (len(pmf) - 1) / n
     slack = 3.0 * math.sqrt(moments.variance / reps)
     return ClaimResult(bool(moments.mean <= ceiling + slack),
-                       {"dist": dist.label(), "mean_kl": moments.mean, "ceiling": ceiling, "slack": slack})
+                       {"mean_kl": moments.mean, "ceiling": ceiling, "slack": slack})
 
 
 def _exact_binomial_product_variance(n0: int) -> Fraction:

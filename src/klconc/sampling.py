@@ -1,5 +1,5 @@
-"""Seeded, exact random generation: multinomial counts and a joint
-binomial/Poisson construction with both marginals exact.
+"""Seeded, exact random generation: counter-derived trial streams and a
+joint binomial/Poisson construction with both marginals exact.
 
 Streams are derived counter-style from a 64-bit master seed and a stream
 index, so any experiment is a pure function of (master_seed, indices). The
@@ -25,11 +25,8 @@ from collections.abc import Iterator
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .distributions import Counts, Pmf
-
 __all__ = [
     "derive_trial_rng",
-    "multinomial_counts",
     "coupled_pairs",
 ]
 
@@ -59,13 +56,6 @@ def _derive_subseed(master_seed: int, domain: int, index: int = 0) -> int:
     Its two-element spawn key never collides with the one-element keys of
     :func:`derive_trial_rng`, so it is disjoint from every trial stream."""
     return int(_seed_sequence(master_seed, (domain, index)).generate_state(1, np.uint64)[0])
-
-
-def multinomial_counts(rng: Generator, p: Pmf, n: int) -> Counts:
-    """Counts of n independent draws from p: Mult(n, p)."""
-    if n < 0:
-        raise ValueError(f"sample size must be >= 0, got {n}")
-    return Counts(rng.multinomial(n, p.probs), total=n)
 
 
 _Pairs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]

@@ -16,9 +16,16 @@ from scipy.stats import binom
 
 from klconc.bounds import heuristic_kl_std
 from klconc.cli import main
-from klconc.distributions import Counts, Pmf, add_t_estimate, pseudo_estimate, uniform_pmf
+from klconc.distributions import (
+    Counts,
+    Pmf,
+    add_t_estimate,
+    pseudo_estimate,
+    two_point_pmf,
+    uniform_pmf,
+    zipf_pmf,
+)
 from klconc.harness import (
-    DistSpec,
     coupling_diagnostic,
     coupling_marginal_gof,
     exceedance_allowance,
@@ -35,7 +42,7 @@ from klconc.losses import (
     adjusted_kl_terms,
     kl_divergence,
 )
-from klconc.sampling import derive_trial_rng, multinomial_counts
+from klconc.sampling import derive_trial_rng
 
 SEED = 7
 
@@ -163,12 +170,13 @@ def test_criterion_6_exact_oracle_facts():
 
 
 def test_criterion_7_expectation_ceiling():
-    dists = (DistSpec.uniform(10), DistSpec.zipf(10, 1.0), DistSpec.twopoint(10, 0.99))
-    reports = [expected_kl_check(d, 1000, 100_000, SEED) for d in dists]
+    dists = {"uniform(10)": uniform_pmf(10), "zipf(10,1)": zipf_pmf(10, 1.0),
+             "twopoint(10,0.99)": two_point_pmf(10, 0.99)}
+    reports = [expected_kl_check(p, 1000, 100_000, SEED) for p in dists.values()]
     passed = all(r.passed for r in reports)
-    detail = ", ".join(f"{d.label()}: mean={r.values['mean_kl']:.3e}"
+    detail = ", ".join(f"{label}: mean={r.values['mean_kl']:.3e}"
                        f"<=ceil+slack={r.values['ceiling'] + r.values['slack']:.3e}"
-                       for d, r in zip(dists, reports))
+                       for label, r in zip(dists, reports))
     _report(7, "mean KL under (k-1)/n for three distributions", passed, detail)
     assert passed, detail
 
@@ -205,7 +213,7 @@ class TestCriterion8Identities:
             k = int(rng.integers(1, 64))
             n = int(rng.integers(1, 2000))
             p = uniform_pmf(k)
-            counts = multinomial_counts(derive_trial_rng(201, i), p, n)
+            counts = Counts(derive_trial_rng(201, i).multinomial(n, p.probs))
             direct = kl_divergence(p, add_t_estimate(counts, 1.0))
             scale = math.log(1.0 + n / k)
             decomposed = -math.fsum(np.log(counts.counts + 1.0)) / k + scale

@@ -212,6 +212,18 @@ class TestSecondInverseMoment:
             assert binomial_inverse_moment2_exact(m, p) <= binomial_inverse_moment2_bound(m, p)
 
 
+@pytest.mark.parametrize("f", [binomial_inverse_moment, binomial_inverse_moment_exact,
+                               binomial_inverse_moment2_bound, binomial_inverse_moment2_exact],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("m,prob,match", [
+    (-1, 0.5, "number of trials must be >= 0"),
+    *[(3, prob, r"probability must lie in \(0, 1\]") for prob in (0.0, 1.5, math.nan)],
+], ids=["m-1", "prob0", "prob1.5", "probnan"])
+def test_binomial_arguments_rejected(f, m, prob, match):
+    with pytest.raises(ValueError, match=match):
+        f(m, prob)
+
+
 class TestPoissonPmfAtMean:
     def test_against_high_precision_oracle(self):
         for n, expected in _PMF_AT_MEAN_ORACLE.items():

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
-from klconc import harness
-from klconc.cli import _suites, build_parser, main
+from klconc import cli, harness
+from klconc.cli import UsageError, _parse_dist, _suites, build_parser, main
+from klconc.distributions import two_point_pmf, uniform_pmf, zipf_pmf
+from klconc.harness import ClaimResult
 
 
 def run(*argv):
@@ -94,6 +97,37 @@ class TestSimulate:
         assert run("simulate", "--dist", "uniform", "--k", "2", "--n", "32", "--reps", "20",
                    "--seed", "1", "--format", "tsv", "--out", str(out)) == 0
         assert "\t" in out.read_text().splitlines()[0]
+
+    def test_largest_finite_denominator_runs(self, capsys):
+        # n + k*t = 10 + 2e307 is finite; 1e308 overflows it (an out-of-range case below)
+        assert run("simulate", "--dist", "uniform", "--k", "2", "--n", "10", "--reps", "5",
+                   "--seed", "1", "--t", "1e307", "--out", "-") == 0
+        assert float(capsys.readouterr().out.splitlines()[1].split(",")[3]) == 1e307
+
+
+def _dist(*flags):
+    args = build_parser().parse_args(["simulate", *flags, "--n", "1", "--reps", "1", "--seed", "0", "--out", "-"])
+    return _parse_dist(args)
+
+
+class TestParseDist:
+    def test_kinds(self):
+        assert _dist("--dist", "uniform", "--k", "4").probs.tolist() == [0.25] * 4
+        np.testing.assert_array_equal(_dist("--dist", "zipf", "--k", "3", "--zipf-s", "1.5").probs,
+                                      zipf_pmf(3, 1.5).probs)
+        np.testing.assert_array_equal(_dist("--dist", "twopoint", "--k", "10").probs, two_point_pmf(10, 0.99).probs)
+
+    def test_file_roundtrip(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("0.25\n0.75\n")
+        np.testing.assert_allclose(_dist("--dist", f"file:{path}").probs, [0.25, 0.75])
+
+    @pytest.mark.parametrize("flags", [("--dist", "gaussian", "--k", "3"), ("--dist", "uniform"),
+                                       ("--dist", "file"), ("--dist", "file:")],
+                             ids=["unknown", "no-k", "file", "file-empty"])
+    def test_validation(self, flags):
+        with pytest.raises(UsageError):
+            _dist(*flags)
 
 
 class TestBounds:
@@ -288,6 +322,21 @@ def test_check_byte_identical_across_thread_counts(suite, capsys):
     assert outs[0].count("== suite: ") == 1
 
 
+def test_expectation_labels_name_their_pmfs(monkeypatch, capsys):
+    seen = []
+
+    def record(pmf, n, reps, seed):
+        seen.append(pmf.probs.tolist())
+        return ClaimResult(True, {"mean_kl": 0.0, "ceiling": 0.0, "slack": 0.0})
+
+    monkeypatch.setattr(cli, "expected_kl_check", record)
+    assert run("check", "--suite", "expectation", "--reps", "2", "--seed", "7", "--threads", "1") == 0
+    assert seen == [p.probs.tolist() for p in (uniform_pmf(10), zipf_pmf(10, 1.0), two_point_pmf(10, 0.99))]
+    labels = [line.split(": ")[1].split(" ")[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("PASS")]
+    assert labels == ["uniform(10)", "zipf(10,1)", "twopoint(10,0.99)"]
+
+
 def test_every_suite_has_a_negative_control():
     assert set(_NEGATIVE_CONTROLS) == set(_suites())
 
@@ -348,6 +397,7 @@ _OUT_OF_RANGE = [
     *[("simulate-zipf", "--zipf-s", value) for value in ("inf", "nan")],
     ("simulate-twopoint", "--k", "1"),
     ("simulate", "--dist", "file:"),
+    ("simulate", "--t", "1e308"),  # n + k*t overflows
 ]
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +9,6 @@ from klconc.bounds import _binomial_pmf, _poisson_pmf, _regularized_gamma, poiss
 from klconc.distributions import Counts, Pmf, add_t_estimate, two_point_pmf, uniform_pmf, zipf_pmf
 from klconc.harness import (
     MAX_STORED_TRIALS,
-    DistSpec,
-    ExperimentConfig,
     RunningMoments,
     chi_square_gof,
     coupling_diagnostic,
@@ -28,46 +25,10 @@ from klconc.harness import (
     _poisson_upper,
 )
 from klconc.losses import kl_divergence, kl_losses, kl_losses_from_draws
-from klconc.sampling import _DRAW_CHUNK, coupled_pairs, derive_trial_rng, multinomial_counts
+from klconc.sampling import _DRAW_CHUNK, coupled_pairs, derive_trial_rng
 
 # Draw counts around the 2^16-draw chunks that the coupling and Poisson-tail claims stream.
 CHUNK_EDGE_SIZES = [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5]
-
-
-class TestDistSpec:
-    def test_make_and_label(self):
-        assert DistSpec.uniform(4).make().probs.tolist() == [0.25] * 4
-        assert DistSpec.uniform(4).label() == "uniform(4)"
-        assert DistSpec.zipf(3, 1.0).label() == "zipf(3,1)"
-        assert DistSpec.twopoint(10, 0.99).label() == "twopoint(10,0.99)"
-
-    def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "w.txt"
-        path.write_text("0.25\n0.75\n")
-        spec = DistSpec.from_file(str(path))
-        np.testing.assert_allclose(spec.make().probs, [0.25, 0.75])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DistSpec("gaussian", k=3)
-        with pytest.raises(ValueError):
-            DistSpec.uniform(0)
-        with pytest.raises(ValueError):
-            DistSpec("file")
-
-
-class TestExperimentConfig:
-    def test_validation(self):
-        good = dict(dist=DistSpec.uniform(2), n=10, reps=5, master_seed=0)
-        ExperimentConfig(**good)
-        with pytest.raises(ValueError):
-            ExperimentConfig(**{**good, "n": 0})
-        with pytest.raises(ValueError):
-            ExperimentConfig(**{**good, "reps": 0})
-        with pytest.raises(ValueError):
-            ExperimentConfig(**{**good, "t": -1.0})
-        with pytest.raises(ValueError):
-            ExperimentConfig(**{**good, "delta": 1.0})
 
 
 class TestRunningMoments:
@@ -104,44 +65,59 @@ class TestRunningMoments:
 
 
 class TestRunKlTrials:
+    def test_returns_the_simulate_columns(self):
+        assert list(run_kl_trials(uniform_pmf(2), 10, 5, 0)) == [
+            "mean_kl", "var_kl", "std_kl", "q50", "q90", "q99", "exceed_frac", "t_delta"]
+
+    @pytest.mark.parametrize("bad", [{"n": 0}, {"reps": 0}, {"t": -1.0}, {"delta": 0.0}, {"delta": 1.0}],
+                             ids=["n0", "reps0", "t-1", "delta0", "delta1"])
+    def test_validation(self, bad):
+        args = {"pmf": uniform_pmf(2), "n": 10, "reps": 5, "seed": 0, **bad}
+        with pytest.raises(ValueError):
+            run_kl_trials(**args)
+
+    def test_bad_delta_raises_before_drawing(self, monkeypatch):
+        def no_draw(*_):
+            raise AssertionError("drew trials before checking delta")
+
+        monkeypatch.setattr("klconc.harness.derive_trial_rng", no_draw)
+        with pytest.raises(ValueError, match="failure probability"):
+            run_kl_trials(uniform_pmf(2), 10, 5, 0, delta=1.0)
+
     def test_degenerate_alphabet(self):
-        cfg = ExperimentConfig(dist=DistSpec.uniform(1), n=10, reps=10, master_seed=1)
-        s = run_kl_trials(cfg)
-        assert s.mean_kl == 0.0
-        assert s.var_kl == 0.0
-        assert s.quantiles == {0.5: 0.0, 0.9: 0.0, 0.99: 0.0}
+        s = run_kl_trials(uniform_pmf(1), 10, 10, 1)
+        assert s["mean_kl"] == 0.0
+        assert s["var_kl"] == 0.0
+        assert (s["q50"], s["q90"], s["q99"]) == (0.0, 0.0, 0.0)
 
     def test_variance_recompute_from_losses(self):
-        cfg = ExperimentConfig(dist=DistSpec.uniform(6), n=200, reps=20_000, master_seed=5)
-        s = run_kl_trials(cfg)
+        s = run_kl_trials(uniform_pmf(6), 200, 20_000, 5)
         losses = _kl_loss_samples(uniform_pmf(6), 200, 1.0, 5, 20_000)
-        assert s.var_kl == pytest.approx(float(np.var(losses, ddof=1)), rel=1e-10)
-        assert s.mean_kl == pytest.approx(float(np.mean(losses)), rel=1e-12)
-        assert s.std_kl == pytest.approx(math.sqrt(s.var_kl))
+        assert s["var_kl"] == pytest.approx(float(np.var(losses, ddof=1)), rel=1e-10)
+        assert s["mean_kl"] == pytest.approx(float(np.mean(losses)), rel=1e-12)
+        assert s["std_kl"] == pytest.approx(math.sqrt(s["var_kl"]))
 
     def test_quantiles_are_order_statistics(self):
-        cfg = ExperimentConfig(dist=DistSpec.uniform(4), n=100, reps=1000, master_seed=8)
-        s = run_kl_trials(cfg)
+        s = run_kl_trials(uniform_pmf(4), 100, 1000, 8)
         losses = np.sort(_kl_loss_samples(uniform_pmf(4), 100, 1.0, 8, 1000))
-        assert s.quantiles[0.5] == losses[499]
-        assert s.quantiles[0.9] == losses[899]
-        assert s.quantiles[0.99] == losses[989]
-        assert s.quantiles[0.5] <= s.quantiles[0.9] <= s.quantiles[0.99]
+        assert s["q50"] == losses[499]
+        assert s["q90"] == losses[899]
+        assert s["q99"] == losses[989]
+        assert s["q50"] <= s["q90"] <= s["q99"]
 
     def test_exceedance_fields(self):
-        cfg = ExperimentConfig(dist=DistSpec.uniform(4), n=100, reps=500, master_seed=3, delta=0.1)
-        s = run_kl_trials(cfg)
-        assert s.t_delta is not None and s.t_delta > 0
-        assert 0 <= s.exceed_count <= s.reps
-        none_cfg = dataclasses.replace(cfg, delta=None)
-        s2 = run_kl_trials(none_cfg)
-        assert s2.exceed_count is None and s2.t_delta is None
+        s = run_kl_trials(uniform_pmf(4), 100, 500, 3, delta=0.1)
+        assert s["t_delta"] is not None and s["t_delta"] > 0
+        assert 0 <= s["exceed_frac"] <= 1
+        losses = _kl_loss_samples(uniform_pmf(4), 100, 1.0, 3, 500)
+        assert s["exceed_frac"] == np.count_nonzero(losses > s["mean_kl"] + s["t_delta"]) / 500
+        s2 = run_kl_trials(uniform_pmf(4), 100, 500, 3)
+        assert s2["exceed_frac"] is None and s2["t_delta"] is None
 
     def test_unsmoothed_losses_can_be_infinite(self):
         # t=0 with n < k guarantees empty symbols, hence infinite divergence
-        cfg = ExperimentConfig(dist=DistSpec.uniform(4), n=1, reps=20, master_seed=2, t=0.0)
-        s = run_kl_trials(cfg)
-        assert s.mean_kl == math.inf
+        s = run_kl_trials(uniform_pmf(4), 1, 20, 2, t=0.0)
+        assert s["mean_kl"] == math.inf
 
     def test_infinite_smoothed_loss_raises(self, monkeypatch):
         # the invariant is checked with a raise, which python -O keeps
@@ -154,7 +130,7 @@ class TestRunKlTrials:
         k, n = 16, 1000
         p = uniform_pmf(k)
         for i in range(300):
-            counts = multinomial_counts(derive_trial_rng(44, i), p, n)
+            counts = Counts(derive_trial_rng(44, i).multinomial(n, p.probs))
             direct = kl_divergence(p, add_t_estimate(counts, 1.0))
             decomposed = -math.fsum(np.log(counts.counts + 1.0)) / k + math.log(1 + n / k)
             assert direct == pytest.approx(decomposed, rel=1e-12)
@@ -245,20 +221,22 @@ def _z_from_exact(pmf, exact_mean, n=1000, reps=100_000, seed=7):
     return (float(np.mean(losses)) - exact_mean) / (float(np.std(losses, ddof=1)) / math.sqrt(reps))
 
 
-_CRITERION_7_DISTS = [DistSpec.uniform(10), DistSpec.zipf(10, 1.0), DistSpec.twopoint(10, 0.99)]
+_CRITERION_7_DISTS = [
+    pytest.param(uniform_pmf(10), id="uniform(10)"),
+    pytest.param(zipf_pmf(10, 1.0), id="zipf(10,1)"),
+    pytest.param(two_point_pmf(10, 0.99), id="twopoint(10,0.99)"),
+]
 
 
 class TestExactMeanOracle:
-    @pytest.mark.parametrize("dist", _CRITERION_7_DISTS, ids=DistSpec.label)
-    def test_engine_mean_within_4_se_of_exact(self, dist):
-        p = dist.make()
+    @pytest.mark.parametrize("p", _CRITERION_7_DISTS)
+    def test_engine_mean_within_4_se_of_exact(self, p):
         assert abs(_z_from_exact(p, _exact_mean_add_one(p.probs, 1000))) <= 4.0
 
-    @pytest.mark.parametrize("dist", _CRITERION_7_DISTS, ids=DistSpec.label)
-    def test_perturbed_pmf_is_caught(self, dist):
+    @pytest.mark.parametrize("p", _CRITERION_7_DISTS)
+    def test_perturbed_pmf_is_caught(self, p):
         # negative control: the mean loss barely moves with p while every n*p_i is
         # large, so the perturbation starves one symbol (its mass times 0.01)
-        p = dist.make()
         w = p.probs.copy()
         w[-1] *= 0.01
         assert abs(_z_from_exact(Pmf(w / w.sum()), _exact_mean_add_one(p.probs, 1000))) > 4.0
@@ -288,7 +266,7 @@ class TestChiSquareGof:
         draws = derive_trial_rng(52, 0).poisson(4.0, size=10**5)
         hi = int(draws.max())
         probs = stats.poisson.pmf(np.arange(hi + 1), 4.0)
-        gof = chi_square_gof(draws, probs, tail_prob=float(stats.poisson.sf(hi, 4.0)))
+        gof = chi_square_gof(np.bincount(draws), probs, tail_prob=float(stats.poisson.sf(hi, 4.0)))
         assert gof.bins < hi + 2
         assert gof.dof == gof.bins - 1
         assert gof.p_value >= 1e-3
@@ -297,14 +275,14 @@ class TestChiSquareGof:
         draws = derive_trial_rng(51, 0).poisson(4.0, size=10**5)
         hi = int(draws.max())
         probs = stats.poisson.pmf(np.arange(hi + 1), 5.0)
-        gof = chi_square_gof(draws, probs, tail_prob=float(stats.poisson.sf(hi, 5.0)))
+        gof = chi_square_gof(np.bincount(draws), probs, tail_prob=float(stats.poisson.sf(hi, 5.0)))
         assert gof.p_value < 1e-6
 
     def test_degenerate_single_bin(self):
         draws = np.full(1000, 7)
         probs = np.zeros(8)
         probs[7] = 1.0
-        gof = chi_square_gof(draws, probs)
+        gof = chi_square_gof(np.bincount(draws), probs)
         assert gof.p_value == 1.0
 
 
@@ -372,19 +350,34 @@ class TestVarianceLb:
         assert abs(boot[1] - high) <= 0.05 * width
 
 
-@pytest.mark.parametrize("check,args", [
+# Every entry point that draws reps trials, with its arguments before reps.
+_DRAWING_CHECKS = [
     (verify_variance_lb, (2, 20)),
     (poisson_tail_checks, (1.0, (0.1,))),
     (coupling_diagnostic, (100, 0.5)),
     (coupling_marginal_gof, (100, 0.5)),
-])
-def test_reps_above_storage_cap_rejected_before_drawing(check, args, monkeypatch):
-    def no_draw(*_):
-        raise AssertionError("drew trials before checking the cap")
+    (run_kl_trials, (uniform_pmf(2), 20)),
+    (expected_kl_check, (uniform_pmf(2), 20)),
+]
 
-    monkeypatch.setattr("klconc.harness.derive_trial_rng", no_draw)
+
+def _no_draw(*_):
+    raise AssertionError("drew trials before checking reps")
+
+
+@pytest.mark.parametrize("check,args", _DRAWING_CHECKS)
+def test_reps_above_storage_cap_rejected_before_drawing(check, args, monkeypatch):
+    monkeypatch.setattr("klconc.harness.derive_trial_rng", _no_draw)
     with pytest.raises(ValueError, match="capped"):
         check(*args, MAX_STORED_TRIALS + 1, seed=0)
+
+
+@pytest.mark.parametrize("check,args", [c for c in _DRAWING_CHECKS if c[0] is not coupling_marginal_gof])
+def test_zero_reps_rejected_before_drawing(check, args, monkeypatch):
+    # coupling_marginal_gof is left out: it needs reps >= 1e5 before anything else
+    monkeypatch.setattr("klconc.harness.derive_trial_rng", _no_draw)
+    with pytest.raises(ValueError, match=">= 1"):
+        check(*args, 0, seed=0)
 
 
 class TestTailBound:
@@ -492,8 +485,9 @@ class TestStreamedClaims:
 
         lam = n * prob
         hi = max(int(m_prime.max()), _poisson_upper(lam))
-        gof_m = chi_square_gof(m, _binomial_pmf(n, prob))
-        gof_mp = chi_square_gof(m_prime, _poisson_pmf(lam, hi), tail_prob=_regularized_gamma(hi + 1, lam)[0])
+        gof_m = chi_square_gof(np.bincount(m), _binomial_pmf(n, prob))
+        gof_mp = chi_square_gof(np.bincount(m_prime), _poisson_pmf(lam, hi),
+                                tail_prob=_regularized_gamma(hi + 1, lam)[0])
         assert coupling_marginal_gof(n, prob, size, seed=6).values == {
             "chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
             "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value}
@@ -501,18 +495,18 @@ class TestStreamedClaims:
 
 class TestExpectedKl:
     def test_degenerate_alphabet(self):
-        r = expected_kl_check(DistSpec.uniform(1), 50, 200, seed=1)
+        r = expected_kl_check(uniform_pmf(1), 50, 200, seed=1)
         assert r.passed
         assert r.values["mean_kl"] == 0.0 and r.values["ceiling"] == 0.0
 
     def test_uniform_comfortably_below_ceiling(self):
-        r = expected_kl_check(DistSpec.uniform(10), 1000, 5000, seed=1)
+        r = expected_kl_check(uniform_pmf(10), 1000, 5000, seed=1)
         assert r.passed
         assert r.values["mean_kl"] < r.values["ceiling"]
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
-            expected_kl_check(DistSpec.uniform(10), 0, 10, seed=1)
+            expected_kl_check(uniform_pmf(10), 0, 10, seed=1)
 
 
 class TestStdSweep:

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from klconc.distributions import Pmf, uniform_pmf
+from klconc.distributions import Counts, Pmf, uniform_pmf
 from klconc.harness import chi_square_gof
 from klconc.sampling import (
     _DRAW_CHUNK,
     _derive_subseed,
     coupled_pairs,
     derive_trial_rng,
-    multinomial_counts,
 )
 
 GOF_ALPHA = 1e-3
@@ -63,7 +62,7 @@ class TestBinomial:
         lo, hi = draws.min(), draws.max()
         probs = np.zeros(hi + 1)
         probs[lo : hi + 1] = stats.binom.pmf(np.arange(lo, hi + 1), 10**4, 0.3)
-        gof = chi_square_gof(draws, probs, tail_prob=float(stats.binom.sf(hi, 10**4, 0.3)))
+        gof = chi_square_gof(np.bincount(draws), probs, tail_prob=float(stats.binom.sf(hi, 10**4, 0.3)))
         assert gof.p_value >= GOF_ALPHA
 
 
@@ -71,9 +70,8 @@ class TestPoisson:
     def test_goodness_of_fit_small_rate(self):
         draws = derive_trial_rng(5, 0).poisson(4.0, size=10**6)
         hi = int(draws.max())
-        gof = chi_square_gof(
-            draws, stats.poisson.pmf(np.arange(hi + 1), 4.0), tail_prob=float(stats.poisson.sf(hi, 4.0))
-        )
+        gof = chi_square_gof(np.bincount(draws), stats.poisson.pmf(np.arange(hi + 1), 4.0),
+                             tail_prob=float(stats.poisson.sf(hi, 4.0)))
         assert gof.p_value >= GOF_ALPHA
 
     def test_huge_rate_mean(self):
@@ -106,18 +104,13 @@ class TestKolmogorovExactness:
 
 class TestMultinomialCounts:
     def test_zero_draws(self):
-        c = multinomial_counts(derive_trial_rng(1, 0), uniform_pmf(3), 0)
+        c = Counts(derive_trial_rng(1, 0).multinomial(0, uniform_pmf(3).probs))
         assert c.counts.tolist() == [0, 0, 0]
         assert c.total == 0
 
     def test_single_symbol(self):
-        c = multinomial_counts(derive_trial_rng(1, 0), Pmf([1.0]), 57)
+        c = Counts(derive_trial_rng(1, 0).multinomial(57, Pmf([1.0]).probs))
         assert c.counts.tolist() == [57]
-
-    def test_scalar_matches_vectorized_stream(self):
-        c = multinomial_counts(derive_trial_rng(9, 0), uniform_pmf(2), 10**4)
-        batch = derive_trial_rng(9, 0).multinomial(10**4, [0.5, 0.5], size=4)
-        assert c.counts.tolist() == batch[0].tolist()
 
     def test_marginal_goodness_of_fit(self):
         batch = derive_trial_rng(9, 0).multinomial(10**4, [0.5, 0.5], size=10**5)
@@ -125,7 +118,7 @@ class TestMultinomialCounts:
         lo, hi = int(n1.min()), int(n1.max())
         probs = np.zeros(hi + 1)
         probs[lo:] = stats.binom.pmf(np.arange(lo, hi + 1), 10**4, 0.5)
-        gof = chi_square_gof(n1, probs, tail_prob=float(stats.binom.sf(hi, 10**4, 0.5)))
+        gof = chi_square_gof(np.bincount(n1), probs, tail_prob=float(stats.binom.sf(hi, 10**4, 0.5)))
         assert gof.p_value >= GOF_ALPHA
 
 
