@@ -37,8 +37,7 @@ from .distributions import (
 from .harness import (
     ClaimResult,
     chi_square_gof,
-    coupling_diagnostic,
-    coupling_marginal_gof,
+    coupling_checks,
     expected_kl_check,
     poisson_tail_checks,
     run_facts_checks,
@@ -53,7 +52,7 @@ from .losses import (
     adjusted_kl_terms,
     kl_divergence,
     kl_losses,
-    kl_losses_from_draws,
+    kl_losses_from_sorted_draws,
 )
 from .sampling import coupled_pairs, derive_trial_rng
 

@@ -26,8 +26,7 @@ from .distributions import Pmf, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
 from .harness import (
     MAX_STORED_TRIALS,
     check_gof_reps,
-    coupling_diagnostic,
-    coupling_marginal_gof,
+    coupling_checks,
     expected_kl_check,
     poisson_tail_checks,
     run_facts_checks,
@@ -192,14 +191,13 @@ def _cmd_figure1(args) -> int:
     ks = _parse_ks(args.ks)
     rows = sweep_std_vs_heuristic(ks, n=args.n, reps=args.reps, master_seed=args.seed)
     header = ["k", "sample_std", "heuristic_std", "ratio"]
-    table = [[r.k, r.sample_std, r.heuristic_std, r.ratio] for r in rows]
-    _write_table(args.out, header, table, _sep(args.format))
+    _write_table(args.out, header, [list(r.values()) for r in rows], _sep(args.format))
     if args.svg:
         svg = render_xy_plot(
             [
-                ("sample std", [r.k for r in rows], [r.sample_std for r in rows]),
-                ("sqrt(k/2)/n", [r.k for r in rows], [r.heuristic_std for r in rows]),
-                ("sqrt((k-1)/2)/n", [r.k for r in rows], [math.sqrt((r.k - 1) / 2) / args.n for r in rows]),
+                ("sample std", ks, [r["sample_std"] for r in rows]),
+                ("sqrt(k/2)/n", ks, [r["heuristic_std"] for r in rows]),
+                ("sqrt((k-1)/2)/n", ks, [math.sqrt((k - 1) / 2) / args.n for k in ks]),
             ],
             x_label="alphabet size k",
             y_label="std of KL loss",
@@ -214,15 +212,16 @@ class _Suite(NamedTuple):
     """One claim suite of ``check``. Each default config gives a value per
     field; ``run(**config, reps=reps, seed=seed)`` returns a ``ClaimResult``,
     or a list of them. The run's arguments and then each result's ``values``
-    fill the ``claim: detail`` template ``line``. ``regime``, given the same
-    arguments, raises ValueError for a config outside the claim's regime;
-    every config is checked before any output."""
+    fill the ``claim: detail`` template ``line``, or the i-th result the i-th
+    template when ``line`` is a tuple. ``regime``, given the same arguments,
+    raises ValueError for a config outside the claim's regime; every config
+    is checked before any output."""
 
     fields: tuple[str, ...]
     configs: list[tuple]
     reps: int | None  # None: the suite runs exact oracles and takes no reps or seed
     run: Callable
-    line: str
+    line: str | tuple[str, ...]
     regime: Callable | None = None
 
 
@@ -243,9 +242,12 @@ def _variance_regime(k, n, reps, **_):
     variance_lower_bound(k, n)  # raises unless k >= 2 and n >= 10k
 
 
+# Second names of suites: `--suite marginals` runs `coupling`, which checks both coupling claims.
+_ALIASES = {"marginals": "coupling"}
+
+
 def _suites() -> dict[str, _Suite]:
     # Built per call, so each runner is looked up in this module when check runs.
-    coupling = [(20, 0.4), (100, 0.5), (10_000, 0.01)]
     expectation = {"uniform(10)": uniform_pmf(10), "zipf(10,1)": zipf_pmf(10, 1.0),
                    "twopoint(10,0.99)": two_point_pmf(10, 0.99)}
     return {
@@ -270,15 +272,11 @@ def _suites() -> dict[str, _Suite]:
             "delta={delta} reps={reps} fail={fail_frac:.6f} allowed={allowed:.6f}",
         ),
         "coupling": _Suite(
-            ("n", "prob"), coupling, 1_000_000, coupling_diagnostic,
-            "coupling gap E[(M-M')/(M'+1)] within 311/n + 160/(n^1.5 p): n={n} p={prob} "
-            "reps={reps} est={est_gap:.4e} ci99=[{ci_low:.4e}, {ci_high:.4e}] bound={bound:.4e}",
-            _two_reps,
-        ),
-        "marginals": _Suite(
-            ("n", "prob"), coupling, 1_000_000, coupling_marginal_gof,
-            "coupling marginals are exactly Bin(n,p) and Poi(np): n={n} p={prob} reps={reps} "
-            "chi2(M)={chi2_m:.1f} p(M)={p_m:.4f} chi2(M')={chi2_m_prime:.1f} p(M')={p_m_prime:.4f}",
+            ("n", "prob"), [(20, 0.4), (100, 0.5), (10_000, 0.01)], 1_000_000, coupling_checks,
+            ("coupling gap E[(M-M')/(M'+1)] within 311/n + 160/(n^1.5 p): n={n} p={prob} "
+             "reps={reps} est={est_gap:.4e} ci99=[{ci_low:.4e}, {ci_high:.4e}] bound={bound:.4e}",
+             "coupling marginals are exactly Bin(n,p) and Poi(np): n={n} p={prob} reps={reps} "
+             "chi2(M)={chi2_m:.1f} p(M)={p_m:.4f} chi2(M')={chi2_m_prime:.1f} p(M')={p_m_prime:.4f}"),
             lambda reps, **_: check_gof_reps(reps),
         ),
         "expectation": _Suite(
@@ -294,7 +292,7 @@ def _suites() -> dict[str, _Suite]:
 
 def _cmd_check(args) -> int:
     suites = _suites()
-    names = list(suites) if args.suite == "all" else [args.suite]
+    names = list(suites) if args.suite == "all" else [_ALIASES.get(args.suite, args.suite)]
     given = {f: getattr(args, f) for f in _FIELD_FLAGS if getattr(args, f) is not None}
     for field in given:
         if not any(field in suites[name].fields for name in names):
@@ -345,9 +343,11 @@ def _report_check(suites, runs, outs) -> int:
             print(f"== suite: {name}")
             shown = name
         out = next(outs)
-        for result in out if isinstance(out, list) else [out]:
+        results = out if isinstance(out, list) else [out]
+        lines = suite.line if isinstance(suite.line, tuple) else [suite.line] * len(results)
+        for result, line in zip(results, lines, strict=True):
             verdict = "PASS" if result.passed else "FAIL"
-            print(f"{verdict}  {suite.line.format_map({**kwargs, **result.values})}")
+            print(f"{verdict}  {line.format_map({**kwargs, **result.values})}")
             all_ok = all_ok and result.passed
     print("== verdict:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     suites = _suites()
     chk = sub.add_parser("check", help="run claim-verification suites")
-    chk.add_argument("--suite", default="all", choices=["all", *suites])
+    chk.add_argument("--suite", default="all", choices=["all", *suites, *_ALIASES],
+                     help="suite to run (marginals is a second name for coupling)")
     chk.add_argument("--seed", type=_seed, default=0)
     chk.add_argument("--reps", type=_reps, help="override repetitions for the suite")
     for field, (kind, what) in _FIELD_FLAGS.items():

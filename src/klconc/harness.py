@@ -8,18 +8,18 @@ losses keyed as ``simulate``'s CSV columns, and each claim check returns a
 derived from (master_seed, i // 2048).
 When 4n <= k a row is n categorical symbols, drawn as row-sorted uniforms
 mapped through the normalised cumulative pmf (the same rows as
-``Generator.choice``, sorted), and scored by ``kl_losses_from_draws``'s
-sorted-row core; otherwise it is a Mult(n, p) count vector scored by
-``kl_losses``. A block is drawn in sub-chunks of at most 2^18 cells
-(rows x n symbols or rows x k counts) from that one stream, which yields
-the same rows as one draw, so ``reps=r`` gives the first r trials of any
-longer run. Aggregation walks the same blocks in index order, and the
-only auxiliary randomness, the figure-1 sweep's per-row sub-seeds, lives
-on a reserved stream domain.
+``Generator.choice``, sorted), and scored by ``kl_losses_from_sorted_draws``;
+otherwise it is a Mult(n, p) count vector scored by ``kl_losses``. A block
+is drawn in sub-chunks of at most 2^18 cells (rows x n symbols or rows x k
+counts) from that one stream, which yields the same rows as one draw, so
+``reps=r`` gives the first r trials of any longer run. Aggregation walks
+the same blocks in index order, and the only auxiliary randomness, the
+figure-1 sweep's per-row sub-seeds, lives on a reserved stream domain.
 The coupling and Poisson-tail claims stream their draws in chunks of 2^16
 (``sampling._DRAW_CHUNK``) with the same values as one draw, and fold each
 chunk into counts or block moments in index order, so their results are
-those of the whole arrays.
+those of the whole arrays. Both coupling claims, the expectation gap and
+the exact marginals, are judged on one pass over the same draws.
 Intervals are closed-form functions of the losses and draw nothing.
 Every check runs on the calling thread and shares no mutable state, so
 checks may run on concurrent threads.
@@ -51,13 +51,12 @@ from .bounds import (
     variance_lower_bound,
 )
 from .distributions import Pmf, uniform_pmf
-from .losses import _kl_losses_from_sorted_draws, kl_losses
+from .losses import kl_losses, kl_losses_from_sorted_draws
 from .sampling import _DRAW_CHUNK, _derive_subseed, coupled_pairs, derive_trial_rng
 
 __all__ = [
     "RunningMoments",
     "GofResult",
-    "StdSweepRow",
     "ClaimResult",
     "exceedance_allowance",
     "run_kl_trials",
@@ -65,9 +64,8 @@ __all__ = [
     "verify_variance_lb",
     "verify_kl_tail_bound",
     "poisson_tail_checks",
-    "coupling_diagnostic",
     "check_gof_reps",
-    "coupling_marginal_gof",
+    "coupling_checks",
     "expected_kl_check",
     "chi_square_gof",
     "run_facts_checks",
@@ -159,7 +157,7 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int) ->
                 # A monotone map of row-sorted uniforms: Generator.choice's rows, sorted.
                 u = rng.random((hi - lo, n))
                 u.sort(axis=1)
-                losses[lo:hi] = _kl_losses_from_sorted_draws(pmf, cdf.searchsorted(u, side="right"), t)
+                losses[lo:hi] = kl_losses_from_sorted_draws(pmf, cdf.searchsorted(u, side="right"), t)
             else:
                 losses[lo:hi] = kl_losses(pmf, rng.multinomial(n, pmf.probs, size=hi - lo), t)
     if t > 0 and not np.all(np.isfinite(losses)):
@@ -207,22 +205,10 @@ def run_kl_trials(pmf: Pmf, n: int, reps: int, seed: int, t: float = 1.0,
             "exceed_frac": exceed_frac, "t_delta": t_delta}
 
 
-@dataclass(frozen=True)
-class StdSweepRow:
-    k: int
-    sample_std: float
-    heuristic_std: float
-    ratio: float | None
-
-
-def sweep_std_vs_heuristic(
-    ks,
-    n: int = 10240,
-    reps: int = 1000,
-    master_seed: int = 0,
-) -> list[StdSweepRow]:
-    """Sample std of the add-one KL loss on uniform(k) vs sqrt(k/2)/n, one row
-    per k. Each row runs on its own derived sub-seed so rows are independent.
+def sweep_std_vs_heuristic(ks, n: int = 10240, reps: int = 1000, master_seed: int = 0) -> list[dict]:
+    """Sample std of the add-one KL loss on uniform(k) vs sqrt(k/2)/n: one
+    dict per k, keyed as ``figure1``'s columns. Each row runs on its own
+    derived sub-seed so rows are independent.
 
     sqrt(k/2)/n is the large-k form of the chi-square approximation; its
     exact-dof form under multinomial sampling is sqrt((k-1)/2)/n, so the
@@ -233,8 +219,8 @@ def sweep_std_vs_heuristic(
         sub_seed = _derive_subseed(master_seed, _DOMAIN_SWEEP_ROW, k)
         std = run_kl_trials(uniform_pmf(k), n, reps, sub_seed)["std_kl"]
         heuristic = heuristic_kl_std(k, n)
-        ratio = std / heuristic if std > 0 else None
-        rows.append(StdSweepRow(k=k, sample_std=std, heuristic_std=heuristic, ratio=ratio))
+        rows.append({"k": k, "sample_std": std, "heuristic_std": heuristic,
+                     "ratio": std / heuristic if std > 0 else None})
     return rows
 
 
@@ -312,25 +298,6 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int) -> list[ClaimR
     return results
 
 
-_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-
-
-def coupling_diagnostic(n: int, prob: float, reps: int, seed: int) -> ClaimResult:
-    """Monte Carlo estimate of E[(M - M')/(M' + 1)] over the coupling versus
-    the closed-form ceiling 311/n + 160/(n^1.5 * prob), the expectation gap
-    bound at k = 1/prob. Passes unless the 99% CI certifies a violation
-    (lower edge above the ceiling)."""
-    _check_stored(reps)
-    moments = RunningMoments()
-    for m, m_prime, *_ in coupled_pairs(derive_trial_rng(seed, 0), n, prob, reps):
-        _moments_blockwise((m - m_prime) / (m_prime + 1.0), moments)  # chunks are whole blocks
-    se = math.sqrt(moments.variance / reps)
-    est = moments.mean
-    bound = expectation_gap_bound(1.0 / prob, n)
-    return ClaimResult(bool(est - _Z99 * se <= bound),
-                       {"est_gap": est, "ci_low": est - _Z99 * se, "ci_high": est + _Z99 * se, "bound": bound})
-
-
 @dataclass(frozen=True)
 class GofResult:
     statistic: float
@@ -405,25 +372,41 @@ def _add_counts(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return total
 
 
-def coupling_marginal_gof(n: int, prob: float, reps: int, seed: int) -> ClaimResult:
-    """Goodness of fit of the coupling's two coordinates against their exact
-    marginals: Bin(n, prob) for M and Poi(n * prob) for M'."""
+_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+
+
+def coupling_checks(n: int, prob: float, reps: int, seed: int) -> list[ClaimResult]:
+    """Both claims about the coupling, judged on one pass over its draws:
+    [gap, marginals]. gap: the Monte Carlo estimate of E[(M - M')/(M' + 1)]
+    against the closed-form ceiling 311/n + 160/(n^1.5 * prob), the
+    expectation gap bound at k = 1/prob; it passes unless the 99% CI
+    certifies a violation (lower edge above the ceiling). marginals: the
+    goodness of fit of the two coordinates against their exact marginals,
+    Bin(n, prob) for M and Poi(n * prob) for M'."""
     check_gof_reps(reps)
     _check_stored(reps)
+    moments = RunningMoments()
     counts_m = np.zeros(0, dtype=np.int64)
     counts_mp = np.zeros(0, dtype=np.int64)
     for m, m_prime, *_ in coupled_pairs(derive_trial_rng(seed, 0), n, prob, reps):
+        _moments_blockwise((m - m_prime) / (m_prime + 1.0), moments)  # chunks are whole blocks
         counts_m = _add_counts(counts_m, np.bincount(m))
         counts_mp = _add_counts(counts_mp, np.bincount(m_prime))
 
-    gof_m = chi_square_gof(counts_m, _binomial_pmf(n, prob))
+    half = _Z99 * math.sqrt(moments.variance / reps)
+    est = moments.mean
+    bound = expectation_gap_bound(1.0 / prob, n)
+    gap = ClaimResult(bool(est - half <= bound),
+                      {"est_gap": est, "ci_low": est - half, "ci_high": est + half, "bound": bound})
 
+    gof_m = chi_square_gof(counts_m, _binomial_pmf(n, prob))
     lam = n * prob
     hi = max(counts_mp.size - 1, _poisson_upper(lam))  # the largest M' drawn is counts_mp.size - 1
     gof_mp = chi_square_gof(counts_mp, _poisson_pmf(lam, hi), tail_prob=_regularized_gamma(hi + 1, lam)[0])
     passed = gof_m.p_value >= GOF_P_THRESHOLD and gof_mp.p_value >= GOF_P_THRESHOLD
-    return ClaimResult(bool(passed), {"chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
-                                      "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value})
+    marginals = ClaimResult(bool(passed), {"chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
+                                           "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value})
+    return [gap, marginals]
 
 
 def expected_kl_check(pmf: Pmf, n: int, reps: int, seed: int) -> ClaimResult:

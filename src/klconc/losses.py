@@ -3,10 +3,10 @@
 The scalar functions sum over the alphabet with compensated summation
 (``math.fsum``), so results are reproducible and independent of alphabet
 size up to ~1e-13 relative even for k in the millions. :func:`kl_losses`
-and :func:`kl_losses_from_draws` are the batched kernels of the Monte Carlo
-engine: one loss per row of a count matrix or of a matrix of drawn symbols,
-each row reduced on its own, so a row's loss does not depend on which other
-rows share its call.
+and :func:`kl_losses_from_sorted_draws` are the batched kernels of the
+Monte Carlo engine: one loss per row of a count matrix or of a matrix of
+drawn symbols, each row reduced on its own, so a row's loss does not depend
+on which other rows share its call.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .distributions import Measure, Pmf
 __all__ = [
     "kl_divergence",
     "kl_losses",
-    "kl_losses_from_draws",
+    "kl_losses_from_sorted_draws",
     "adjusted_kl_divergence",
     "adjusted_kl_terms",
     "adjusted_kl_shift",
@@ -85,30 +85,22 @@ def kl_losses(p: Pmf, counts: np.ndarray, t: float) -> np.ndarray:
     return math.fsum(ps * np.log(ps)) + np.log(totals + k * t) - cells.sum(axis=1)
 
 
-def kl_losses_from_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarray:
-    """KL(p || add-t estimate) for every row of a (rows, n) matrix of symbols.
+def kl_losses_from_sorted_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarray:
+    """KL(p || add-t estimate) for every row of a (rows, n) matrix of symbols
+    whose rows are sorted ascending, as the Monte Carlo engine draws them.
 
     Row r's loss is :func:`kl_losses` of the counts ``bincount(draws[r], k)``,
-    computed in O(n log n) instead of O(k): a symbol that was not drawn adds
+    computed in O(n) instead of O(k): a symbol that was not drawn adds
     p_i log t, so with S the mass of p's support and c_s the count of drawn
     symbol s the loss is
 
         sum_i p_i log p_i - [S log t + sum_s p_s log(1 + c_s/t)] + log(n + k*t)
 
-    Each row is sorted and run-length encoded, and its terms are summed in
-    order by ``np.bincount``. With t = 0 the bracket is sum_s p_s log c_s and
-    a loss is +inf iff the row's distinct symbols miss part of p's support.
+    Each row is run-length encoded, and its terms are summed in order by
+    ``np.bincount``. With t = 0 the bracket is sum_s p_s log c_s and a loss
+    is +inf iff the row's distinct symbols miss part of p's support.
     Symbols must lie in [0, k).
     """
-    draws = np.asarray(draws)
-    if draws.ndim != 2:
-        raise ValueError(f"draws must have shape (rows, n), got {draws.shape}")
-    return _kl_losses_from_sorted_draws(p, np.sort(draws, axis=1), t)
-
-
-def _kl_losses_from_sorted_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarray:
-    """:func:`kl_losses_from_draws` of a 2-D matrix whose rows are already
-    sorted ascending, as the Monte Carlo engine draws them."""
     k = len(p)
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"smoothing constant must be a finite nonnegative real, got {t}")

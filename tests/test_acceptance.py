@@ -26,8 +26,7 @@ from klconc.distributions import (
     zipf_pmf,
 )
 from klconc.harness import (
-    coupling_diagnostic,
-    coupling_marginal_gof,
+    coupling_checks,
     exceedance_allowance,
     expected_kl_check,
     poisson_tail_checks,
@@ -105,9 +104,9 @@ def test_criterion_1_std_sweep_matches_heuristic():
     _report(1, "exact std within 1e-3 of sqrt((k-1)/2)/n at k=2, 4", exact_ok, exact_detail)
 
     rows = sweep_std_vs_heuristic([2, 4, 8, 16, 32, 64], n=n, reps=1000, master_seed=42)
-    ratios = {r.k: r.sample_std / _chi2_std(r.k, n) for r in rows}
+    ratios = {r["k"]: r["sample_std"] / _chi2_std(r["k"], n) for r in rows}
     passed = all(0.85 <= v <= 1.15 for v in ratios.values())
-    detail = ", ".join(f"k={r.k}: {ratios[r.k]:.3f} (vs sqrt(k/2)/n: {r.ratio:.3f})" for r in rows)
+    detail = ", ".join(f"k={r['k']}: {ratios[r['k']]:.3f} (vs sqrt(k/2)/n: {r['ratio']:.3f})" for r in rows)
     _report(1, "sample std within 15% of sqrt((k-1)/2)/n for k in 2..64", passed, detail)
     assert exact_ok, f"exact std / sqrt((k-1)/2)/n not within 1e-3 of 1: {exact_detail}"
     assert passed, f"std / sqrt((k-1)/2)/n ratios out of [0.85, 1.15]: {detail}"
@@ -149,8 +148,7 @@ def test_criterion_4_poisson_tail_failure_rate():
 
 def test_criterion_5_coupling_marginals_and_gap():
     configs = ((20, 0.4), (100, 0.5), (10_000, 0.01))
-    gof = [coupling_marginal_gof(n, p, 1_000_000, SEED) for n, p in configs]
-    gap = [coupling_diagnostic(n, p, 1_000_000, SEED) for n, p in configs]
+    gap, gof = zip(*(coupling_checks(n, p, 1_000_000, SEED) for n, p in configs))
     passed = all(r.passed for r in gof) and all(r.passed for r in gap)
     detail = "; ".join(
         f"(n={n},p={p}): pM={g.values['p_m']:.4f}, pM'={g.values['p_m_prime']:.4f}, "

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +17,32 @@ def run(*argv):
 
 def read(path):
     return path.read_bytes()
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def assert_golden(name, data):
+    """``data`` (bytes or str) is byte-identical to tests/golden/<name>, the output
+    of the same command on the tree that wrote the file. A change that moves a
+    stream on purpose rewrites the file with the new output."""
+    if isinstance(data, str):
+        data = data.encode()
+    assert data == (GOLDEN / name).read_bytes(), f"output differs from tests/golden/{name}"
+
+
+# simulate rows kept in tests/golden/: the symbol path, an all-inf row (t=0, k > n), a
+# one-symbol alphabet, and a tsv row with t and the zipf exponent set
+_GOLDEN_SIMULATE = {
+    "simulate-zipf-symbols.csv": ["--dist", "zipf", "--k", "10000", "--n", "1000", "--reps", "1024",
+                                  "--delta", "0.1", "--seed", "3"],
+    "simulate-twopoint-inf.csv": ["--dist", "twopoint", "--k", "400", "--n", "100", "--reps", "3000",
+                                  "--t", "0", "--seed", "3"],
+    "simulate-uniform-k1.csv": ["--dist", "uniform", "--k", "1", "--n", "10", "--reps", "5", "--seed", "3"],
+    "simulate-zipf-tsv.tsv": ["--dist", "zipf", "--k", "50", "--n", "300", "--reps", "5000", "--t", "0.5",
+                              "--zipf-s", "1.3", "--format", "tsv", "--seed", "5"],
+}
 
 
 class TestSimulate:
@@ -98,6 +126,11 @@ class TestSimulate:
                    "--seed", "1", "--format", "tsv", "--out", str(out)) == 0
         assert "\t" in out.read_text().splitlines()[0]
 
+    @pytest.mark.parametrize("name", list(_GOLDEN_SIMULATE))
+    def test_rows_match_golden(self, name, capsys):
+        assert run("simulate", *_GOLDEN_SIMULATE[name], "--out", "-") == 0
+        assert_golden(name, capsys.readouterr().out)
+
     def test_largest_finite_denominator_runs(self, capsys):
         # n + k*t = 10 + 2e307 is finite; 1e308 overflows it (an out-of-range case below)
         assert run("simulate", "--dist", "uniform", "--k", "2", "--n", "10", "--reps", "5",
@@ -179,7 +212,7 @@ class TestFigure1:
 
     def test_svg_output(self, tmp_path):
         out, a, b = tmp_path / "f.csv", tmp_path / "a.svg", tmp_path / "b.svg"
-        args = ["figure1", "--ks", "1,2,4,8", "--n", "128", "--reps", "60", "--seed", "2",
+        args = ["figure1", "--ks", "1,2,4", "--n", "128", "--reps", "60", "--seed", "2",
                 "--out", str(out)]
         assert run(*args, "--svg", str(a)) == 0
         assert run(*args, "--svg", str(b)) == 0
@@ -188,8 +221,10 @@ class TestFigure1:
         assert body.startswith("<svg")
         assert "sample std" in body
         assert "sqrt((k-1)/2)/n" in body
-        # at k=1 the sample std and sqrt((k-1)/2)/n are 0: off the log axes, so 4 + 3 + 3 markers
-        assert body.count("<circle") == 10
+        # at k=1 the sample std and sqrt((k-1)/2)/n are 0: off the log axes, so 3 + 2 + 2 markers
+        assert body.count("<circle") == 7
+        assert_golden("figure1.csv", read(out))
+        assert_golden("figure1.svg", read(a))
 
 
 class TestCheck:
@@ -242,7 +277,7 @@ def _claim_lines(out):
     (["thm", "--k", "10", "--n", "1000", "--reps", "500"], "k=10 n=1000 delta=", 2),
     (["poisson-tail", "--lam", "5", "--reps", "20000"], "lam=5 delta=", 3),
     (["expectation", "--n", "50", "--reps", "500"], " n=50 ", 3),
-    (["coupling", "--n", "20", "--reps", "20000"], "n=20 p=", 3),
+    (["coupling", "--n", "20", "--reps", "100000"], "n=20 p=", 6),  # a gap and a marginals line each
 ])
 def test_override_replaces_field_in_every_default_config(argv, shown, lines, capsys):
     # the other fields keep their defaults, and configs the override made equal run once
@@ -261,11 +296,12 @@ def test_field_flag_that_no_selected_suite_has_is_usage_error(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["variance", "--k", "5", "--reps", "100"],  # k=5 in the default n=20 config: n < 10k
-    ["marginals", "--reps", "1000"],  # the marginal GOF needs reps >= 1e5
-    ["all", "--reps", "1000"],  # marginals is the fifth suite: nothing may run before it
+    ["coupling", "--reps", "1000"],  # the marginal GOF needs reps >= 1e5
+    ["marginals", "--reps", "1000"],  # the same suite under its second name
+    ["all", "--reps", "1000"],  # coupling is the fourth suite: nothing may run before it
     ["variance", "--k", "1", "--n", "100", "--reps", "1000"],  # k=1: the loss is identically 0
     ["variance", "--reps", "1"],  # one loss has no sample variance
-    ["coupling", "--reps", "1"],  # nor one gap a standard error
+    ["coupling", "--reps", "1"],  # nor one gap a standard error (and the GOF needs 1e5)
     ["expectation", "--reps", "1"],  # nor one loss a standard error
 ])
 def test_config_outside_a_claim_regime_is_usage_error(argv, capsys):
@@ -283,20 +319,23 @@ def _shift_m(pairs):
     return shifted
 
 
-# Per suite: (klconc.harness name, replacement built from the original, check flags).
-# Each replacement breaks the claim the suite checks, so the suite must FAIL.
+_COUPLING_FLAGS = ["--n", "20", "--prob", "0.4", "--reps", "100000"]
+
+# Per suite, one control per claim: (klconc.harness name, replacement built from the
+# original, check flags, start of the claim line it breaks). Each replacement breaks
+# that claim, so its lines must FAIL and the verdict with them.
 _NEGATIVE_CONTROLS = {
-    "variance": ("variance_lower_bound", lambda f: lambda k, n: 100 * f(k, n),
-                 ["--k", "10", "--n", "100", "--reps", "2000"]),
-    "thm": ("kl_deviation_bound", lambda f: lambda b: 0.0,
-            ["--k", "10", "--n", "1000", "--reps", "1000"]),
-    "poisson-tail": ("poisson_tail_radius", lambda f: lambda n_obs, delta: 0.0,
-                     ["--lam", "5", "--delta", "0.3", "--reps", "20000"]),
-    "coupling": ("coupled_pairs", _shift_m, ["--n", "20", "--prob", "0.4", "--reps", "20000"]),
-    "marginals": ("GOF_P_THRESHOLD", lambda f: 1.01, ["--n", "20", "--prob", "0.4", "--reps", "100000"]),
-    "expectation": ("_kl_loss_samples", lambda f: lambda *a: f(*a) + 1.0,
-                    ["--n", "1000", "--reps", "1000"]),
-    "facts": ("binomial_product_variance", lambda f: lambda n0: f(n0) + 1.0, []),
+    "variance": [("variance_lower_bound", lambda f: lambda k, n: 100 * f(k, n),
+                  ["--k", "10", "--n", "100", "--reps", "2000"], "variance of add-one KL loss")],
+    "thm": [("kl_deviation_bound", lambda f: lambda b: 0.0,
+             ["--k", "10", "--n", "1000", "--reps", "1000"], "KL loss exceeds")],
+    "poisson-tail": [("poisson_tail_radius", lambda f: lambda n_obs, delta: 0.0,
+                      ["--lam", "5", "--delta", "0.3", "--reps", "20000"], "|N+1-lam|")],
+    "coupling": [("coupled_pairs", _shift_m, _COUPLING_FLAGS, "coupling gap"),
+                 ("GOF_P_THRESHOLD", lambda f: 1.01, _COUPLING_FLAGS, "coupling marginals")],
+    "expectation": [("_kl_loss_samples", lambda f: lambda *a: f(*a) + 1.0,
+                     ["--n", "1000", "--reps", "1000"], "mean add-one KL loss")],
+    "facts": [("binomial_product_variance", lambda f: lambda n0: f(n0) + 1.0, [], "Var(X(n0-X))")],
 }
 
 
@@ -306,10 +345,9 @@ def test_one_trial_is_enough_where_no_variance_is_judged(suite, capsys):
     assert "== verdict: PASS" in capsys.readouterr().out
 
 
-# Per suite, reps small enough for a quick run (marginals needs 1e5); facts takes no reps.
+# Per suite, reps small enough for a quick run (the coupling GOF needs 1e5); facts takes no reps.
 _SMALL_REPS = {"variance": ["--reps", "2000"], "thm": ["--reps", "2000"], "poisson-tail": ["--reps", "20000"],
-               "coupling": ["--reps", "20000"], "marginals": ["--reps", "100000"],
-               "expectation": ["--reps", "2000"], "facts": []}
+               "coupling": ["--reps", "100000"], "expectation": ["--reps", "2000"], "facts": []}
 
 
 @pytest.mark.parametrize("suite", list(_suites()))
@@ -320,6 +358,26 @@ def test_check_byte_identical_across_thread_counts(suite, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] == outs[2]
     assert outs[0].count("== suite: ") == 1
+    assert_golden(f"check-{suite}.txt", outs[0])
+
+
+def test_marginals_is_a_second_name_for_coupling(capsys):
+    assert run("check", "--suite", "marginals", *_SMALL_REPS["coupling"], "--seed", "7") == 0
+    assert_golden("check-coupling.txt", capsys.readouterr().out)
+
+
+def test_check_all_draws_the_coupled_pairs_once_per_config(monkeypatch, capsys):
+    # the gap and the marginals lines of a config come from one pass over its draws
+    calls = []
+    pairs = harness.coupled_pairs
+
+    def counted(rng, n, prob, size):
+        calls.append((n, prob))
+        return pairs(rng, n, prob, size)
+
+    monkeypatch.setattr(harness, "coupled_pairs", counted)
+    assert run("check", "--suite", "all", "--reps", "100000", "--seed", "7") == 0
+    assert sorted(calls) == sorted(_suites()["coupling"].configs)
 
 
 def test_expectation_labels_name_their_pmfs(monkeypatch, capsys):
@@ -341,16 +399,21 @@ def test_every_suite_has_a_negative_control():
     assert set(_NEGATIVE_CONTROLS) == set(_suites())
 
 
-@pytest.mark.parametrize("suite", list(_suites()))
-def test_negative_control_fails(suite, monkeypatch, capsys):
-    name, breaks, flags = _NEGATIVE_CONTROLS[suite]
+@pytest.mark.parametrize("suite,control", [
+    pytest.param(suite, control, id=f"{suite}-{control[0]}")
+    for suite, controls in _NEGATIVE_CONTROLS.items() for control in controls
+])
+def test_negative_control_fails(suite, control, monkeypatch, capsys):
+    name, breaks, flags, claim = control
     argv = ["check", "--suite", suite, *flags, "--seed", "7"]
     assert run(*argv) == 0  # the same run passes unbroken
-    capsys.readouterr()
+    broken = [line for line in _claim_lines(capsys.readouterr().out) if line[6:].startswith(claim)]
+    assert broken  # the control names a line the run prints
     monkeypatch.setattr(harness, name, breaks(getattr(harness, name)))
     assert run(*argv) == 1
     out = capsys.readouterr().out
-    assert any(line.startswith("FAIL  ") for line in out.splitlines())
+    lines = [line for line in _claim_lines(out) if line[6:].startswith(claim)]
+    assert len(lines) == len(broken) and all(line.startswith("FAIL  ") for line in lines)
     assert "== verdict: FAIL" in out
 
 
@@ -377,7 +440,8 @@ _VALID = {
                           "--seed", "1", "--out", "-"],
     "bounds": ["bounds", "--k", "2", "--n", "10", "--delta", "0.1"],
     **{suite: ["check", "--suite", suite, "--reps", "5", "--seed", "1"]
-       for suite in ("thm", "poisson-tail", "coupling", "expectation")},
+       for suite in ("thm", "poisson-tail", "expectation")},
+    "coupling": ["check", "--suite", "coupling", "--reps", "100000", "--seed", "1"],
 }
 _OUT_OF_RANGE = [
     *[(command, flag, value) for flag, value in (("--reps", "0"), ("--reps", "-3"),
@@ -399,6 +463,12 @@ _OUT_OF_RANGE = [
     ("simulate", "--dist", "file:"),
     ("simulate", "--t", "1e308"),  # n + k*t overflows
 ]
+
+
+@pytest.mark.parametrize("command", sorted(_VALID))
+def test_valid_base_command_line_runs(command):
+    # an out-of-range case below proves nothing unless its base line alone exits 0
+    assert run(*_VALID[command]) == 0
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -424,3 +494,22 @@ def test_csv_floats_roundtrip(tmp_path):
     var = float(cells[5])
     assert f"{mean:.17g}" == cells[4]
     assert math.sqrt(var) == pytest.approx(float(cells[6]), abs=0)
+
+
+def test_readme_suite_table_matches_the_suites():
+    # the `| suite | fields | notes |` table names each suite once, with its config fields
+    # in its fields cell and its second names in its notes cell
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| suite | fields | notes |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    table = {re.fullmatch(r"`([^`]+)`", suite)[1]: (tuple(re.findall(r"`([^`]+)`", fields)), notes)
+             for suite, fields, notes in rows}
+    assert len(table) == len(rows)
+    assert {name: fields for name, (fields, _) in table.items()} == {
+        name: suite.fields for name, suite in _suites().items()}
+    for alias, name in cli._ALIASES.items():
+        assert f"`{alias}`" in table[name][1]

@@ -11,8 +11,7 @@ from klconc.harness import (
     MAX_STORED_TRIALS,
     RunningMoments,
     chi_square_gof,
-    coupling_diagnostic,
-    coupling_marginal_gof,
+    coupling_checks,
     expected_kl_check,
     poisson_tail_checks,
     run_kl_trials,
@@ -24,7 +23,7 @@ from klconc.harness import (
     _moments_blockwise,
     _poisson_upper,
 )
-from klconc.losses import kl_divergence, kl_losses, kl_losses_from_draws
+from klconc.losses import kl_divergence, kl_losses, kl_losses_from_sorted_draws
 from klconc.sampling import _DRAW_CHUNK, coupled_pairs, derive_trial_rng
 
 # Draw counts around the 2^16-draw chunks that the coupling and Poisson-tail claims stream.
@@ -159,8 +158,8 @@ class TestTrialStreams:
     def test_categorical_sub_chunks_keep_the_stream(self):
         # n=1000 holds at most 2^18 // 1000 = 262 symbol rows at once: eight sub-chunks a block
         p = zipf_pmf(10_000)
-        draws = derive_trial_rng(4, 0).choice(10_000, size=(2048, 1000), p=p.probs)
-        assert np.array_equal(_kl_loss_samples(p, 1000, 1.0, 4, 2048), kl_losses_from_draws(p, draws, 1.0))
+        draws = np.sort(derive_trial_rng(4, 0).choice(10_000, size=(2048, 1000), p=p.probs), axis=1)
+        assert np.array_equal(_kl_loss_samples(p, 1000, 1.0, 4, 2048), kl_losses_from_sorted_draws(p, draws, 1.0))
 
     @pytest.mark.parametrize("pmf,n", [
         pytest.param(zipf_pmf(10_000), 1000, id="zipf-10000-1000"),
@@ -174,7 +173,7 @@ class TestTrialStreams:
         # 300 rows of n=1000 span two sub-chunks of 262 rows
         k, seed, rows = len(pmf), 5, 300
         draws = np.sort(derive_trial_rng(seed, 0).choice(k, size=(rows, n), p=pmf.probs), axis=1)
-        assert np.array_equal(_kl_loss_samples(pmf, n, t, seed, rows), kl_losses_from_draws(pmf, draws, t))
+        assert np.array_equal(_kl_loss_samples(pmf, n, t, seed, rows), kl_losses_from_sorted_draws(pmf, draws, t))
 
     @pytest.mark.parametrize("pmf,n", [(zipf_pmf(10_000), 1000), (uniform_pmf(1000), 250)], ids=["zipf", "uniform"])
     def test_column_major_uniforms_are_another_stream(self, pmf, n):
@@ -182,8 +181,8 @@ class TestTrialStreams:
         seed, rows = 5, 300
         cdf = pmf.probs.cumsum()
         cdf /= cdf[-1]
-        draws = cdf.searchsorted(derive_trial_rng(seed, 0).random((n, rows)).T, side="right")
-        assert not np.any(_kl_loss_samples(pmf, n, 1.0, seed, rows) == kl_losses_from_draws(pmf, draws, 1.0))
+        draws = np.sort(cdf.searchsorted(derive_trial_rng(seed, 0).random((n, rows)).T, side="right"), axis=1)
+        assert not np.any(_kl_loss_samples(pmf, n, 1.0, seed, rows) == kl_losses_from_sorted_draws(pmf, draws, 1.0))
 
     @pytest.mark.parametrize("short,long,k,n", [
         *[pytest.param(short, long, 5, 40, id=f"{short}-{long}")
@@ -199,8 +198,8 @@ class TestTrialStreams:
     def test_switch_to_symbols_at_a_quarter_of_k(self):
         # n = k/4 draws n symbols a row; n = k/4 + 1 draws Mult(n, p) counts
         p, t, seed, reps = zipf_pmf(64), 0.5, 13, 100
-        draws = derive_trial_rng(seed, 0).choice(64, size=(reps, 16), p=p.probs)
-        assert np.array_equal(_kl_loss_samples(p, 16, t, seed, reps), kl_losses_from_draws(p, draws, t))
+        draws = np.sort(derive_trial_rng(seed, 0).choice(64, size=(reps, 16), p=p.probs), axis=1)
+        assert np.array_equal(_kl_loss_samples(p, 16, t, seed, reps), kl_losses_from_sorted_draws(p, draws, t))
         counts = derive_trial_rng(seed, 0).multinomial(17, p.probs, size=reps)
         assert np.array_equal(_kl_loss_samples(p, 17, t, seed, reps), kl_losses(p, counts, t))
 
@@ -354,8 +353,7 @@ class TestVarianceLb:
 _DRAWING_CHECKS = [
     (verify_variance_lb, (2, 20)),
     (poisson_tail_checks, (1.0, (0.1,))),
-    (coupling_diagnostic, (100, 0.5)),
-    (coupling_marginal_gof, (100, 0.5)),
+    (coupling_checks, (100, 0.5)),
     (run_kl_trials, (uniform_pmf(2), 20)),
     (expected_kl_check, (uniform_pmf(2), 20)),
 ]
@@ -372,9 +370,9 @@ def test_reps_above_storage_cap_rejected_before_drawing(check, args, monkeypatch
         check(*args, MAX_STORED_TRIALS + 1, seed=0)
 
 
-@pytest.mark.parametrize("check,args", [c for c in _DRAWING_CHECKS if c[0] is not coupling_marginal_gof])
+@pytest.mark.parametrize("check,args", [c for c in _DRAWING_CHECKS if c[0] is not coupling_checks])
 def test_zero_reps_rejected_before_drawing(check, args, monkeypatch):
-    # coupling_marginal_gof is left out: it needs reps >= 1e5 before anything else
+    # coupling_checks is left out: it needs reps >= 1e5 before anything else
     monkeypatch.setattr("klconc.harness.derive_trial_rng", _no_draw)
     with pytest.raises(ValueError, match=">= 1"):
         check(*args, 0, seed=0)
@@ -426,31 +424,31 @@ class TestPoissonTailCheck:
 class TestCouplingDiagnostics:
     def test_certain_success_gap(self):
         # prob=1 collapses the gap to (n - N)/(N + 1)
-        r = coupling_diagnostic(100, 1.0, 10**5, seed=9)
+        r = coupling_checks(100, 1.0, 10**5, seed=9)[0]
         assert r.passed
         assert 0 < r.values["est_gap"] < 0.1
 
     def test_moderate_configuration(self):
-        r = coupling_diagnostic(100, 0.5, 10**5, seed=9)
-        assert r.passed
-        assert r.values["ci_low"] <= r.values["est_gap"] <= r.values["ci_high"]
+        gap, gof = coupling_checks(100, 0.5, 10**5, seed=9)
+        assert gap.passed and gof.passed
+        assert gap.values["ci_low"] <= gap.values["est_gap"] <= gap.values["ci_high"]
 
     def test_marginal_gof_requires_bulk(self):
-        with pytest.raises(ValueError):
-            coupling_marginal_gof(20, 0.4, 10**4, seed=1)
+        with pytest.raises(ValueError, match="marginal GOF needs reps >= 1e5"):
+            coupling_checks(20, 0.4, 10**4, seed=1)
 
     def test_marginal_gof_passes(self):
-        r = coupling_marginal_gof(20, 0.4, 10**5, seed=9)
+        r = coupling_checks(20, 0.4, 10**5, seed=9)[1]
         assert r.passed
 
     def test_marginal_gof_certain_success(self):
         # M is constant n; M' reduces to the latent Poisson itself
-        r = coupling_marginal_gof(5, 1.0, 10**5, seed=9)
+        r = coupling_checks(5, 1.0, 10**5, seed=9)[1]
         assert r.passed
         assert r.values["chi2_m"] == 0.0
 
     def test_marginal_gof_small_n_high_prob(self):
-        r = coupling_marginal_gof(5, 0.9, 10**5, seed=9)
+        r = coupling_checks(5, 0.9, 10**5, seed=9)[1]
         assert r.passed
 
 
@@ -477,9 +475,9 @@ class TestStreamedClaims:
         chunks = coupled_pairs(derive_trial_rng(6, 0), n, prob, size)
         m, m_prime = (np.concatenate(parts) for parts in list(zip(*chunks))[:2])
 
+        gap, gof = (r.values for r in coupling_checks(n, prob, size, seed=6))
         moments = _moments_blockwise((m - m_prime) / (m_prime + 1.0))
         se = math.sqrt(moments.variance / size)
-        gap = coupling_diagnostic(n, prob, size, seed=6).values
         np.testing.assert_equal([gap["est_gap"], gap["ci_low"], gap["ci_high"]],
                                 [moments.mean, moments.mean - _Z99 * se, moments.mean + _Z99 * se])
 
@@ -488,7 +486,7 @@ class TestStreamedClaims:
         gof_m = chi_square_gof(np.bincount(m), _binomial_pmf(n, prob))
         gof_mp = chi_square_gof(np.bincount(m_prime), _poisson_pmf(lam, hi),
                                 tail_prob=_regularized_gamma(hi + 1, lam)[0])
-        assert coupling_marginal_gof(n, prob, size, seed=6).values == {
+        assert gof == {
             "chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
             "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value}
 
@@ -512,12 +510,12 @@ class TestExpectedKl:
 class TestStdSweep:
     def test_degenerate_row(self):
         rows = sweep_std_vs_heuristic([1], n=100, reps=200, master_seed=1)
-        assert rows[0].sample_std == 0.0
-        assert rows[0].ratio is None
+        assert rows[0]["sample_std"] == 0.0
+        assert rows[0]["ratio"] is None
 
     def test_heuristic_column_monotone(self):
         rows = sweep_std_vs_heuristic([2, 4, 8], n=512, reps=50, master_seed=1)
-        heur = [r.heuristic_std for r in rows]
+        heur = [r["heuristic_std"] for r in rows]
         assert heur == sorted(heur)
         assert all(h > 0 for h in heur)
 

@@ -5,13 +5,12 @@ import pytest
 
 from klconc.distributions import Counts, Measure, Pmf, add_t_estimate, pseudo_estimate, uniform_pmf
 from klconc.losses import (
-    _kl_losses_from_sorted_draws,
     adjusted_kl_divergence,
     adjusted_kl_shift,
     adjusted_kl_terms,
     kl_divergence,
     kl_losses,
-    kl_losses_from_draws,
+    kl_losses_from_sorted_draws,
 )
 
 
@@ -134,7 +133,8 @@ class TestKlLosses:
 
 def _random_draws(rng, groups, rows):
     """(p, draws) groups: random k and n, p with zeros in every third group, and
-    symbols drawn from another pmf, so some fall outside p's support."""
+    symbols drawn from another pmf, so some fall outside p's support; each
+    row of draws is sorted."""
     for g in range(groups):
         k = int(rng.integers(1, 400))
         n = int(rng.integers(1, 300))
@@ -142,14 +142,14 @@ def _random_draws(rng, groups, rows):
         if g % 3 == 0:
             w[rng.random(k) < 0.3] = 0.0
             w[int(rng.integers(k))] += 0.5
-        yield Pmf(w / w.sum()), rng.choice(k, size=(rows, n), p=rng.dirichlet(np.ones(k)))
+        yield Pmf(w / w.sum()), np.sort(rng.choice(k, size=(rows, n), p=rng.dirichlet(np.ones(k))), axis=1)
 
 
 def _bincounted(draws, k):
     return np.stack([np.bincount(row, minlength=k) for row in draws])
 
 
-class TestKlLossesFromDraws:
+class TestKlLossesFromSortedDraws:
     def test_matches_dense_kernel(self):
         rng = np.random.default_rng(53)
         worst = 0.0
@@ -157,7 +157,7 @@ class TestKlLossesFromDraws:
         for p, draws in _random_draws(rng, 400, 20):
             k, n = len(p), draws.shape[1]
             t = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
-            got = kl_losses_from_draws(p, draws, t)
+            got = kl_losses_from_sorted_draws(p, draws, t)
             want = kl_losses(p, _bincounted(draws, k), t)
             assert np.array_equal(np.isinf(got), np.isinf(want))
             ok = np.isfinite(want)
@@ -171,31 +171,21 @@ class TestKlLossesFromDraws:
     def test_rows_do_not_depend_on_their_batch(self):
         rng = np.random.default_rng(59)
         p = Pmf(rng.dirichlet(np.ones(500)))
-        draws = rng.choice(500, size=(301, 90), p=p.probs)
+        draws = np.sort(rng.choice(500, size=(301, 90), p=p.probs), axis=1)
         for t in (0.0, 1.0):
-            whole = kl_losses_from_draws(p, draws, t)
-            parts = [kl_losses_from_draws(p, draws[lo : lo + 7], t) for lo in range(0, 301, 7)]
+            whole = kl_losses_from_sorted_draws(p, draws, t)
+            parts = [kl_losses_from_sorted_draws(p, draws[lo : lo + 7], t) for lo in range(0, 301, 7)]
             assert np.array_equal(whole, np.concatenate(parts))
-
-    def test_sorted_row_core_matches_on_shuffled_rows(self):
-        rng = np.random.default_rng(61)
-        for p, draws in _random_draws(rng, 60, 20):
-            rows = np.sort(draws, axis=1)
-            t = float(rng.choice([0.0, 0.5, 1.0]))
-            want = kl_losses_from_draws(p, rng.permuted(rows, axis=1), t)
-            assert np.array_equal(_kl_losses_from_sorted_draws(p, rows, t), want)
 
     def test_validation(self):
         p = uniform_pmf(3)
-        with pytest.raises(ValueError, match="shape"):
-            kl_losses_from_draws(p, np.zeros(3, dtype=np.int64), 1.0)
         with pytest.raises(ValueError, match="smoothing"):
-            kl_losses_from_draws(p, np.zeros((1, 2), dtype=np.int64), -1.0)
+            kl_losses_from_sorted_draws(p, np.zeros((1, 2), dtype=np.int64), -1.0)
         with pytest.raises(ValueError, match="at least one draw"):
-            kl_losses_from_draws(p, np.zeros((2, 0), dtype=np.int64), 0.0)
-        for bad in (-1, 3):
+            kl_losses_from_sorted_draws(p, np.zeros((2, 0), dtype=np.int64), 0.0)
+        for row in ([-1, 0], [0, 3]):
             with pytest.raises(ValueError, match="symbols"):
-                kl_losses_from_draws(p, np.array([[0, bad]]), 1.0)
+                kl_losses_from_sorted_draws(p, np.array([row]), 1.0)
 
 
 class TestAdjustedKl:
