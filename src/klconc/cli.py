@@ -76,6 +76,19 @@ def _count(text: str) -> int:
     return value
 
 
+# numpy's largest Poisson rate, int64 max - 10 sqrt(int64 max): the bound of --lam and of
+# --n, which the coupling draws as a Poisson rate and the samplers as an int64.
+_MAX_RATE = 9.223372006484771e18
+
+
+def _size(text: str) -> int:
+    """argparse type for sample sizes: an integer in [1, _MAX_RATE]."""
+    value = _count(text)
+    if value > _MAX_RATE:
+        raise argparse.ArgumentTypeError(f"must be <= {_MAX_RATE:.6g}, got {value}")
+    return value
+
+
 def _reps(text: str) -> int:
     """argparse type for trial counts: an integer in [1, MAX_STORED_TRIALS]."""
     value = _count(text)
@@ -108,15 +121,16 @@ def _real(accept, what: str):
 _delta = _real(lambda x: 0.0 < x < 1.0, "in (0, 1)")
 _prob = _real(lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 _rate = _real(lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+_lam = _real(lambda x: 0.0 <= x <= _MAX_RATE, f"in [0, {_MAX_RATE:.6g}]")
 _mass = _real(lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 _finite = _real(math.isfinite, "finite")
 
 # check flags named like a suite config field: field -> (argparse type, what it is)
 _FIELD_FLAGS = {
     "k": (_count, "alphabet size"),
-    "n": (_count, "sample size"),
+    "n": (_size, "sample size"),
     "delta": (_delta, "failure probability"),
-    "lam": (_rate, "Poisson rate"),
+    "lam": (_lam, "Poisson rate"),
     "prob": (_prob, "coupling probability"),
 }
 
@@ -368,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one KL-loss experiment and write a CSV row")
     sim.add_argument("--dist", required=True, help="uniform | zipf | twopoint | file:PATH")
     sim.add_argument("--k", type=_count, help="alphabet size (uniform/zipf/twopoint)")
-    sim.add_argument("--n", type=_count, required=True, help="samples per trial")
+    sim.add_argument("--n", type=_size, required=True, help="samples per trial")
     sim.add_argument("--reps", type=_reps, required=True, help="number of trials")
     sim.add_argument("--seed", type=_seed, required=True, help="64-bit master seed")
     sim.add_argument("--t", type=_rate, default=1.0, help="add-constant parameter (default 1)")
@@ -382,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bnd = sub.add_parser("bounds", help="evaluate the closed-form bounds for (k, n, delta)")
     bnd.add_argument("--k", type=_count, required=True)
-    bnd.add_argument("--n", type=_count, required=True)
+    bnd.add_argument("--n", type=_size, required=True)
     bnd.add_argument("--delta", type=_delta, required=True)
     bnd.add_argument("--out", help="output CSV path (default stdout)")
     bnd.add_argument("--format", choices=("csv", "tsv"), default="csv")
@@ -390,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("figure1", help="sample std vs sqrt(k/2)/n sweep over alphabet sizes")
     fig.add_argument("--ks", default="2,4,8,16,32,64", help="comma-separated alphabet sizes")
-    fig.add_argument("--n", type=_count, default=10240)
+    fig.add_argument("--n", type=_size, default=10240)
     fig.add_argument("--reps", type=_reps, default=1000)
     fig.add_argument("--seed", type=_seed, default=0)
     fig.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")

@@ -111,22 +111,17 @@ class Counts:
 
     __slots__ = ("_counts", "_total")
 
-    def __init__(self, counts, total: int | None = None):
+    def __init__(self, counts):
         c = np.asarray(counts, dtype=np.int64)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("counts must be a one-dimensional sequence of length >= 1")
         if np.any(c < 0):
             bad = int(np.flatnonzero(c < 0)[0])
             raise ValueError(f"negative count {int(c[bad])} at index {bad}")
-        s = int(c.sum())
-        if total is None:
-            total = s
-        elif int(total) != s:
-            raise ValueError(f"total {total} does not match sum of counts {s}")
         c = c.copy()
         c.flags.writeable = False
         self._counts = c
-        self._total = int(total)
+        self._total = int(c.sum())
 
     @property
     def counts(self) -> np.ndarray:
@@ -140,7 +135,7 @@ class Counts:
         return self._counts.size
 
     def __repr__(self) -> str:
-        return f"Counts({self._counts.tolist()!r}, total={self._total})"
+        return f"Counts({self._counts.tolist()!r})"
 
 
 def uniform_pmf(k: int) -> Pmf:

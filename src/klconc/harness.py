@@ -3,23 +3,24 @@
 Every experiment takes the distribution as a ``Pmf`` and plain arguments
 and is a pure function of them: ``run_kl_trials`` returns the aggregated
 losses keyed as ``simulate``'s CSV columns, and each claim check returns a
-``ClaimResult``. Trials come in blocks of 2048: trial i is row
-``i mod 2048`` of the matrix that block ``i // 2048`` draws from the stream
-derived from (master_seed, i // 2048).
-When 4n <= k a row is n categorical symbols, drawn as row-sorted uniforms
+``ClaimResult``.
+Every random draw follows one rule: unit u of a run comes from the stream
+derived from (master_seed, u). The KL-loss engine's unit is a block of
+2048 trials: trial i is row ``i mod 2048`` of block ``i // 2048``. When
+4n <= k a row is n categorical symbols, drawn as row-sorted uniforms
 mapped through the normalised cumulative pmf (the same rows as
 ``Generator.choice``, sorted), and scored by ``kl_losses_from_sorted_draws``;
 otherwise it is a Mult(n, p) count vector scored by ``kl_losses``. A block
 is drawn in sub-chunks of at most 2^18 cells (rows x n symbols or rows x k
-counts) from that one stream, which yields the same rows as one draw, so
-``reps=r`` gives the first r trials of any longer run. Aggregation walks
-the same blocks in index order, and the only auxiliary randomness, the
-figure-1 sweep's per-row sub-seeds, lives on a reserved stream domain.
-The coupling and Poisson-tail claims stream their draws in chunks of 2^16
-(``sampling._DRAW_CHUNK``) with the same values as one draw, and fold each
-chunk into counts or block moments in index order, so their results are
-those of the whole arrays. Both coupling claims, the expectation gap and
-the exact marginals, are judged on one pass over the same draws.
+counts) from its one stream, which yields the same rows as one draw. The
+coupling and Poisson-tail claims' unit is a chunk of at most 2^16 draws
+(``_DRAW_CHUNK``): draw j is entry ``j mod 2^16`` of chunk ``j // 2^16``.
+So ``reps=r`` gives the first r trials or draws of any longer run, for
+every claim. Aggregation walks the blocks, or the chunks, in index order,
+and the only auxiliary randomness, the figure-1 sweep's per-row
+sub-seeds, lives on a reserved stream domain. Both coupling claims, the
+expectation gap and the exact marginals, are judged on one pass over the
+same draws.
 Intervals are closed-form functions of the losses and draw nothing.
 Every check runs on the calling thread and shares no mutable state, so
 checks may run on concurrent threads.
@@ -52,7 +53,7 @@ from .bounds import (
 )
 from .distributions import Pmf, uniform_pmf
 from .losses import kl_losses, kl_losses_from_sorted_draws
-from .sampling import _DRAW_CHUNK, _derive_subseed, coupled_pairs, derive_trial_rng
+from .sampling import _derive_subseed, coupled_pairs, derive_trial_rng
 
 __all__ = [
     "RunningMoments",
@@ -77,6 +78,7 @@ GOF_P_THRESHOLD = 1e-3
 _BLOCK = 2048
 _CHUNK_CELLS = 2**18  # symbols or counts held at once: 2 MB of int64, whatever k and n are
 _CATEGORICAL = 4  # rows are drawn as symbols when _CATEGORICAL * n <= k
+_DRAW_CHUNK = 2**16  # draws of the coupling and Poisson-tail claims per stream: 512 KB of int64
 
 # Reserved stream domain of the sweep rows' sub-seeds (see sampling._derive_subseed).
 _DOMAIN_SWEEP_ROW = 2
@@ -282,10 +284,9 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int) -> list[ClaimR
     delta in ``deltas``, in order, all on one sample of draws, so a delta's
     result does not depend on the other deltas checked with it."""
     _check_stored(reps)
-    rng = derive_trial_rng(seed, 0)
     fails = [0] * len(deltas)
     for lo in range(0, reps, _DRAW_CHUNK):
-        draws = rng.poisson(lam, size=min(_DRAW_CHUNK, reps - lo))
+        draws = derive_trial_rng(seed, lo // _DRAW_CHUNK).poisson(lam, size=min(_DRAW_CHUNK, reps - lo))
         deviation = np.abs(draws + 1.0 - lam)
         for i, delta in enumerate(deltas):
             fails[i] += int(np.count_nonzero(deviation > poisson_tail_radius(draws, delta)))
@@ -388,7 +389,9 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int) -> list[ClaimResu
     moments = RunningMoments()
     counts_m = np.zeros(0, dtype=np.int64)
     counts_mp = np.zeros(0, dtype=np.int64)
-    for m, m_prime, *_ in coupled_pairs(derive_trial_rng(seed, 0), n, prob, reps):
+    for lo in range(0, reps, _DRAW_CHUNK):
+        rng = derive_trial_rng(seed, lo // _DRAW_CHUNK)
+        m, m_prime, *_ = coupled_pairs(rng, n, prob, min(_DRAW_CHUNK, reps - lo))
         _moments_blockwise((m - m_prime) / (m_prime + 1.0), moments)  # chunks are whole blocks
         counts_m = _add_counts(counts_m, np.bincount(m))
         counts_mp = _add_counts(counts_mp, np.bincount(m_prime))

@@ -2,25 +2,14 @@
 joint binomial/Poisson construction with both marginals exact.
 
 Streams are derived counter-style from a 64-bit master seed and a stream
-index, so any experiment is a pure function of (master_seed, indices). The
-KL-loss engine (``klconc.harness``) takes one stream per block of 2048
-trials: trial i is row ``i mod 2048`` of the block that stream
-(master_seed, i // 2048) yields. When 4n <= k a row is n categorical
-symbols: row-sorted uniforms mapped through the normalised cumulative pmf
-(the same rows as ``Generator.choice``, sorted), one uniform per symbol;
-otherwise it is a Mult(n, p) count vector from ``Generator.multinomial``.
-Both consume the stream row after row, so drawing a block in sub-chunks of
-at most 2^18 cells gives the same rows as one draw. The coupled
-binomial/Poisson draws come in chunks of 2^16 (``_DRAW_CHUNK``) with the
-same values as one draw of each array.
+index, so any experiment is a pure function of (master_seed, indices);
+``klconc.harness`` states which unit of a run each stream draws.
 numpy's binomial and Poisson generators are exact-rejection samplers (no
 normal or translated approximations), which the test suite certifies by
 goodness-of-fit and Kolmogorov-distance checks.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
@@ -30,8 +19,6 @@ __all__ = [
     "coupled_pairs",
 ]
 
-_DRAW_CHUNK = 2**16  # draws held at once by the vectorised claims: 512 KB of int64
-
 
 def _seed_sequence(master_seed: int, spawn_key: tuple[int, ...]) -> SeedSequence:
     if not 0 <= master_seed < 2**64:
@@ -40,7 +27,7 @@ def _seed_sequence(master_seed: int, spawn_key: tuple[int, ...]) -> SeedSequence
 
 
 def derive_trial_rng(master_seed: int, trial_index: int) -> Generator:
-    """Statistically independent stream for one trial.
+    """Statistically independent stream for one unit of a run.
 
     Derivation hashes (master_seed, trial_index) directly (spawn keys),
     not sequential jumping, so stream i never depends on how many other
@@ -58,24 +45,19 @@ def _derive_subseed(master_seed: int, domain: int, index: int = 0) -> int:
     return int(_seed_sequence(master_seed, (domain, index)).generate_state(1, np.uint64)[0])
 
 
-_Pairs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def coupled_pairs(rng: Generator, n: int, prob: float, size: int) -> Iterator[_Pairs]:
-    """``size`` draws from the joint binomial/Poisson construction, yielded
-    as arrays (m, m_prime, n_latent, x, y) in chunks of at most 2^16 draws.
+def coupled_pairs(rng: Generator, n: int, prob: float, size: int) -> tuple[np.ndarray, ...]:
+    """``size`` draws from the joint binomial/Poisson construction, as arrays
+    (m, m_prime, n_latent, x, y).
 
     ``m`` has the Bin(n, prob) marginal and ``m_prime`` the Poi(n * prob)
     marginal; ``n_latent`` is the shared latent Poi(n) total and (x, y) the
     two conditionally independent binomial pieces: x on min(n_latent, n)
     trials and y on |n - n_latent| trials. When n_latent > n the pair is
     (m, m_prime) = (x, x + y), otherwise (x + y, x); hence
-    |m - m_prime| = y always.
-
-    The stream gives every n_latent, then every x, then every y. Drawing x
-    and y a chunk at a time consumes it in the same order, so the chunks,
-    concatenated, are the arrays of one draw of each. The arguments are
-    checked when this is called, before anything is drawn.
+    |m - m_prime| = y always. ``rng`` gives the n_latent draws, and copies
+    of it jumped ahead once and twice, taken before any draw, give the x
+    and the y draws, so the first r draws of any size are those of size r.
+    The arguments are checked before anything is drawn.
     """
     if n < 1:
         raise ValueError(f"nominal sample size must be >= 1, got {n}")
@@ -83,17 +65,9 @@ def coupled_pairs(rng: Generator, n: int, prob: float, size: int) -> Iterator[_P
         raise ValueError(f"probability must lie in (0, 1], got {prob}")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    return _coupled_chunks(rng, n, prob, size)
-
-
-def _coupled_chunks(rng: Generator, n: int, prob: float, size: int) -> Iterator[_Pairs]:
+    x_rng, y_rng = (Generator(rng.bit_generator.jumped(jumps)) for jumps in (1, 2))
     n_latent = rng.poisson(n, size=size)
-    x = np.empty_like(n_latent)
-    bounds = [(lo, min(lo + _DRAW_CHUNK, size)) for lo in range(0, size, _DRAW_CHUNK)]
-    for lo, hi in bounds:
-        x[lo:hi] = rng.binomial(np.minimum(n_latent[lo:hi], n), prob)
-    for lo, hi in bounds:
-        latent, xs = n_latent[lo:hi], x[lo:hi]
-        y = rng.binomial(np.abs(latent - n), prob)
-        over = latent > n
-        yield np.where(over, xs, xs + y), np.where(over, xs + y, xs), latent, xs, y
+    x = x_rng.binomial(np.minimum(n_latent, n), prob)
+    y = y_rng.binomial(np.abs(n_latent - n), prob)
+    over = n_latent > n
+    return np.where(over, x, x + y), np.where(over, x + y, x), n_latent, x, y

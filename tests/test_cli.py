@@ -313,8 +313,8 @@ def test_config_outside_a_claim_regime_is_usage_error(argv, capsys):
 
 def _shift_m(pairs):
     def shifted(rng, n, prob, size):
-        for m, *rest in pairs(rng, n, prob, size):
-            yield (m + 100 * n, *rest)
+        m, *rest = pairs(rng, n, prob, size)
+        return (m + 100 * n, *rest)
 
     return shifted
 
@@ -367,17 +367,19 @@ def test_marginals_is_a_second_name_for_coupling(capsys):
 
 
 def test_check_all_draws_the_coupled_pairs_once_per_config(monkeypatch, capsys):
-    # the gap and the marginals lines of a config come from one pass over its draws
-    calls = []
+    # the gap and the marginals lines of a config come from one pass over its draws,
+    # drawn in chunks of at most 2^16
+    sizes = {}
     pairs = harness.coupled_pairs
 
     def counted(rng, n, prob, size):
-        calls.append((n, prob))
+        sizes.setdefault((n, prob), []).append(size)
         return pairs(rng, n, prob, size)
 
     monkeypatch.setattr(harness, "coupled_pairs", counted)
     assert run("check", "--suite", "all", "--reps", "100000", "--seed", "7") == 0
-    assert sorted(calls) == sorted(_suites()["coupling"].configs)
+    assert sorted(sizes) == sorted(_suites()["coupling"].configs)
+    assert all(sum(chunks) == 100_000 and max(chunks) <= 2**16 for chunks in sizes.values())
 
 
 def test_expectation_labels_name_their_pmfs(monkeypatch, capsys):
@@ -454,7 +456,7 @@ _OUT_OF_RANGE = [
     *[(command, "--k", "0") for command in ("simulate", "check", "bounds", "thm")],
     *[(command, "--delta", value) for command in ("simulate", "bounds", "thm", "poisson-tail")
       for value in ("0", "1", "nan")],
-    *[("poisson-tail", "--lam", value) for value in ("-1", "inf", "nan")],
+    *[("poisson-tail", "--lam", value) for value in ("-1", "inf", "nan", "1e20")],
     *[("coupling", "--prob", value) for value in ("0", "1.5", "nan")],
     *[("simulate", "--t", value) for value in ("-1", "inf", "nan")],
     *[("simulate", "--mass", value) for value in ("-0.5", "1.5", "nan")],
@@ -462,6 +464,9 @@ _OUT_OF_RANGE = [
     ("simulate-twopoint", "--k", "1"),
     ("simulate", "--dist", "file:"),
     ("simulate", "--t", "1e308"),  # n + k*t overflows
+    # above numpy's largest Poisson rate, which also bounds --n
+    *[(command, "--n", str(2**63)) for command in ("simulate", "thm")],
+    ("coupling", "--n", str(10**20)),
 ]
 
 
@@ -477,6 +482,13 @@ def test_valid_base_command_line_runs(command):
 def test_out_of_range_count_or_seed_is_usage_error(command, flag, value, capsys):
     assert run(*_VALID[command], flag, value) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_rate_bound_is_numpys_largest_poisson_rate():
+    rng = np.random.default_rng(0)
+    assert rng.poisson(cli._MAX_RATE) > 0
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(cli._MAX_RATE, np.inf))
 
 
 @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))

@@ -66,10 +66,6 @@ class TestCounts:
         c = Counts([3, 1])
         assert c.total == 4
 
-    def test_total_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            Counts([3, 1], total=5)
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Counts([-1, 2])

@@ -18,16 +18,23 @@ from klconc.harness import (
     sweep_std_vs_heuristic,
     verify_kl_tail_bound,
     verify_variance_lb,
+    _DRAW_CHUNK,
     _Z99,
     _kl_loss_samples,
     _moments_blockwise,
     _poisson_upper,
 )
 from klconc.losses import kl_divergence, kl_losses, kl_losses_from_sorted_draws
-from klconc.sampling import _DRAW_CHUNK, coupled_pairs, derive_trial_rng
+from klconc.sampling import coupled_pairs, derive_trial_rng
 
-# Draw counts around the 2^16-draw chunks that the coupling and Poisson-tail claims stream.
+# Draw counts around the 2^16-draw chunks of the coupling and Poisson-tail claims.
 CHUNK_EDGE_SIZES = [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5]
+
+
+def _chunk_streams(seed, reps):
+    """(generator, size) of each chunk of reps draws: chunk c is drawn from stream (seed, c)."""
+    return [(derive_trial_rng(seed, lo // _DRAW_CHUNK), min(_DRAW_CHUNK, reps - lo))
+            for lo in range(0, reps, _DRAW_CHUNK)]
 
 
 class TestRunningMoments:
@@ -453,26 +460,27 @@ class TestCouplingDiagnostics:
 
 
 class TestStreamedClaims:
-    """The streamed claims report exactly what one pass over whole arrays reports."""
+    """Chunk c of the streamed claims' draws comes from stream (seed, c), so
+    r draws are the first r draws of any longer run."""
 
     @pytest.mark.parametrize("size", CHUNK_EDGE_SIZES)
     @pytest.mark.parametrize("lam", [1.0, 10.0, 10_000.0])
     @pytest.mark.parametrize("radius", [poisson_tail_radius, lambda draws, delta: delta * np.sqrt(draws + 1.0)],
                              ids=["bound", "narrow"])
-    def test_poisson_tail_is_one_draw(self, lam, size, radius, monkeypatch):
+    def test_poisson_tail_chunk_c_is_stream_c(self, lam, size, radius, monkeypatch):
         # the narrow radius fails often, so the counts are not all zero
         monkeypatch.setattr(harness, "poisson_tail_radius", radius)
         deltas = (0.05, 0.5, 0.99)
-        draws = derive_trial_rng(4, 0).poisson(lam, size=size)
+        draws = np.concatenate([rng.poisson(lam, size=s) for rng, s in _chunk_streams(4, size)])
         want = [float(np.mean(np.abs(draws + 1 - lam) > radius(draws, d))) for d in deltas]
         got = poisson_tail_checks(lam, deltas, size, seed=4)
         assert [r.values["fail_frac"] for r in got] == want
 
     @pytest.mark.parametrize("size", CHUNK_EDGE_SIZES)
     @pytest.mark.parametrize("n,prob", [(20, 0.4), (100, 0.5), (10_000, 0.01), (7, 1.0)])
-    def test_coupling_claims_are_those_of_the_whole_arrays(self, n, prob, size, monkeypatch):
+    def test_coupling_chunk_c_is_stream_c(self, n, prob, size, monkeypatch):
         monkeypatch.setattr(harness, "check_gof_reps", lambda reps: None)  # let sizes below 1e5 in
-        chunks = coupled_pairs(derive_trial_rng(6, 0), n, prob, size)
+        chunks = [coupled_pairs(rng, n, prob, s) for rng, s in _chunk_streams(6, size)]
         m, m_prime = (np.concatenate(parts) for parts in list(zip(*chunks))[:2])
 
         gap, gof = (r.values for r in coupling_checks(n, prob, size, seed=6))
@@ -489,6 +497,39 @@ class TestStreamedClaims:
         assert gof == {
             "chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
             "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value}
+
+    @pytest.mark.parametrize("reps", CHUNK_EDGE_SIZES[:-1])
+    def test_poisson_tail_reps_are_a_prefix(self, reps, monkeypatch):
+        def drawn(r):
+            seen = []
+
+            def radius(draws, delta):
+                seen.append(draws)
+                return poisson_tail_radius(draws, delta)
+
+            monkeypatch.setattr(harness, "poisson_tail_radius", radius)
+            poisson_tail_checks(10.0, (0.1,), r, seed=8)
+            return np.concatenate(seen)
+
+        np.testing.assert_array_equal(drawn(reps), drawn(CHUNK_EDGE_SIZES[-1])[:reps])
+
+    @pytest.mark.parametrize("reps", CHUNK_EDGE_SIZES[:-1])
+    def test_coupling_reps_are_a_prefix(self, reps, monkeypatch):
+        monkeypatch.setattr(harness, "check_gof_reps", lambda reps: None)
+
+        def drawn(r):
+            seen = []
+
+            def pairs(*args):
+                seen.append(coupled_pairs(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(harness, "coupled_pairs", pairs)
+            coupling_checks(20, 0.4, r, seed=8)
+            return [np.concatenate(parts) for parts in zip(*seen)]
+
+        for short, longer in zip(drawn(reps), drawn(CHUNK_EDGE_SIZES[-1]), strict=True):
+            np.testing.assert_array_equal(short, longer[:reps])
 
 
 class TestExpectedKl:

@@ -5,13 +5,8 @@ import pytest
 from scipy import stats
 
 from klconc.distributions import Counts, Pmf, uniform_pmf
-from klconc.harness import chi_square_gof
-from klconc.sampling import (
-    _DRAW_CHUNK,
-    _derive_subseed,
-    coupled_pairs,
-    derive_trial_rng,
-)
+from klconc.harness import _DRAW_CHUNK, chi_square_gof
+from klconc.sampling import _derive_subseed, coupled_pairs, derive_trial_rng
 
 GOF_ALPHA = 1e-3
 
@@ -122,20 +117,7 @@ class TestMultinomialCounts:
         assert gof.p_value >= GOF_ALPHA
 
 
-def _whole(chunks):
-    """The five coupled arrays, each the concatenation of its chunks."""
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
-
-
-def _one_draw_pairs(rng, n, prob, size):
-    """The coupled arrays drawn in one call each, as the stream defines them."""
-    n_latent = rng.poisson(n, size=size)
-    x = rng.binomial(np.minimum(n_latent, n), prob)
-    y = rng.binomial(np.abs(n_latent - n), prob)
-    over = n_latent > n
-    return np.where(over, x, x + y), np.where(over, x + y, x), n_latent, x, y
-
-
+# Draw counts around the 2^16-draw chunks that the harness asks coupled_pairs for.
 CHUNK_EDGE_SIZES = [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5]
 
 
@@ -143,13 +125,13 @@ class TestCoupling:
     def test_certain_success_forces_structure(self):
         # prob=1: X = min(N, n) and Y = |n - N|, so M = n and M' = N always
         n = 17
-        m, m_prime, n_latent, _, _ = _whole(coupled_pairs(derive_trial_rng(31, 0), n, 1.0, size=200))
+        m, m_prime, n_latent, _, _ = coupled_pairs(derive_trial_rng(31, 0), n, 1.0, size=200)
         assert np.all(m == n)
         np.testing.assert_array_equal(m_prime, n_latent)
 
     def test_gap_is_y_with_sign_from_latent(self):
         n = 20
-        m, m_prime, n_latent, x, y = _whole(coupled_pairs(derive_trial_rng(33, 0), n, 0.4, size=2000))
+        m, m_prime, n_latent, x, y = coupled_pairs(derive_trial_rng(33, 0), n, 0.4, size=2000)
         np.testing.assert_array_equal(np.abs(m - m_prime), y)
         under = n_latent <= n
         np.testing.assert_array_equal((m - m_prime)[under], y[under])
@@ -158,13 +140,11 @@ class TestCoupling:
 
     @pytest.mark.parametrize("size", CHUNK_EDGE_SIZES)
     @pytest.mark.parametrize("n,prob", [(20, 0.4), (100, 0.5), (10_000, 0.01), (7, 1.0)])
-    def test_chunks_are_one_draw(self, n, prob, size):
-        chunks = list(coupled_pairs(derive_trial_rng(35, 0), n, prob, size))
-        assert [len(chunk[0]) for chunk in chunks[:-1]] == [_DRAW_CHUNK] * (len(chunks) - 1)
-        assert 0 < len(chunks[-1][0]) <= _DRAW_CHUNK
-        want = _one_draw_pairs(derive_trial_rng(35, 0), n, prob, size)
-        for got, ref in zip(_whole(chunks), want, strict=True):
-            np.testing.assert_array_equal(got, ref)
+    def test_first_draws_do_not_depend_on_size(self, n, prob, size):
+        # size draws are the first size draws of a longer call on the same stream
+        longer = coupled_pairs(derive_trial_rng(35, 0), n, prob, CHUNK_EDGE_SIZES[-1] + 1)
+        for got, ref in zip(coupled_pairs(derive_trial_rng(35, 0), n, prob, size), longer, strict=True):
+            np.testing.assert_array_equal(got, ref[:size])
 
     def test_prob_validation(self):
         rng = derive_trial_rng(1, 0)
@@ -172,3 +152,9 @@ class TestCoupling:
             coupled_pairs(rng, 10, 0.0, size=1)
         with pytest.raises(ValueError):
             coupled_pairs(rng, 10, 1.2, size=1)
+
+    @pytest.mark.parametrize("n,prob,size", [(10, 0.0, 1), (10, 1.2, 1), (0, 0.5, 1), (10, 0.5, 0)])
+    def test_arguments_checked_before_drawing(self, n, prob, size):
+        # no generator at all: a draw would raise AttributeError, not ValueError
+        with pytest.raises(ValueError):
+            coupled_pairs(None, n, prob, size)
