@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -25,7 +24,8 @@ from .bounds import (
 from .distributions import Pmf, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
 from .harness import (
     MAX_STORED_TRIALS,
-    check_gof_reps,
+    _usable_cores,
+    check_gof_regime,
     coupling_checks,
     expected_kl_check,
     poisson_tail_checks,
@@ -163,7 +163,8 @@ def _cmd_simulate(args) -> int:
     k = len(pmf)
     if not math.isfinite(args.n + k * args.t):
         raise UsageError(f"--t {args.t:g} overflows the add-t denominator n + k*t at k={k}")
-    summary = run_kl_trials(pmf, args.n, args.reps, args.seed, t=args.t, delta=args.delta)
+    summary = run_kl_trials(pmf, args.n, args.reps, args.seed, t=args.t, delta=args.delta,
+                            threads=args.threads or _usable_cores())
     header = ["k", "n", "reps", "t", "mean_kl", "var_kl", "std_kl", "q50", "q90", "q99",
               "exceed_frac", "t_delta"]
     _write_table(args.out, header, [[k, args.n, args.reps, args.t, *summary.values()]], _sep(args.format))
@@ -224,9 +225,10 @@ def _cmd_figure1(args) -> int:
 
 class _Suite(NamedTuple):
     """One claim suite of ``check``. Each default config gives a value per
-    field; ``run(**config, reps=reps, seed=seed)`` returns a ``ClaimResult``,
-    or a list of them. The run's arguments and then each result's ``values``
-    fill the ``claim: detail`` template ``line``, or the i-th result the i-th
+    field; ``run(**config, reps=reps, seed=seed, threads=threads)`` (or
+    ``run()`` when ``reps`` is None) returns a ``ClaimResult``, or a list of
+    them. The run's arguments and then each result's ``values`` fill the
+    ``claim: detail`` template ``line``, or the i-th result the i-th
     template when ``line`` is a tuple. ``regime``, given the same arguments,
     raises ValueError for a config outside the claim's regime; every config
     is checked before any output."""
@@ -239,10 +241,10 @@ class _Suite(NamedTuple):
     regime: Callable | None = None
 
 
-def _poisson_tail(lam, delta, reps, seed):
+def _poisson_tail(lam, delta, **kw):
     """poisson-tail runner: a default config's delta is a tuple of deltas,
     which are all checked on one sample of draws; an override is one delta."""
-    return poisson_tail_checks(lam, delta if isinstance(delta, tuple) else (delta,), reps, seed)
+    return poisson_tail_checks(lam, delta if isinstance(delta, tuple) else (delta,), **kw)
 
 
 def _two_reps(reps, **_):
@@ -291,11 +293,11 @@ def _suites() -> dict[str, _Suite]:
              "reps={reps} est={est_gap:.4e} ci99=[{ci_low:.4e}, {ci_high:.4e}] bound={bound:.4e}",
              "coupling marginals are exactly Bin(n,p) and Poi(np): n={n} p={prob} reps={reps} "
              "chi2(M)={chi2_m:.1f} p(M)={p_m:.4f} chi2(M')={chi2_m_prime:.1f} p(M')={p_m_prime:.4f}"),
-            lambda reps, **_: check_gof_reps(reps),
+            lambda n, reps, **_: check_gof_regime(n, reps),
         ),
         "expectation": _Suite(
             ("dist", "n"), [(label, 1000) for label in expectation], 100_000,
-            lambda dist, n, reps, seed: expected_kl_check(expectation[dist], n, reps, seed),
+            lambda dist, **kw: expected_kl_check(expectation[dist], **kw),
             "mean add-one KL loss <= (k-1)/n: {dist} n={n} reps={reps} mean={mean_kl:.6e} "
             "ceiling={ceiling:.6e} slack={slack:.2e}",
             _two_reps,
@@ -311,6 +313,7 @@ def _cmd_check(args) -> int:
     for field in given:
         if not any(field in suites[name].fields for name in names):
             raise UsageError(f"--{field} is a field of none of the suites run: {', '.join(names)}")
+    threads = args.threads or _usable_cores()
     runs = []  # (suite name, runner arguments), in output order
     for name in names:
         suite = suites[name]
@@ -318,7 +321,7 @@ def _cmd_check(args) -> int:
         for cfg in dict.fromkeys(configs):  # configs an override made equal run once
             kwargs = dict(zip(suite.fields, cfg))
             if suite.reps is not None:
-                kwargs.update(reps=args.reps or suite.reps, seed=args.seed)
+                kwargs.update(reps=args.reps or suite.reps, seed=args.seed, threads=threads)
             if suite.regime is not None:
                 try:
                     suite.regime(**kwargs)
@@ -326,29 +329,7 @@ def _cmd_check(args) -> int:
                     raise UsageError(f"suite {name}: {exc}") from None
             runs.append((name, kwargs))
 
-    def run(job):
-        name, kwargs = job
-        return suites[name].run(**kwargs)
-
-    threads = min(args.threads or _usable_cores(), len(runs))
-    if threads == 1:
-        return _report_check(suites, runs, map(run, runs))
-    # Runners build their own generators and share no state, and numpy's draws release
-    # the interpreter lock. map yields in submission order, so the output is that of one
-    # thread. Imported here: a one-thread check does not pay for the import.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _report_check(suites, runs, pool.map(run, runs))
-
-
-def _usable_cores() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _report_check(suites, runs, outs) -> int:
-    """Print each run's results, from the iterator ``outs``, under its suite's header;
-    a header is printed before its suite's first result is awaited."""
+    # Configs run one after another; each shares its blocks or chunks among the threads.
     all_ok = True
     shown = None
     for name, kwargs in runs:
@@ -356,7 +337,7 @@ def _report_check(suites, runs, outs) -> int:
         if name != shown:
             print(f"== suite: {name}")
             shown = name
-        out = next(outs)
+        out = suite.run(**kwargs)
         results = out if isinstance(out, list) else [out]
         lines = suite.line if isinstance(suite.line, tuple) else [suite.line] * len(results)
         for result, line in zip(results, lines, strict=True):
@@ -367,9 +348,8 @@ def _report_check(suites, runs, outs) -> int:
     return 0 if all_ok else 1
 
 
-_THREADS_HELP = "accepted and ignored: results do not depend on it"
-_CHECK_THREADS_HELP = ("worker threads for the suite configs (default: usable cores); "
-                       "output does not depend on it")
+_THREADS_HELP = ("worker threads for the trial blocks and draw chunks (default: usable cores); "
+                 "output does not depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     fig.add_argument("--svg", help="also render a log-log SVG plot to this path")
     fig.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    fig.add_argument("--threads", type=_count, help=_THREADS_HELP)
+    fig.add_argument("--threads", type=_count, help="accepted and ignored: results do not depend on it")
     fig.set_defaults(func=_cmd_figure1)
 
     suites = _suites()
@@ -423,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         takers = ", ".join(name for name, suite in suites.items() if field in suite.fields)
         chk.add_argument(f"--{field}", type=kind,
                          help=f"{what}: replaces {field} in every default config of {takers}")
-    chk.add_argument("--threads", type=_count, help=_CHECK_THREADS_HELP)
+    chk.add_argument("--threads", type=_count, help=_THREADS_HELP)
     chk.set_defaults(func=_cmd_check)
 
     return parser

@@ -22,13 +22,19 @@ sub-seeds, lives on a reserved stream domain. Both coupling claims, the
 expectation gap and the exact marginals, are judged on one pass over the
 same draws.
 Intervals are closed-form functions of the losses and draw nothing.
-Every check runs on the calling thread and shares no mutable state, so
-checks may run on concurrent threads.
+The drawing entry points take ``threads``: the blocks, or the chunks, of
+one call are shared among that many worker threads (capped at the usable
+cores and at the units to draw; one runs on the calling thread and starts
+none). A unit draws only from its own stream and writes only its own
+result, so the output does not depend on the thread count. Checks share
+no mutable state, so they may also run on concurrent threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,7 +71,7 @@ __all__ = [
     "verify_variance_lb",
     "verify_kl_tail_bound",
     "poisson_tail_checks",
-    "check_gof_reps",
+    "check_gof_regime",
     "coupling_checks",
     "expected_kl_check",
     "chi_square_gof",
@@ -134,12 +140,54 @@ def _check_stored(reps: int) -> None:
         raise ValueError(f"repetition count must be >= 1 and is capped at {MAX_STORED_TRIALS} (got {reps})")
 
 
-def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int) -> np.ndarray:
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _map_units(fn, count: int, threads: int) -> list:
+    """[fn(u) for u in range(count)], in index order, with the units shared
+    among min(threads, usable cores, count) workers: the calling thread and
+    one fewer started threads, each taking the next unit until none is left.
+    With one worker no thread is started. The first exception a unit raises
+    stops the workers taking units, and is raised once every started thread
+    has been joined."""
+    workers = min(threads, count, _usable_cores())
+    if workers <= 1:
+        return [fn(u) for u in range(count)]
+    results = [None] * count
+    units = iter(range(count))
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        while not errors:
+            with lock:
+                u = next(units, None)
+            if u is None:
+                return
+            try:
+                results[u] = fn(u)
+            except BaseException as exc:  # raised again on the calling thread
+                errors.append(exc)
+
+    started = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in started:
+        thread.start()
+    work()
+    for thread in started:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, threads: int = 1) -> np.ndarray:
     """Per-trial KL(p || add-t estimate) losses; trial i is row i mod 2048 of
     the block drawn on stream (master_seed, i // 2048): n symbols when
     4n <= k (row-sorted uniforms mapped through the normalised cumulative
-    pmf), else Mult(n, p) counts. Rejects n < 1 and reps outside
-    [1, MAX_STORED_TRIALS] before drawing."""
+    pmf), else Mult(n, p) counts. The blocks are shared among ``threads``
+    workers (see ``_map_units``), each writing its own rows. Rejects n < 1
+    and reps outside [1, MAX_STORED_TRIALS] before drawing."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     _check_stored(reps)
@@ -150,8 +198,10 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int) ->
     if categorical:
         cdf = pmf.probs.cumsum()
         cdf /= cdf[-1]
-    for block_lo in range(0, reps, _BLOCK):
-        rng = derive_trial_rng(master_seed, block_lo // _BLOCK)
+
+    def block(b):
+        rng = derive_trial_rng(master_seed, b)
+        block_lo = b * _BLOCK
         block_hi = min(block_lo + _BLOCK, reps)
         for lo in range(block_lo, block_hi, chunk):
             hi = min(lo + chunk, block_hi)
@@ -162,18 +212,29 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int) ->
                 losses[lo:hi] = kl_losses_from_sorted_draws(pmf, cdf.searchsorted(u, side="right"), t)
             else:
                 losses[lo:hi] = kl_losses(pmf, rng.multinomial(n, pmf.probs, size=hi - lo), t)
+
+    _map_units(block, -(-reps // _BLOCK), threads)
     if t > 0 and not np.all(np.isfinite(losses)):
         raise RuntimeError("add-t losses with t > 0 must be finite")
     return losses
 
 
-def _moments_blockwise(losses: np.ndarray, total: RunningMoments | None = None) -> RunningMoments:
-    """Single stable pass: pairwise block statistics merged in index order,
-    into ``total`` when it is given (a new accumulator otherwise)."""
-    total = RunningMoments() if total is None else total
-    for lo in range(0, losses.size, _BLOCK):
-        total.merge(RunningMoments.from_array(losses[lo : lo + _BLOCK]))
+def _block_moments(values: np.ndarray) -> list[RunningMoments]:
+    """Pairwise statistics of each 2048-value block of ``values``, in index order."""
+    return [RunningMoments.from_array(values[lo : lo + _BLOCK]) for lo in range(0, values.size, _BLOCK)]
+
+
+def _merged(parts) -> RunningMoments:
+    """The moments in ``parts`` merged in order."""
+    total = RunningMoments()
+    for part in parts:
+        total.merge(part)
     return total
+
+
+def _moments_blockwise(losses: np.ndarray) -> RunningMoments:
+    """Single stable pass: pairwise block statistics merged in index order."""
+    return _merged(_block_moments(losses))
 
 
 def _exact_quantiles(losses: np.ndarray) -> list[float]:
@@ -184,15 +245,16 @@ def _exact_quantiles(losses: np.ndarray) -> list[float]:
 
 
 def run_kl_trials(pmf: Pmf, n: int, reps: int, seed: int, t: float = 1.0,
-                  delta: float | None = None) -> dict:
+                  delta: float | None = None, *, threads: int = 1) -> dict:
     """Draw n samples from p per trial (as symbols or as counts, see
     ``_kl_loss_samples``), smooth with add-t, and aggregate the KL losses,
     keyed as ``simulate``'s columns. Given ``delta``, ``t_delta`` is the
     deviation bound and ``exceed_frac`` the fraction of losses above
     mean + t_delta; both are None otherwise. Deterministic given its
-    arguments; delta is checked before anything is drawn."""
+    arguments other than ``threads``, the worker count of the draw; delta is
+    checked before anything is drawn."""
     t_delta = None if delta is None else kl_deviation_bound(BoundInputs(k=len(pmf), n=n, delta=delta))
-    losses = _kl_loss_samples(pmf, n, t, seed, reps)
+    losses = _kl_loss_samples(pmf, n, t, seed, reps, threads=threads)
     if np.isinf(losses).any():
         # Only reachable with t = 0 (unsmoothed estimate misses support).
         mean_kl = var_kl = std_kl = math.inf
@@ -251,11 +313,11 @@ def _variance_interval(losses: np.ndarray, moments: RunningMoments) -> tuple[flo
     return max(0.0, s2 - half), s2 + half
 
 
-def verify_variance_lb(k: int, n: int, reps: int, seed: int) -> ClaimResult:
+def verify_variance_lb(k: int, n: int, reps: int, seed: int, *, threads: int = 1) -> ClaimResult:
     """Empirical Var(KL) for the add-one estimator on uniform(k) against the
     closed-form floor k/(32 n^2); requires k >= 2 and n >= 10k."""
     lb = variance_lower_bound(k, n)  # validates k >= 2 and n >= 10k
-    losses = _kl_loss_samples(uniform_pmf(k), n, 1.0, seed, reps)
+    losses = _kl_loss_samples(uniform_pmf(k), n, 1.0, seed, reps, threads=threads)
     moments = _moments_blockwise(losses)
     empirical = moments.variance
     ci_low, ci_high = _variance_interval(losses, moments)
@@ -269,27 +331,29 @@ def exceedance_allowance(delta: float, reps: int) -> float:
     return delta + 3.0 * math.sqrt(delta * (1.0 - delta) / reps)
 
 
-def verify_kl_tail_bound(k: int, n: int, reps: int, delta: float, seed: int) -> ClaimResult:
+def verify_kl_tail_bound(k: int, n: int, reps: int, delta: float, seed: int, *, threads: int = 1) -> ClaimResult:
     """Fraction of trials whose KL loss exceeds mean + deviation bound; must
     stay within delta (plus sampling slack)."""
-    trials = run_kl_trials(uniform_pmf(k), n, reps, seed, delta=delta)
+    trials = run_kl_trials(uniform_pmf(k), n, reps, seed, delta=delta, threads=threads)
     allowed = exceedance_allowance(delta, reps)
     return ClaimResult(bool(trials["exceed_frac"] <= allowed),
                        {"t_delta": trials["t_delta"], "exceed_frac": trials["exceed_frac"], "allowed": allowed})
 
 
-def poisson_tail_checks(lam: float, deltas, reps: int, seed: int) -> list[ClaimResult]:
+def poisson_tail_checks(lam: float, deltas, reps: int, seed: int, *, threads: int = 1) -> list[ClaimResult]:
     """Failure rate of |N + 1 - lam| <= 6*sqrt(N+1)*log(2/delta) over Poisson
     draws, which must stay within delta (plus sampling slack): one result per
     delta in ``deltas``, in order, all on one sample of draws, so a delta's
-    result does not depend on the other deltas checked with it."""
+    result does not depend on the other deltas checked with it. The chunks
+    are shared among ``threads`` workers (see ``_map_units``)."""
     _check_stored(reps)
-    fails = [0] * len(deltas)
-    for lo in range(0, reps, _DRAW_CHUNK):
-        draws = derive_trial_rng(seed, lo // _DRAW_CHUNK).poisson(lam, size=min(_DRAW_CHUNK, reps - lo))
+
+    def chunk_fails(c):
+        draws = derive_trial_rng(seed, c).poisson(lam, size=min(_DRAW_CHUNK, reps - c * _DRAW_CHUNK))
         deviation = np.abs(draws + 1.0 - lam)
-        for i, delta in enumerate(deltas):
-            fails[i] += int(np.count_nonzero(deviation > poisson_tail_radius(draws, delta)))
+        return [int(np.count_nonzero(deviation > poisson_tail_radius(draws, delta))) for delta in deltas]
+
+    fails = [sum(counts) for counts in zip(*_map_units(chunk_fails, -(-reps // _DRAW_CHUNK), threads))]
     results = []
     for delta, count in zip(deltas, fails):
         fail_frac = count / reps
@@ -352,10 +416,16 @@ def chi_square_gof(counts: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0
     return GofResult(statistic=statistic, p_value=p_value, dof=dof, bins=len(merged_exp))
 
 
-def check_gof_reps(reps: int) -> None:
-    """Raise ValueError unless reps is enough draws for the marginal GOF tests."""
+MAX_GOF_N = 2**24  # Bin(n, prob)'s pmf in the marginal GOF has n + 1 entries: 134 MB at the cap
+
+
+def check_gof_regime(n: int, reps: int) -> None:
+    """Raise ValueError unless the marginal GOF tests can run: reps >= 1e5
+    draws, and n <= MAX_GOF_N, which bounds the pmf and the count vectors."""
     if reps < 10**5:
         raise ValueError(f"marginal GOF needs reps >= 1e5, got {reps}")
+    if n > MAX_GOF_N:
+        raise ValueError(f"marginal GOF needs n <= {MAX_GOF_N} (n + 1 bins), got {n}")
 
 
 def _poisson_upper(lam: float) -> int:
@@ -365,36 +435,51 @@ def _poisson_upper(lam: float) -> int:
     return math.ceil(lam + third + math.sqrt(third * third + 6.0 * third * lam))
 
 
-def _add_counts(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Elementwise sum of two count vectors of any lengths; may reuse either."""
-    if counts.size > total.size:
-        total, counts = counts, total
-    total[: counts.size] += counts
+def _offset_bincount(values: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, counts): counts[j] is the number of ``values`` equal to lo + j, and
+    lo the least value, so the counts span only the values drawn."""
+    lo = int(values.min())
+    return lo, np.bincount(values - lo)
+
+
+def _add_counts(total: np.ndarray, lo: int, counts: np.ndarray) -> np.ndarray:
+    """``total`` with counts[j] added to entry lo + j, grown with zeros as needed;
+    may reuse ``total``."""
+    hi = lo + counts.size
+    if hi > total.size:
+        total = np.concatenate([total, np.zeros(hi - total.size, dtype=total.dtype)])
+    total[lo:hi] += counts
     return total
 
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
-def coupling_checks(n: int, prob: float, reps: int, seed: int) -> list[ClaimResult]:
+def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int = 1) -> list[ClaimResult]:
     """Both claims about the coupling, judged on one pass over its draws:
     [gap, marginals]. gap: the Monte Carlo estimate of E[(M - M')/(M' + 1)]
     against the closed-form ceiling 311/n + 160/(n^1.5 * prob), the
     expectation gap bound at k = 1/prob; it passes unless the 99% CI
     certifies a violation (lower edge above the ceiling). marginals: the
     goodness of fit of the two coordinates against their exact marginals,
-    Bin(n, prob) for M and Poi(n * prob) for M'."""
-    check_gof_reps(reps)
+    Bin(n, prob) for M and Poi(n * prob) for M'. The chunks are shared
+    among ``threads`` workers (see ``_map_units``); their block moments are
+    merged in index order, so the doubles do not depend on the worker count."""
+    check_gof_regime(n, reps)
     _check_stored(reps)
-    moments = RunningMoments()
-    counts_m = np.zeros(0, dtype=np.int64)
-    counts_mp = np.zeros(0, dtype=np.int64)
-    for lo in range(0, reps, _DRAW_CHUNK):
-        rng = derive_trial_rng(seed, lo // _DRAW_CHUNK)
-        m, m_prime, *_ = coupled_pairs(rng, n, prob, min(_DRAW_CHUNK, reps - lo))
-        _moments_blockwise((m - m_prime) / (m_prime + 1.0), moments)  # chunks are whole blocks
-        counts_m = _add_counts(counts_m, np.bincount(m))
-        counts_mp = _add_counts(counts_mp, np.bincount(m_prime))
+
+    def chunk(c):
+        size = min(_DRAW_CHUNK, reps - c * _DRAW_CHUNK)
+        m, m_prime, *_ = coupled_pairs(derive_trial_rng(seed, c), n, prob, size)
+        # chunks are whole blocks, so the blocks are those of all the draws
+        return _block_moments((m - m_prime) / (m_prime + 1.0)), _offset_bincount(m), _offset_bincount(m_prime)
+
+    parts = _map_units(chunk, -(-reps // _DRAW_CHUNK), threads)
+    moments = _merged(block for blocks, _, _ in parts for block in blocks)
+    counts_m, counts_mp = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    for _, (lo_m, bins_m), (lo_mp, bins_mp) in parts:
+        counts_m = _add_counts(counts_m, lo_m, bins_m)
+        counts_mp = _add_counts(counts_mp, lo_mp, bins_mp)
 
     half = _Z99 * math.sqrt(moments.variance / reps)
     est = moments.mean
@@ -412,10 +497,10 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int) -> list[ClaimResu
     return [gap, marginals]
 
 
-def expected_kl_check(pmf: Pmf, n: int, reps: int, seed: int) -> ClaimResult:
+def expected_kl_check(pmf: Pmf, n: int, reps: int, seed: int, *, threads: int = 1) -> ClaimResult:
     """Mean add-one KL loss on p against the worst-case expectation (k-1)/n,
     with one-sided CI slack of three standard errors."""
-    losses = _kl_loss_samples(pmf, n, 1.0, seed, reps)
+    losses = _kl_loss_samples(pmf, n, 1.0, seed, reps, threads=threads)
     moments = _moments_blockwise(losses)
     ceiling = (len(pmf) - 1) / n
     slack = 3.0 * math.sqrt(moments.variance / reps)

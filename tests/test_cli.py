@@ -1,6 +1,7 @@
 import math
 import pathlib
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -43,6 +44,30 @@ _GOLDEN_SIMULATE = {
     "simulate-zipf-tsv.tsv": ["--dist", "zipf", "--k", "50", "--n", "300", "--reps", "5000", "--t", "0.5",
                               "--zipf-s", "1.3", "--format", "tsv", "--seed", "5"],
 }
+
+
+class _CountedThread(threading.Thread):
+    """threading.Thread that records each instance made."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made.append(self)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The worker threads the harness makes, on a host taken to have 4 usable
+    cores, so that up to 4 workers run whatever the machine has."""
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(harness.threading, "Thread", _CountedThread)
+    _CountedThread.made = []
+    return _CountedThread.made
+
+
+# Three whole trial blocks and five trials of a fourth.
+_MULTI_BLOCK_REPS = str(3 * 2048 + 5)
 
 
 class TestSimulate:
@@ -109,16 +134,30 @@ class TestSimulate:
                    "--seed", "3", "--out", str(out)) == 0
         assert out.read_text().strip().split("\n")[1].split(",")[0] == "2"
 
-    def test_byte_identical_across_thread_counts(self, tmp_path):
-        outs = []
-        for threads in ("1", "2", "4"):
-            out = tmp_path / f"r{threads}.csv"
-            assert run(
-                "simulate", "--dist", "uniform", "--k", "8", "--n", "200", "--reps", "3000",
-                "--seed", "11", "--threads", threads, "--out", str(out),
-            ) == 0
-            outs.append(read(out))
-        assert outs[0] == outs[1] == outs[2]
+    def test_byte_identical_across_thread_counts(self, tmp_path, started_threads):
+        # the count path, then the symbol path (4n <= k)
+        for dist in (["uniform", "--k", "8", "--n", "200"], ["zipf", "--k", "1000", "--n", "100"]):
+            outs = []
+            for threads in ("1", "2", "4"):
+                out = tmp_path / f"r{threads}.csv"
+                assert run(
+                    "simulate", "--dist", *dist, "--reps", _MULTI_BLOCK_REPS,
+                    "--seed", "11", "--threads", threads, "--out", str(out),
+                ) == 0
+                outs.append(read(out))
+            assert outs[0] == outs[1] == outs[2]
+        assert len(started_threads) == 2 * (1 + 3)  # each path's blocks ran on 2 and on 4 workers
+
+    def test_worker_count_is_capped(self, capsys, started_threads, monkeypatch):
+        # one worker per usable core at most, the calling thread being one of them
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
+        argv = ["simulate", "--dist", "uniform", "--k", "8", "--n", "200", "--reps", _MULTI_BLOCK_REPS,
+                "--seed", "11", "--out", "-"]
+        assert run(*argv, "--threads", "100000") == 0
+        assert len(started_threads) == 2
+        out = capsys.readouterr().out
+        assert run(*argv, "--threads", "1") == 0
+        assert capsys.readouterr().out == out
 
     def test_tsv_format(self, tmp_path):
         out = tmp_path / "r.tsv"
@@ -333,7 +372,7 @@ _NEGATIVE_CONTROLS = {
                       ["--lam", "5", "--delta", "0.3", "--reps", "20000"], "|N+1-lam|")],
     "coupling": [("coupled_pairs", _shift_m, _COUPLING_FLAGS, "coupling gap"),
                  ("GOF_P_THRESHOLD", lambda f: 1.01, _COUPLING_FLAGS, "coupling marginals")],
-    "expectation": [("_kl_loss_samples", lambda f: lambda *a: f(*a) + 1.0,
+    "expectation": [("_kl_loss_samples", lambda f: lambda *a, **kw: f(*a, **kw) + 1.0,
                      ["--n", "1000", "--reps", "1000"], "mean add-one KL loss")],
     "facts": [("binomial_product_variance", lambda f: lambda n0: f(n0) + 1.0, [], "Var(X(n0-X))")],
 }
@@ -361,6 +400,29 @@ def test_check_byte_identical_across_thread_counts(suite, capsys):
     assert_golden(f"check-{suite}.txt", outs[0])
 
 
+# Per suite, reps of at least three blocks (trials) or three chunks (draws) and a fourth, partial one.
+_MULTI_BLOCK = {"variance": _MULTI_BLOCK_REPS, "thm": _MULTI_BLOCK_REPS, "expectation": _MULTI_BLOCK_REPS,
+                "poisson-tail": str(3 * 2**16 + 5)}
+
+
+@pytest.mark.parametrize("suite", list(_MULTI_BLOCK))
+def test_multi_block_check_byte_identical_across_thread_counts(suite, capsys, started_threads):
+    outs = []
+    for threads in ("1", "2", "4"):
+        assert run("check", "--suite", suite, "--reps", _MULTI_BLOCK[suite], "--seed", "7", "--threads", threads) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert started_threads  # the blocks or chunks did run on worker threads
+
+
+def test_check_leaves_no_thread_behind(capsys, started_threads):
+    before = threading.active_count()
+    assert run("check", "--suite", "variance", "--reps", _MULTI_BLOCK_REPS, "--seed", "7", "--threads", "2") == 0
+    assert len(started_threads) == 3  # one a config
+    assert threading.active_count() == before
+    assert not any(thread.is_alive() for thread in started_threads)
+
+
 def test_marginals_is_a_second_name_for_coupling(capsys):
     assert run("check", "--suite", "marginals", *_SMALL_REPS["coupling"], "--seed", "7") == 0
     assert_golden("check-coupling.txt", capsys.readouterr().out)
@@ -385,7 +447,7 @@ def test_check_all_draws_the_coupled_pairs_once_per_config(monkeypatch, capsys):
 def test_expectation_labels_name_their_pmfs(monkeypatch, capsys):
     seen = []
 
-    def record(pmf, n, reps, seed):
+    def record(pmf, n, reps, seed, **_):
         seen.append(pmf.probs.tolist())
         return ClaimResult(True, {"mean_kl": 0.0, "ceiling": 0.0, "slack": 0.0})
 
@@ -467,6 +529,8 @@ _OUT_OF_RANGE = [
     # above numpy's largest Poisson rate, which also bounds --n
     *[(command, "--n", str(2**63)) for command in ("simulate", "thm")],
     ("coupling", "--n", str(10**20)),
+    # the marginal GOF's pmf and count vectors have n + 1 entries
+    *[("coupling", "--n", value) for value in (str(2**24 + 1), "9000000000000000000")],
 ]
 
 

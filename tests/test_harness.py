@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from klconc.harness import (
     _DRAW_CHUNK,
     _Z99,
     _kl_loss_samples,
+    _map_units,
     _moments_blockwise,
     _poisson_upper,
 )
@@ -209,6 +212,89 @@ class TestTrialStreams:
         assert np.array_equal(_kl_loss_samples(p, 16, t, seed, reps), kl_losses_from_sorted_draws(p, draws, t))
         counts = derive_trial_rng(seed, 0).multinomial(17, p.probs, size=reps)
         assert np.array_equal(_kl_loss_samples(p, 17, t, seed, reps), kl_losses(p, counts, t))
+
+
+class _RecordedThread:
+    """Stands in for threading.Thread: records its creation and starts nothing,
+    so the calling thread runs every unit."""
+
+    made = []
+
+    def __init__(self, target):
+        self.made.append(self)
+
+    def start(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.fixture
+def recorded_threads(monkeypatch):
+    monkeypatch.setattr(harness.threading, "Thread", _RecordedThread)
+    _RecordedThread.made = []
+    return _RecordedThread.made
+
+
+class TestBlockPool:
+    """The blocks of the engine and the chunks of the streamed claims are
+    shared among worker threads; the results do not depend on how many."""
+
+    def test_units_are_each_run_once_in_index_order(self, monkeypatch):
+        # more workers than cores, with a short switch interval to interleave them
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            seen = []
+            got = _map_units(lambda u: seen.append(u) or u * u, 5000, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [u * u for u in range(5000)]
+        assert sorted(seen) == list(range(5000))
+
+    @pytest.mark.parametrize("count,threads", [(1, 8), (10, 1)])
+    def test_one_worker_starts_no_thread(self, count, threads, recorded_threads, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 8)
+        assert _map_units(lambda u: u, count, threads) == list(range(count))
+        assert recorded_threads == []
+
+    @pytest.mark.parametrize("cores,count,threads,started", [
+        (3, 4900, 100_000, 2),  # capped at the usable cores
+        (64, 3, 100_000, 2),  # capped at the units
+        (64, 4900, 4, 3),  # the calling thread is one of the workers
+    ])
+    def test_worker_count_is_capped(self, cores, count, threads, started, recorded_threads, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+        assert _map_units(lambda u: u, count, threads) == list(range(count))
+        assert len(recorded_threads) == started
+
+    def test_unit_error_reaches_the_caller_after_every_thread_is_joined(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        calls = []
+        lock = threading.Lock()
+        losses = harness.kl_losses
+
+        def third_raises(*args):
+            with lock:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise RuntimeError("third block")
+            return losses(*args)
+
+        monkeypatch.setattr(harness, "kl_losses", third_raises)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third block"):
+            _kl_loss_samples(uniform_pmf(8), 200, 1.0, 7, 5 * 2048, threads=2)  # one kl_losses call a block
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("pmf,n", [(uniform_pmf(8), 200), (zipf_pmf(1000), 100)], ids=["counts", "symbols"])
+    def test_losses_do_not_depend_on_threads(self, pmf, n, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
+        reps = 3 * 2048 + 5
+        assert np.array_equal(_kl_loss_samples(pmf, n, 1.0, 9, reps, threads=1),
+                              _kl_loss_samples(pmf, n, 1.0, 9, reps, threads=3))
 
 
 def _exact_mean_add_one(p: np.ndarray, n: int) -> float:
@@ -444,6 +530,13 @@ class TestCouplingDiagnostics:
         with pytest.raises(ValueError, match="marginal GOF needs reps >= 1e5"):
             coupling_checks(20, 0.4, 10**4, seed=1)
 
+    def test_marginal_gof_caps_n_before_drawing(self, monkeypatch):
+        # Bin(n, prob)'s pmf has n + 1 entries; the regime bounds it before any draw
+        harness.check_gof_regime(harness.MAX_GOF_N, 10**5)
+        monkeypatch.setattr(harness, "derive_trial_rng", _no_draw)
+        with pytest.raises(ValueError, match=f"marginal GOF needs n <= {harness.MAX_GOF_N} "):
+            coupling_checks(harness.MAX_GOF_N + 1, 0.5, 10**5, seed=1)
+
     def test_marginal_gof_passes(self):
         r = coupling_checks(20, 0.4, 10**5, seed=9)[1]
         assert r.passed
@@ -479,7 +572,7 @@ class TestStreamedClaims:
     @pytest.mark.parametrize("size", CHUNK_EDGE_SIZES)
     @pytest.mark.parametrize("n,prob", [(20, 0.4), (100, 0.5), (10_000, 0.01), (7, 1.0)])
     def test_coupling_chunk_c_is_stream_c(self, n, prob, size, monkeypatch):
-        monkeypatch.setattr(harness, "check_gof_reps", lambda reps: None)  # let sizes below 1e5 in
+        monkeypatch.setattr(harness, "check_gof_regime", lambda n, reps: None)  # let sizes below 1e5 in
         chunks = [coupled_pairs(rng, n, prob, s) for rng, s in _chunk_streams(6, size)]
         m, m_prime = (np.concatenate(parts) for parts in list(zip(*chunks))[:2])
 
@@ -498,6 +591,17 @@ class TestStreamedClaims:
             "chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
             "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value}
 
+    @pytest.mark.parametrize("size", CHUNK_EDGE_SIZES)
+    def test_values_do_not_depend_on_threads(self, size, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(harness, "check_gof_regime", lambda n, reps: None)
+
+        def values(threads):
+            return ([r.values for r in poisson_tail_checks(10.0, (0.05, 0.5), size, seed=4, threads=threads)],
+                    [r.values for r in coupling_checks(20, 0.4, size, seed=6, threads=threads)])
+
+        np.testing.assert_equal(values(3), values(1))  # nan == nan: one draw has no standard error
+
     @pytest.mark.parametrize("reps", CHUNK_EDGE_SIZES[:-1])
     def test_poisson_tail_reps_are_a_prefix(self, reps, monkeypatch):
         def drawn(r):
@@ -515,7 +619,7 @@ class TestStreamedClaims:
 
     @pytest.mark.parametrize("reps", CHUNK_EDGE_SIZES[:-1])
     def test_coupling_reps_are_a_prefix(self, reps, monkeypatch):
-        monkeypatch.setattr(harness, "check_gof_reps", lambda reps: None)
+        monkeypatch.setattr(harness, "check_gof_regime", lambda n, reps: None)
 
         def drawn(r):
             seen = []
