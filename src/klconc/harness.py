@@ -152,8 +152,6 @@ def _map_units(fn, count: int, threads: int) -> list:
     stops the workers taking units, and is raised once every started thread
     has been joined."""
     workers = min(threads, count, _usable_cores())
-    if workers <= 1:
-        return [fn(u) for u in range(count)]
     results = [None] * count
     units = iter(range(count))
     lock = threading.Lock()
