@@ -47,10 +47,6 @@ class UsageError(Exception):
 def _fmt_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -163,8 +159,7 @@ def _cmd_simulate(args) -> int:
     k = len(pmf)
     if not math.isfinite(args.n + k * args.t):
         raise UsageError(f"--t {args.t:g} overflows the add-t denominator n + k*t at k={k}")
-    summary = run_kl_trials(pmf, args.n, args.reps, args.seed, t=args.t, delta=args.delta,
-                            threads=args.threads or _usable_cores())
+    summary = run_kl_trials(pmf, args.n, args.reps, args.seed, t=args.t, delta=args.delta, threads=args.threads)
     header = ["k", "n", "reps", "t", "mean_kl", "var_kl", "std_kl", "q50", "q90", "q99",
               "exceed_frac", "t_delta"]
     _write_table(args.out, header, [[k, args.n, args.reps, args.t, *summary.values()]], _sep(args.format))
@@ -204,7 +199,7 @@ def _parse_ks(text: str) -> list[int]:
 
 def _cmd_figure1(args) -> int:
     ks = _parse_ks(args.ks)
-    rows = sweep_std_vs_heuristic(ks, n=args.n, reps=args.reps, master_seed=args.seed)
+    rows = sweep_std_vs_heuristic(ks, args.n, args.reps, args.seed, threads=args.threads)
     header = ["k", "sample_std", "heuristic_std", "ratio"]
     _write_table(args.out, header, [list(r.values()) for r in rows], _sep(args.format))
     if args.svg:
@@ -313,7 +308,6 @@ def _cmd_check(args) -> int:
     for field in given:
         if not any(field in suites[name].fields for name in names):
             raise UsageError(f"--{field} is a field of none of the suites run: {', '.join(names)}")
-    threads = args.threads or _usable_cores()
     runs = []  # (suite name, runner arguments), in output order
     for name in names:
         suite = suites[name]
@@ -321,7 +315,7 @@ def _cmd_check(args) -> int:
         for cfg in dict.fromkeys(configs):  # configs an override made equal run once
             kwargs = dict(zip(suite.fields, cfg))
             if suite.reps is not None:
-                kwargs.update(reps=args.reps or suite.reps, seed=args.seed, threads=threads)
+                kwargs.update(reps=args.reps or suite.reps, seed=args.seed, threads=args.threads)
             if suite.regime is not None:
                 try:
                     suite.regime(**kwargs)
@@ -371,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mass", type=_mass, default=0.99, help="twopoint head mass (default 0.99)")
     sim.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     sim.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    sim.add_argument("--threads", type=_count, help=_THREADS_HELP)
     sim.set_defaults(func=_cmd_simulate)
 
     bnd = sub.add_parser("bounds", help="evaluate the closed-form bounds for (k, n, delta)")
@@ -390,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     fig.add_argument("--svg", help="also render a log-log SVG plot to this path")
     fig.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    fig.add_argument("--threads", type=_count, help="accepted and ignored: results do not depend on it")
     fig.set_defaults(func=_cmd_figure1)
 
     suites = _suites()
@@ -403,8 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
         takers = ", ".join(name for name, suite in suites.items() if field in suite.fields)
         chk.add_argument(f"--{field}", type=kind,
                          help=f"{what}: replaces {field} in every default config of {takers}")
-    chk.add_argument("--threads", type=_count, help=_THREADS_HELP)
     chk.set_defaults(func=_cmd_check)
+
+    for drawing in (sim, fig, chk):
+        drawing.add_argument("--threads", type=_count, default=_usable_cores(), help=_THREADS_HELP)
 
     return parser
 

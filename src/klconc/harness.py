@@ -4,23 +4,15 @@ Every experiment takes the distribution as a ``Pmf`` and plain arguments
 and is a pure function of them: ``run_kl_trials`` returns the aggregated
 losses keyed as ``simulate``'s CSV columns, and each claim check returns a
 ``ClaimResult``.
-Every random draw follows one rule: unit u of a run comes from the stream
-derived from (master_seed, u). The KL-loss engine's unit is a block of
-2048 trials: trial i is row ``i mod 2048`` of block ``i // 2048``. When
-4n <= k a row is n categorical symbols, drawn as row-sorted uniforms
-mapped through the normalised cumulative pmf (the same rows as
-``Generator.choice``, sorted), and scored by ``kl_losses_from_sorted_draws``;
-otherwise it is a Mult(n, p) count vector scored by ``kl_losses``. A block
-is drawn in sub-chunks of at most 2^18 cells (rows x n symbols or rows x k
-counts) from its one stream, which yields the same rows as one draw. The
-coupling and Poisson-tail claims' unit is a chunk of at most 2^16 draws
-(``_DRAW_CHUNK``): draw j is entry ``j mod 2^16`` of chunk ``j // 2^16``.
-So ``reps=r`` gives the first r trials or draws of any longer run, for
-every claim. Aggregation walks the blocks, or the chunks, in index order,
-and the only auxiliary randomness, the figure-1 sweep's per-row
-sub-seeds, lives on a reserved stream domain. Both coupling claims, the
-expectation gap and the exact marginals, are judged on one pass over the
-same draws.
+Every random draw follows one rule, which ``_map_streams`` applies: unit u
+of a run draws its slice of the run from the stream derived from
+(master_seed, u). The units are the engine's 2048-trial blocks (``_BLOCK``)
+and the coupling and Poisson-tail claims' 2^16-draw chunks
+(``_DRAW_CHUNK``); the README's "Exact seeded sampling" states the rule in
+full. Aggregation walks the blocks, or the chunks, in index order, and the
+only auxiliary randomness, the figure-1 sweep's per-row sub-seeds, lives
+on a reserved stream domain. Both coupling claims, the expectation gap and
+the exact marginals, are judged on one pass over the same draws.
 Intervals are closed-form functions of the losses and draw nothing.
 The drawing entry points take ``threads``: the blocks, or the chunks, of
 one call are shared among that many worker threads (capped at the usable
@@ -81,6 +73,7 @@ __all__ = [
 QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 MAX_STORED_TRIALS = 10**7
 GOF_P_THRESHOLD = 1e-3
+_GOF_MIN_EXPECTED = 5.0  # a GOF bin is merged into the next until its expected count reaches this
 _BLOCK = 2048
 _CHUNK_CELLS = 2**18  # symbols or counts held at once: 2 MB of int64, whatever k and n are
 _CATEGORICAL = 4  # rows are drawn as symbols when _CATEGORICAL * n <= k
@@ -144,13 +137,16 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _map_units(fn, count: int, threads: int) -> list:
-    """[fn(u) for u in range(count)], in index order, with the units shared
-    among min(threads, usable cores, count) workers: the calling thread and
-    one fewer started threads, each taking the next unit until none is left.
+def _map_streams(fn, seed: int, reps: int, unit: int, threads: int) -> list:
+    """[fn(rng, lo, hi) for each unit u], in index order: unit u draws the
+    slice [lo, hi) = [u * unit, min(u * unit + unit, reps)) of the run from
+    rng = derive_trial_rng(seed, u). The units are shared among
+    min(threads, usable cores, units) workers: the calling thread and one
+    fewer started threads, each taking the next unit until none is left.
     With one worker no thread is started. The first exception a unit raises
     stops the workers taking units, and is raised once every started thread
     has been joined."""
+    count = -(-reps // unit)
     workers = min(threads, count, _usable_cores())
     results = [None] * count
     units = iter(range(count))
@@ -163,8 +159,9 @@ def _map_units(fn, count: int, threads: int) -> list:
                 u = next(units, None)
             if u is None:
                 return
+            lo = u * unit
             try:
-                results[u] = fn(u)
+                results[u] = fn(derive_trial_rng(seed, u), lo, min(lo + unit, reps))
             except BaseException as exc:  # raised again on the calling thread
                 errors.append(exc)
 
@@ -184,7 +181,7 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
     the block drawn on stream (master_seed, i // 2048): n symbols when
     4n <= k (row-sorted uniforms mapped through the normalised cumulative
     pmf), else Mult(n, p) counts. The blocks are shared among ``threads``
-    workers (see ``_map_units``), each writing its own rows. Rejects n < 1
+    workers (see ``_map_streams``), each writing its own rows. Rejects n < 1
     and reps outside [1, MAX_STORED_TRIALS] before drawing."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
@@ -197,10 +194,7 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
         cdf = pmf.probs.cumsum()
         cdf /= cdf[-1]
 
-    def block(b):
-        rng = derive_trial_rng(master_seed, b)
-        block_lo = b * _BLOCK
-        block_hi = min(block_lo + _BLOCK, reps)
+    def block(rng, block_lo, block_hi):
         for lo in range(block_lo, block_hi, chunk):
             hi = min(lo + chunk, block_hi)
             if categorical:
@@ -211,7 +205,7 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
             else:
                 losses[lo:hi] = kl_losses(pmf, rng.multinomial(n, pmf.probs, size=hi - lo), t)
 
-    _map_units(block, -(-reps // _BLOCK), threads)
+    _map_streams(block, master_seed, reps, _BLOCK, threads)
     if t > 0 and not np.all(np.isfinite(losses)):
         raise RuntimeError("add-t losses with t > 0 must be finite")
     return losses
@@ -267,10 +261,11 @@ def run_kl_trials(pmf: Pmf, n: int, reps: int, seed: int, t: float = 1.0,
             "exceed_frac": exceed_frac, "t_delta": t_delta}
 
 
-def sweep_std_vs_heuristic(ks, n: int = 10240, reps: int = 1000, master_seed: int = 0) -> list[dict]:
+def sweep_std_vs_heuristic(ks, n: int, reps: int, master_seed: int, *, threads: int = 1) -> list[dict]:
     """Sample std of the add-one KL loss on uniform(k) vs sqrt(k/2)/n: one
     dict per k, keyed as ``figure1``'s columns. Each row runs on its own
-    derived sub-seed so rows are independent.
+    derived sub-seed so rows are independent; a row's blocks are shared
+    among ``threads`` workers.
 
     sqrt(k/2)/n is the large-k form of the chi-square approximation; its
     exact-dof form under multinomial sampling is sqrt((k-1)/2)/n, so the
@@ -279,7 +274,7 @@ def sweep_std_vs_heuristic(ks, n: int = 10240, reps: int = 1000, master_seed: in
     rows = []
     for k in ks:
         sub_seed = _derive_subseed(master_seed, _DOMAIN_SWEEP_ROW, k)
-        std = run_kl_trials(uniform_pmf(k), n, reps, sub_seed)["std_kl"]
+        std = run_kl_trials(uniform_pmf(k), n, reps, sub_seed, threads=threads)["std_kl"]
         heuristic = heuristic_kl_std(k, n)
         rows.append({"k": k, "sample_std": std, "heuristic_std": heuristic,
                      "ratio": std / heuristic if std > 0 else None})
@@ -343,15 +338,15 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int, *, threads: in
     draws, which must stay within delta (plus sampling slack): one result per
     delta in ``deltas``, in order, all on one sample of draws, so a delta's
     result does not depend on the other deltas checked with it. The chunks
-    are shared among ``threads`` workers (see ``_map_units``)."""
+    are shared among ``threads`` workers (see ``_map_streams``)."""
     _check_stored(reps)
 
-    def chunk_fails(c):
-        draws = derive_trial_rng(seed, c).poisson(lam, size=min(_DRAW_CHUNK, reps - c * _DRAW_CHUNK))
+    def chunk_fails(rng, lo, hi):
+        draws = rng.poisson(lam, size=hi - lo)
         deviation = np.abs(draws + 1.0 - lam)
         return [int(np.count_nonzero(deviation > poisson_tail_radius(draws, delta))) for delta in deltas]
 
-    fails = [sum(counts) for counts in zip(*_map_units(chunk_fails, -(-reps // _DRAW_CHUNK), threads))]
+    fails = [sum(counts) for counts in zip(*_map_streams(chunk_fails, seed, reps, _DRAW_CHUNK, threads))]
     results = []
     for delta, count in zip(deltas, fails):
         fail_frac = count / reps
@@ -369,15 +364,14 @@ class GofResult:
     bins: int
 
 
-def chi_square_gof(counts: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0,
-                   min_expected: float = 5.0) -> GofResult:
+def chi_square_gof(counts: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0) -> GofResult:
     """Chi-square goodness of fit against an exact pmf of the integer draws
     whose value j occurs ``counts[j]`` times (``np.bincount`` of the draws).
 
     ``probs[j]`` is the target P[X = j] for j < len(probs) and ``tail_prob``
     the mass at or beyond len(probs), whose counts share one bin. Adjacent
     bins are merged left to right until each carries expected count >=
-    min_expected (the remainder folds into the last bin), which collapses
+    _GOF_MIN_EXPECTED (the remainder folds into the last bin), which collapses
     the sparse tails.
     """
     n_bins = len(probs)
@@ -392,7 +386,7 @@ def chi_square_gof(counts: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0
     for o, e in zip(observed, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= _GOF_MIN_EXPECTED:
             merged_obs.append(acc_o)
             merged_exp.append(acc_e)
             acc_o = acc_e = 0.0
@@ -440,16 +434,6 @@ def _offset_bincount(values: np.ndarray) -> tuple[int, np.ndarray]:
     return lo, np.bincount(values - lo)
 
 
-def _add_counts(total: np.ndarray, lo: int, counts: np.ndarray) -> np.ndarray:
-    """``total`` with counts[j] added to entry lo + j, grown with zeros as needed;
-    may reuse ``total``."""
-    hi = lo + counts.size
-    if hi > total.size:
-        total = np.concatenate([total, np.zeros(hi - total.size, dtype=total.dtype)])
-    total[lo:hi] += counts
-    return total
-
-
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -461,23 +445,25 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int =
     certifies a violation (lower edge above the ceiling). marginals: the
     goodness of fit of the two coordinates against their exact marginals,
     Bin(n, prob) for M and Poi(n * prob) for M'. The chunks are shared
-    among ``threads`` workers (see ``_map_units``); their block moments are
+    among ``threads`` workers (see ``_map_streams``); their block moments are
     merged in index order, so the doubles do not depend on the worker count."""
     check_gof_regime(n, reps)
     _check_stored(reps)
 
-    def chunk(c):
-        size = min(_DRAW_CHUNK, reps - c * _DRAW_CHUNK)
-        m, m_prime, *_ = coupled_pairs(derive_trial_rng(seed, c), n, prob, size)
+    def chunk(rng, lo, hi):
+        m, m_prime, *_ = coupled_pairs(rng, n, prob, hi - lo)
         # chunks are whole blocks, so the blocks are those of all the draws
         return _block_moments((m - m_prime) / (m_prime + 1.0)), _offset_bincount(m), _offset_bincount(m_prime)
 
-    parts = _map_units(chunk, -(-reps // _DRAW_CHUNK), threads)
-    moments = _merged(block for blocks, _, _ in parts for block in blocks)
-    counts_m, counts_mp = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    for _, (lo_m, bins_m), (lo_mp, bins_mp) in parts:
-        counts_m = _add_counts(counts_m, lo_m, bins_m)
-        counts_mp = _add_counts(counts_mp, lo_mp, bins_mp)
+    blocks, *offset_counts = zip(*_map_streams(chunk, seed, reps, _DRAW_CHUNK, threads))
+    moments = _merged(block for chunk_blocks in blocks for block in chunk_blocks)
+    counts = []
+    for parts in offset_counts:  # M's (lo, bins) of each chunk, then M''s
+        total = np.zeros(max(lo + bins.size for lo, bins in parts), dtype=np.int64)
+        for lo, bins in parts:
+            total[lo : lo + bins.size] += bins
+        counts.append(total)
+    counts_m, counts_mp = counts
 
     half = _Z99 * math.sqrt(moments.variance / reps)
     est = moments.mean

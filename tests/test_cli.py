@@ -59,8 +59,10 @@ class _CountedThread(threading.Thread):
 @pytest.fixture
 def started_threads(monkeypatch):
     """The worker threads the harness makes, on a host taken to have 4 usable
-    cores, so that up to 4 workers run whatever the machine has."""
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
+    cores (the cap and the --threads default), so that up to 4 workers run
+    whatever the machine has."""
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "_usable_cores", lambda: 4)
     monkeypatch.setattr(harness.threading, "Thread", _CountedThread)
     _CountedThread.made = []
     return _CountedThread.made
@@ -248,6 +250,15 @@ class TestFigure1:
 
     def test_empty_ks_usage_error(self, tmp_path):
         assert run("figure1", "--ks", "", "--out", str(tmp_path / "x.csv")) == 2
+
+    def test_byte_identical_across_thread_counts(self, capsys, started_threads):
+        outs = []
+        for threads in ("1", "2", "4"):
+            assert run("figure1", "--ks", "2,8", "--n", "64", "--reps", _MULTI_BLOCK_REPS, "--seed", "5",
+                       "--out", "-", "--threads", threads) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert len(started_threads) == 2 * (1 + 3)  # each row's blocks ran on 2 and on 4 workers
 
     def test_svg_output(self, tmp_path):
         out, a, b = tmp_path / "f.csv", tmp_path / "a.svg", tmp_path / "b.svg"
@@ -556,8 +567,24 @@ def test_rate_bound_is_numpys_largest_poisson_rate():
 
 
 @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
-def test_threads_flag_is_accepted(command):
+def test_threads_flag_is_accepted(command, capsys):
     assert run(*_SUBCOMMANDS[command], "--threads", "3") == 0
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    assert " ".join(cli._THREADS_HELP.split()) in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+@pytest.mark.parametrize("cores,reps,started", [(3, _MULTI_BLOCK_REPS, 2), (8, str(2048 + 1), 1)],
+                         ids=["capped-at-cores", "capped-at-blocks"])
+def test_threads_default_to_the_usable_cores(command, cores, reps, started, capsys, started_threads, monkeypatch):
+    # with --threads omitted, the one config or row runs on min(usable cores, blocks) workers
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "_usable_cores", lambda: cores)
+    argv = list(_SUBCOMMANDS[command])
+    argv[argv.index("--reps") + 1] = reps
+    assert run(*argv) == 0
+    assert len(started_threads) == started
 
 
 def test_csv_floats_roundtrip(tmp_path):

@@ -23,7 +23,7 @@ from klconc.harness import (
     _DRAW_CHUNK,
     _Z99,
     _kl_loss_samples,
-    _map_units,
+    _map_streams,
     _moments_blockwise,
     _poisson_upper,
 )
@@ -248,16 +248,24 @@ class TestBlockPool:
         sys.setswitchinterval(1e-6)
         try:
             seen = []
-            got = _map_units(lambda u: seen.append(u) or u * u, 5000, 8)
+            got = _map_streams(lambda rng, lo, hi: seen.append(lo) or lo * lo, 3, 5000, 1, 8)
         finally:
             sys.setswitchinterval(interval)
         assert got == [u * u for u in range(5000)]
         assert sorted(seen) == list(range(5000))
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("reps", [1, 6, 7, 8, 3 * 7 + 5])  # around units of 7 draws
+    def test_unit_u_draws_its_slice_from_stream_u(self, reps, threads, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
+        got = _map_streams(lambda rng, lo, hi: (rng.bit_generator.state, lo, hi), 5, reps, 7, threads)
+        assert got == [(derive_trial_rng(5, u).bit_generator.state, 7 * u, min(7 * u + 7, reps))
+                       for u in range(-(-reps // 7))]
+
     @pytest.mark.parametrize("count,threads", [(1, 8), (10, 1)])
     def test_one_worker_starts_no_thread(self, count, threads, recorded_threads, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cores", lambda: 8)
-        assert _map_units(lambda u: u, count, threads) == list(range(count))
+        assert _map_streams(lambda rng, lo, hi: lo, 0, count, 1, threads) == list(range(count))
         assert recorded_threads == []
 
     @pytest.mark.parametrize("cores,count,threads,started", [
@@ -267,7 +275,7 @@ class TestBlockPool:
     ])
     def test_worker_count_is_capped(self, cores, count, threads, started, recorded_threads, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
-        assert _map_units(lambda u: u, count, threads) == list(range(count))
+        assert _map_streams(lambda rng, lo, hi: lo, 0, count, 1, threads) == list(range(count))
         assert len(recorded_threads) == started
 
     def test_unit_error_reaches_the_caller_after_every_thread_is_joined(self, monkeypatch):
