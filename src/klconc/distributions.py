@@ -151,7 +151,10 @@ def zipf_pmf(k: int, s: float = 1.0) -> Pmf:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
     if not math.isfinite(s):
         raise ValueError("exponent must be finite")
-    w = np.arange(1, k + 1, dtype=np.float64) ** (-s)
+    base = np.arange(1, k + 1, dtype=np.float64)
+    if s < 0:
+        base /= k  # weights (i/k)**(-s) <= 1, so they cannot overflow
+    w = base ** (-s)
     return Pmf(w / math.fsum(w))
 
 

@@ -54,7 +54,6 @@ from .losses import kl_losses, kl_losses_from_sorted_draws
 from .sampling import _derive_subseed, coupled_pairs, derive_trial_rng
 
 __all__ = [
-    "RunningMoments",
     "GofResult",
     "ClaimResult",
     "exceedance_allowance",
@@ -81,50 +80,6 @@ _DRAW_CHUNK = 2**16  # draws of the coupling and Poisson-tail claims per stream:
 
 # Reserved stream domain of the sweep rows' sub-seeds (see sampling._derive_subseed).
 _DOMAIN_SWEEP_ROW = 2
-
-
-class RunningMoments:
-    """Streaming mean/variance accumulator with an exact merge.
-
-    Block statistics are combined with Chan's update, so aggregating block
-    summaries in a fixed order is numerically stable.
-    """
-
-    __slots__ = ("count", "mean", "_m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "RunningMoments":
-        mom = cls()
-        mom.count = int(values.size)
-        if mom.count:
-            mom.mean = float(np.mean(values))
-            mom._m2 = float(np.sum((values - mom.mean) ** 2))
-        return mom
-
-    def merge(self, other: "RunningMoments") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self._m2 = other.count, other.mean, other._m2
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (divisor count - 1); nan (undefined) below
-        two samples."""
-        if self.count < 2:
-            return math.nan
-        return self._m2 / (self.count - 1)
 
 
 def _check_stored(reps: int) -> None:
@@ -211,21 +166,34 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
     return losses
 
 
-def _block_moments(values: np.ndarray) -> list[RunningMoments]:
-    """Pairwise statistics of each 2048-value block of ``values``, in index order."""
-    return [RunningMoments.from_array(values[lo : lo + _BLOCK]) for lo in range(0, values.size, _BLOCK)]
+def _block_moments(values: np.ndarray) -> list[tuple[int, float, float]]:
+    """(count, mean, M2) of each 2048-value block of ``values``, in index
+    order, where M2 is the block's sum of squared deviations from its mean."""
+    stats = []
+    for lo in range(0, values.size, _BLOCK):
+        block = values[lo : lo + _BLOCK]
+        mean = float(np.mean(block))
+        stats.append((block.size, mean, float(np.sum((block - mean) ** 2))))
+    return stats
 
 
-def _merged(parts) -> RunningMoments:
-    """The moments in ``parts`` merged in order."""
-    total = RunningMoments()
-    for part in parts:
-        total.merge(part)
-    return total
+def _merged(stats) -> tuple[float, float]:
+    """(mean, unbiased variance) of the values whose block statistics are
+    ``stats``, folded in order with Chan's update from the first block; the
+    variance is nan below two values."""
+    stats = iter(stats)
+    count, mean, m2 = next(stats)
+    for size, block_mean, block_m2 in stats:
+        total = count + size
+        delta = block_mean - mean
+        mean += delta * size / total
+        m2 += block_m2 + delta * delta * count * size / total
+        count = total
+    return mean, m2 / (count - 1) if count > 1 else math.nan
 
 
-def _moments_blockwise(losses: np.ndarray) -> RunningMoments:
-    """Single stable pass: pairwise block statistics merged in index order."""
+def _moments_blockwise(losses: np.ndarray) -> tuple[float, float]:
+    """(mean, variance) of ``losses``: their block statistics folded in index order."""
     return _merged(_block_moments(losses))
 
 
@@ -251,9 +219,7 @@ def run_kl_trials(pmf: Pmf, n: int, reps: int, seed: int, t: float = 1.0,
         # Only reachable with t = 0 (unsmoothed estimate misses support).
         mean_kl = var_kl = std_kl = math.inf
     else:
-        moments = _moments_blockwise(losses)
-        mean_kl = moments.mean
-        var_kl = moments.variance
+        mean_kl, var_kl = _moments_blockwise(losses)
         std_kl = math.sqrt(var_kl)
     q50, q90, q99 = _exact_quantiles(losses)
     exceed_frac = None if delta is None else float(np.mean(losses > mean_kl + t_delta))
@@ -293,15 +259,14 @@ class ClaimResult:
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def _variance_interval(losses: np.ndarray, moments: RunningMoments) -> tuple[float, float]:
+def _variance_interval(losses: np.ndarray, mean: float, s2: float) -> tuple[float, float]:
     """95% normal interval on the sample variance s^2 of r losses, from the
     fourth central moment m4: Var(s^2) ~ (m4 - s^4 (r-3)/(r-1)) / r. The lower
     end is clamped at 0; below two losses the interval is (nan, nan)."""
     r = losses.size
     if r < 2:
         return math.nan, math.nan
-    s2 = moments.variance
-    m4 = float(np.mean((losses - moments.mean) ** 4))
+    m4 = float(np.mean((losses - mean) ** 4))
     half = _Z95 * math.sqrt(max(0.0, (m4 - s2 * s2 * (r - 3) / (r - 1)) / r))
     return max(0.0, s2 - half), s2 + half
 
@@ -311,9 +276,8 @@ def verify_variance_lb(k: int, n: int, reps: int, seed: int, *, threads: int = 1
     closed-form floor k/(32 n^2); requires k >= 2 and n >= 10k."""
     lb = variance_lower_bound(k, n)  # validates k >= 2 and n >= 10k
     losses = _kl_loss_samples(uniform_pmf(k), n, 1.0, seed, reps, threads=threads)
-    moments = _moments_blockwise(losses)
-    empirical = moments.variance
-    ci_low, ci_high = _variance_interval(losses, moments)
+    mean, empirical = _moments_blockwise(losses)
+    ci_low, ci_high = _variance_interval(losses, mean, empirical)
     return ClaimResult(bool(empirical >= lb), {"empirical_var": empirical, "lower_bound": lb,
                                                "ratio": empirical / lb, "ci_low": ci_low, "ci_high": ci_high})
 
@@ -420,13 +384,6 @@ def check_gof_regime(n: int, reps: int) -> None:
         raise ValueError(f"marginal GOF needs n <= {MAX_GOF_N} (n + 1 bins), got {n}")
 
 
-def _poisson_upper(lam: float) -> int:
-    """A count j with Pr[Poi(lam) >= j] <= 1e-12, from Bernstein's bound
-    Pr[N >= lam + t] <= exp(-t^2 / (2 (lam + t/3))) = 1e-12 solved for t."""
-    third = 12 * math.log(10.0) / 3.0
-    return math.ceil(lam + third + math.sqrt(third * third + 6.0 * third * lam))
-
-
 def _offset_bincount(values: np.ndarray) -> tuple[int, np.ndarray]:
     """(lo, counts): counts[j] is the number of ``values`` equal to lo + j, and
     lo the least value, so the counts span only the values drawn."""
@@ -445,8 +402,8 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int =
     certifies a violation (lower edge above the ceiling). marginals: the
     goodness of fit of the two coordinates against their exact marginals,
     Bin(n, prob) for M and Poi(n * prob) for M'. The chunks are shared
-    among ``threads`` workers (see ``_map_streams``); their block moments are
-    merged in index order, so the doubles do not depend on the worker count."""
+    among ``threads`` workers (see ``_map_streams``); their block statistics
+    are folded in index order, so the doubles do not depend on the worker count."""
     check_gof_regime(n, reps)
     _check_stored(reps)
 
@@ -456,7 +413,7 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int =
         return _block_moments((m - m_prime) / (m_prime + 1.0)), _offset_bincount(m), _offset_bincount(m_prime)
 
     blocks, *offset_counts = zip(*_map_streams(chunk, seed, reps, _DRAW_CHUNK, threads))
-    moments = _merged(block for chunk_blocks in blocks for block in chunk_blocks)
+    est, variance = _merged(block for chunk_blocks in blocks for block in chunk_blocks)
     counts = []
     for parts in offset_counts:  # M's (lo, bins) of each chunk, then M''s
         total = np.zeros(max(lo + bins.size for lo, bins in parts), dtype=np.int64)
@@ -465,15 +422,14 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int =
         counts.append(total)
     counts_m, counts_mp = counts
 
-    half = _Z99 * math.sqrt(moments.variance / reps)
-    est = moments.mean
+    half = _Z99 * math.sqrt(variance / reps)
     bound = expectation_gap_bound(1.0 / prob, n)
     gap = ClaimResult(bool(est - half <= bound),
                       {"est_gap": est, "ci_low": est - half, "ci_high": est + half, "bound": bound})
 
     gof_m = chi_square_gof(counts_m, _binomial_pmf(n, prob))
     lam = n * prob
-    hi = max(counts_mp.size - 1, _poisson_upper(lam))  # the largest M' drawn is counts_mp.size - 1
+    hi = counts_mp.size - 1  # the largest M' drawn; the tail bin carries the mass above it
     gof_mp = chi_square_gof(counts_mp, _poisson_pmf(lam, hi), tail_prob=_regularized_gamma(hi + 1, lam)[0])
     passed = gof_m.p_value >= GOF_P_THRESHOLD and gof_mp.p_value >= GOF_P_THRESHOLD
     marginals = ClaimResult(bool(passed), {"chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
@@ -485,11 +441,10 @@ def expected_kl_check(pmf: Pmf, n: int, reps: int, seed: int, *, threads: int = 
     """Mean add-one KL loss on p against the worst-case expectation (k-1)/n,
     with one-sided CI slack of three standard errors."""
     losses = _kl_loss_samples(pmf, n, 1.0, seed, reps, threads=threads)
-    moments = _moments_blockwise(losses)
+    mean, variance = _moments_blockwise(losses)
     ceiling = (len(pmf) - 1) / n
-    slack = 3.0 * math.sqrt(moments.variance / reps)
-    return ClaimResult(bool(moments.mean <= ceiling + slack),
-                       {"mean_kl": moments.mean, "ceiling": ceiling, "slack": slack})
+    slack = 3.0 * math.sqrt(variance / reps)
+    return ClaimResult(bool(mean <= ceiling + slack), {"mean_kl": mean, "ceiling": ceiling, "slack": slack})
 
 
 def _exact_binomial_product_variance(n0: int) -> Fraction:

@@ -28,7 +28,6 @@ from klconc.bounds import (
     prior_deviation_bound,
     variance_lower_bound,
 )
-from klconc.harness import _poisson_upper
 
 # Pr[Poi(n) = n] computed with 60-digit mpmath arithmetic.
 _PMF_AT_MEAN_ORACLE = {
@@ -299,10 +298,6 @@ class TestPoissonPmfAndTail:
         js = np.arange(0, hi + 1, max(1, hi // 500))
         got = [_regularized_gamma(j + 1, lam)[0] for j in js]  # Pr[N > j] = P(j + 1, lam)
         assert _max_rel_err(got, stats.poisson.sf(js, lam)) <= 1e-9
-
-    def test_upper_cut_leaves_tail_below_1e12(self, lam):
-        hi = _poisson_upper(lam)
-        assert stats.poisson.sf(hi - 1, lam) <= 1e-12
 
 
 class TestRegularizedGamma:

@@ -172,6 +172,13 @@ class TestSimulate:
         assert run("simulate", *_GOLDEN_SIMULATE[name], "--out", "-") == 0
         assert_golden(name, capsys.readouterr().out)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k,s", [(5, "-1000"), (10000, "-80")])
+    def test_negative_zipf_exponent_runs(self, k, s, capsys):
+        assert run("simulate", "--dist", "zipf", "--k", str(k), "--zipf-s", s, "--n", "100", "--reps", "50",
+                   "--seed", "1", "--out", "-") == 0
+        assert capsys.readouterr().err == ""
+
     def test_largest_finite_denominator_runs(self, capsys):
         # n + k*t = 10 + 2e307 is finite; 1e308 overflows it (an out-of-range case below)
         assert run("simulate", "--dist", "uniform", "--k", "2", "--n", "10", "--reps", "5",

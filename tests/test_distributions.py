@@ -85,6 +85,14 @@ def test_zipf_pmf_normalizes_power_weights():
     np.testing.assert_allclose(p.probs, [1 / h, 0.5 / h, (1 / 3) / h], rtol=1e-15)
 
 
+def test_zipf_pmf_negative_exponent_does_not_overflow():
+    np.testing.assert_allclose(zipf_pmf(3, -1.0).probs, [1 / 6, 2 / 6, 3 / 6], rtol=1e-15)
+    p = zipf_pmf(5, -1000.0)  # 5**1000 overflows a double; (i/5)**1000 does not
+    assert p.probs[-1] == 1.0
+    assert p.probs[:-1].sum() < 1e-96
+    assert np.all(np.isfinite(zipf_pmf(10_000, -80.0).probs))
+
+
 def test_two_point_pmf_spreads_remainder():
     p = two_point_pmf(5, 0.8)
     np.testing.assert_allclose(p.probs, [0.8, 0.05, 0.05, 0.05, 0.05], rtol=1e-15)

@@ -11,7 +11,6 @@ from klconc.bounds import _binomial_pmf, _poisson_pmf, _regularized_gamma, poiss
 from klconc.distributions import Counts, Pmf, add_t_estimate, two_point_pmf, uniform_pmf, zipf_pmf
 from klconc.harness import (
     MAX_STORED_TRIALS,
-    RunningMoments,
     chi_square_gof,
     coupling_checks,
     expected_kl_check,
@@ -24,8 +23,8 @@ from klconc.harness import (
     _Z99,
     _kl_loss_samples,
     _map_streams,
+    _merged,
     _moments_blockwise,
-    _poisson_upper,
 )
 from klconc.losses import kl_divergence, kl_losses, kl_losses_from_sorted_draws
 from klconc.sampling import coupled_pairs, derive_trial_rng
@@ -40,37 +39,61 @@ def _chunk_streams(seed, reps):
             for lo in range(0, reps, _DRAW_CHUNK)]
 
 
-class TestRunningMoments:
+def _stats(parts):
+    """(count, mean, M2) of each array in ``parts``."""
+    return [(part.size, float(np.mean(part)), float(np.sum((part - np.mean(part)) ** 2))) for part in parts]
+
+
+class TestBlockFold:
     def test_matches_numpy(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=10_001)
-        mom = RunningMoments.from_array(x)
-        assert mom.mean == pytest.approx(float(np.mean(x)), rel=1e-13)
-        assert mom.variance == pytest.approx(float(np.var(x, ddof=1)), rel=1e-13)
+        mean, variance = _moments_blockwise(x)
+        assert mean == pytest.approx(float(np.mean(x)), rel=1e-13)
+        assert variance == pytest.approx(float(np.var(x, ddof=1)), rel=1e-13)
 
-    def test_merge_equals_whole(self):
+    def test_any_partition_folds_to_the_whole(self):
         rng = np.random.default_rng(2)
         x = rng.exponential(size=7777)
-        whole = RunningMoments.from_array(x)
-        merged = RunningMoments()
-        for lo in range(0, x.size, 500):
-            merged.merge(RunningMoments.from_array(x[lo : lo + 500]))
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.variance == pytest.approx(whole.variance, rel=1e-12)
+        whole = _merged(_stats([x]))
+        random_cuts = sorted(rng.choice(np.arange(1, x.size), 40, replace=False))
+        for cuts in ([], range(500, x.size, 500), [1, 2, 7000], random_cuts):
+            # a miscounted fold would divide M2 by the wrong count - 1
+            mean, variance = _merged(_stats(np.split(x, list(cuts))))
+            assert mean == pytest.approx(whole[0], rel=1e-12)
+            assert variance == pytest.approx(whole[1], rel=1e-12)
 
-    def test_push_path(self):
-        # one sample at a time through merge, the streaming path
-        mom = RunningMoments()
-        for v in (1.0, 2.0, 4.0):
-            mom.merge(RunningMoments.from_array(np.array([v])))
-        assert mom.mean == pytest.approx(7 / 3)
-        assert mom.variance == pytest.approx(np.var([1.0, 2.0, 4.0], ddof=1))
+    def test_blocks_of_one_value(self):
+        mean, variance = _merged(_stats([np.array([v]) for v in (1.0, 2.0, 4.0)]))
+        assert mean == pytest.approx(7 / 3)
+        assert variance == pytest.approx(np.var([1.0, 2.0, 4.0], ddof=1))
 
-    def test_variance_undefined_below_two_samples(self):
-        assert math.isnan(RunningMoments().variance)
-        assert math.isnan(RunningMoments.from_array(np.array([3.0])).variance)
-        assert RunningMoments.from_array(np.array([3.0, 3.0])).variance == 0.0
+    def test_variance_undefined_below_two_values(self):
+        assert math.isnan(_merged([(1, 3.0, 0.0)])[1])
+        assert math.isnan(_moments_blockwise(np.array([3.0]))[1])
+        assert _moments_blockwise(np.array([3.0, 3.0]))[1] == 0.0
+
+    def test_first_block_starts_the_fold(self):
+        # from an empty state, 0.1 * 3 / 3 would round to 0.10000000000000002
+        assert _merged([(3, 0.1, 0.5)]) == (0.1, 0.25)
+
+    @pytest.mark.parametrize("size", [1, 2, 2047, 2048, 2049, 3 * 2048 + 5])
+    def test_bits_are_the_sequential_chan_update(self, size):
+        x = np.random.default_rng(size).exponential(size=size)
+        count = None
+        for lo in range(0, size, 2048):
+            block = x[lo : lo + 2048]
+            block_mean = float(np.mean(block))
+            block_m2 = float(np.sum((block - block_mean) ** 2))
+            if count is None:  # the first block starts the fold
+                count, mean, m2 = block.size, block_mean, block_m2
+                continue
+            total = count + block.size
+            delta = block_mean - mean
+            mean += delta * block.size / total
+            m2 += block_m2 + delta * delta * count * block.size / total
+            count = total
+        np.testing.assert_equal(_moments_blockwise(x), (mean, m2 / (count - 1) if count > 1 else math.nan))
 
 
 class TestRunKlTrials:
@@ -585,13 +608,13 @@ class TestStreamedClaims:
         m, m_prime = (np.concatenate(parts) for parts in list(zip(*chunks))[:2])
 
         gap, gof = (r.values for r in coupling_checks(n, prob, size, seed=6))
-        moments = _moments_blockwise((m - m_prime) / (m_prime + 1.0))
-        se = math.sqrt(moments.variance / size)
+        mean, variance = _moments_blockwise((m - m_prime) / (m_prime + 1.0))
+        se = math.sqrt(variance / size)
         np.testing.assert_equal([gap["est_gap"], gap["ci_low"], gap["ci_high"]],
-                                [moments.mean, moments.mean - _Z99 * se, moments.mean + _Z99 * se])
+                                [mean, mean - _Z99 * se, mean + _Z99 * se])
 
         lam = n * prob
-        hi = max(int(m_prime.max()), _poisson_upper(lam))
+        hi = int(m_prime.max())
         gof_m = chi_square_gof(np.bincount(m), _binomial_pmf(n, prob))
         gof_mp = chi_square_gof(np.bincount(m_prime), _poisson_pmf(lam, hi),
                                 tail_prob=_regularized_gamma(hi + 1, lam)[0])
