@@ -4,9 +4,10 @@ Every formula is evaluated with its explicit constants; the one bound known
 only up to order of magnitude (:func:`prior_deviation_bound`) uses constant
 1 and is documented as approximate. Exact-summation companions are provided
 for the inverse-moment formulas so they can be checked against an
-independent oracle. The binomial and Poisson pmfs and the regularised
-incomplete gamma function that these oracles and the harness's
-goodness-of-fit tests need are computed here with numpy and ``math`` alone.
+independent oracle. The regularised incomplete gamma function, and the
+binomial and Poisson pmfs on an integer window with the masses outside it,
+that these oracles and the harness's goodness-of-fit tests need are
+computed here with numpy and ``math`` alone.
 """
 
 from __future__ import annotations
@@ -147,40 +148,14 @@ def binomial_inverse_moment(m: int, prob: float) -> float:
     return numer / (prob * (m + 1))
 
 
-def _binomial_pmf(m: int, prob: float) -> np.ndarray:
-    """P[X = x] for X ~ Bin(m, prob) and x = 0..m: the ratios P[x+1]/P[x]
-    multiplied outward from the mode, then normalised to sum 1."""
-    pmf = np.zeros(m + 1)
-    mode = min(m, int((m + 1) * prob))
-    pmf[mode] = 1.0
-    if prob < 1.0:
-        odds = prob / (1.0 - prob)
-        up = np.arange(mode, m)  # x -> x + 1
-        pmf[mode + 1 :] = np.cumprod((m - up) / (up + 1.0) * odds)
-        down = np.arange(mode, 0, -1)  # x -> x - 1
-        pmf[:mode] = np.cumprod(down / ((m - down + 1.0) * odds))[::-1]
-    return pmf / math.fsum(pmf)
-
-
-def _poisson_pmf(lam: float, hi: int) -> np.ndarray:
-    """P[N = j] for N ~ Poi(lam) and j = 0..hi: one log-gamma value at the
-    mode, then the ratios P[j+1]/P[j] = lam/(j+1) multiplied outward."""
-    mode = min(hi, int(lam))
-    pmf = np.empty(hi + 1)
-    pmf[mode] = math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1))
-    pmf[mode + 1 :] = pmf[mode] * np.cumprod(lam / np.arange(mode + 1, hi + 1))
-    pmf[:mode] = pmf[mode] * np.cumprod(np.arange(mode, 0, -1) / lam)[::-1]
-    return pmf
-
-
 def _regularized_gamma(a: float, x: float) -> tuple[float, float]:
     """Regularised incomplete gamma functions (P(a, x), Q(a, x)) for a > 0
     and finite x >= 0.
 
     Below x = a + 1 the power series gives P, above it the modified Lentz
     continued fraction gives Q; the other one is the complement, which on
-    each side of x = a + 1 stays away from 0. Two uses:
-    ``chi2.sf(s, d) = Q(d/2, s/2)`` and ``Pr[Poi(lam) > j] = P(j+1, lam)``.
+    each side of x = a + 1 stays away from 0. Uses: ``chi2.sf(s, d) = Q(d/2, s/2)``,
+    ``Pr[Poi(lam) < j] = Q(j, lam)`` and ``Pr[Poi(lam) > j] = P(j+1, lam)``.
     """
     if not (a > 0 and 0 <= x < math.inf):
         raise ValueError(f"need a > 0 and finite x >= 0, got a={a}, x={x}")
@@ -216,11 +191,40 @@ def _regularized_gamma(a: float, x: float) -> tuple[float, float]:
     raise ArithmeticError(f"incomplete gamma did not converge at a={a}, x={x}")
 
 
+def _outward_pmf(lo: int, hi: int, mode: int, down, mass: float) -> np.ndarray:
+    """P[X = x] for x = lo..hi: the ratios down(x) = P[x-1]/P[x] multiplied
+    outward from the mode, clamped into the window, scaled to sum to ``mass``."""
+    mode = min(max(mode, lo), hi)
+    below = np.cumprod(down(np.arange(mode, lo, -1)))[::-1]
+    above = np.cumprod(1.0 / down(np.arange(mode + 1, hi + 1)))
+    pmf = np.concatenate([below, [1.0], above])
+    return pmf * (mass / math.fsum(pmf))
+
+
+def _binomial_window(m: int, prob: float, lo: int, hi: int) -> tuple[int, np.ndarray, float, float]:
+    """(lo', pmf, 0.0, 0.0): Bin(m, prob) on [lo, hi] widened, within [0, m], until
+    Hoeffding's exp(-2t^2/m) puts each side below 1e-15, a mass counted as 0,
+    so the pmf sums to 1. Its ratios x(1-prob)/((m-x+1)prob) vanish at prob = 1."""
+    t = math.sqrt(m * math.log(1e15) / 2.0)
+    lo = max(0, min(lo, math.floor(m * prob - t)))
+    hi = min(m, max(hi, math.ceil(m * prob + t)))
+    pmf = _outward_pmf(lo, hi, int((m + 1) * prob), lambda x: x * (1.0 - prob) / ((m - x + 1.0) * prob), 1.0)
+    return lo, pmf, 0.0, 0.0
+
+
+def _poisson_window(lam: float, lo: int, hi: int) -> tuple[int, np.ndarray, float, float]:
+    """(lo, pmf, head, tail): Poi(lam) on [lo, hi], head = Pr[N < lo] = Q(lo, lam)
+    and tail = Pr[N > hi] = P(hi + 1, lam); the pmf sums to 1 - head - tail."""
+    head = _regularized_gamma(lo, lam)[1] if lo > 0 else 0.0
+    tail = _regularized_gamma(hi + 1, lam)[0]
+    return lo, _outward_pmf(lo, hi, int(lam), lambda x: x / lam, 1.0 - head - tail), head, tail
+
+
 def binomial_inverse_moment_exact(m: int, prob: float) -> float:
     """Exact-summation oracle for :func:`binomial_inverse_moment`."""
     _check_binomial(m, prob)
     x = np.arange(m + 1)
-    return math.fsum(_binomial_pmf(m, prob) / (x + 1.0))
+    return math.fsum(_binomial_window(m, prob, 0, m)[1] / (x + 1.0))
 
 
 def binomial_inverse_moment2_bound(m: int, prob: float) -> float:
@@ -233,7 +237,7 @@ def binomial_inverse_moment2_exact(m: int, prob: float) -> float:
     """Exact summation of E[1/((X+1)(X+2))] for X ~ Bin(m, prob)."""
     _check_binomial(m, prob)
     x = np.arange(m + 1)
-    return math.fsum(_binomial_pmf(m, prob) / ((x + 1.0) * (x + 2.0)))
+    return math.fsum(_binomial_window(m, prob, 0, m)[1] / ((x + 1.0) * (x + 2.0)))
 
 
 # Stirling series for log(n!) - (n log n - n + 0.5*log(2 pi n)); truncating

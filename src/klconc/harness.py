@@ -34,8 +34,8 @@ import numpy as np
 
 from .bounds import (
     BoundInputs,
-    _binomial_pmf,
-    _poisson_pmf,
+    _binomial_window,
+    _poisson_window,
     _regularized_gamma,
     binomial_inverse_moment,
     binomial_inverse_moment_exact,
@@ -328,26 +328,20 @@ class GofResult:
     bins: int
 
 
-def chi_square_gof(counts: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0) -> GofResult:
-    """Chi-square goodness of fit against an exact pmf of the integer draws
-    whose value j occurs ``counts[j]`` times (``np.bincount`` of the draws).
-
-    ``probs[j]`` is the target P[X = j] for j < len(probs) and ``tail_prob``
-    the mass at or beyond len(probs), whose counts share one bin. Adjacent
-    bins are merged left to right until each carries expected count >=
-    _GOF_MIN_EXPECTED (the remainder folds into the last bin), which collapses
-    the sparse tails.
+def chi_square_gof(counts: np.ndarray, probs: np.ndarray) -> GofResult:
+    """Chi-square goodness of fit of integer draws against an exact pmf on
+    one window of values: the j-th value is drawn ``counts[j]`` times and has
+    target probability ``probs[j]``. ``probs`` sums to 1, so the mass outside
+    the window is folded into its end entries. Adjacent bins are merged left
+    to right until each carries expected count >= _GOF_MIN_EXPECTED (the
+    remainder folds into the last bin), which collapses the sparse tails.
     """
-    n_bins = len(probs)
-    observed = np.zeros(n_bins + 1, dtype=np.float64)
-    observed[: min(counts.size, n_bins)] = counts[:n_bins]
-    observed[n_bins] = counts[n_bins:].sum()
-    expected = np.append(np.asarray(probs, dtype=np.float64), tail_prob) * counts.sum()
+    expected = np.asarray(probs, dtype=np.float64) * counts.sum()
 
     merged_obs: list[float] = []
     merged_exp: list[float] = []
     acc_o = acc_e = 0.0
-    for o, e in zip(observed, expected):
+    for o, e in zip(counts, expected, strict=True):  # ValueError unless the lengths agree
         acc_o += o
         acc_e += e
         if acc_e >= _GOF_MIN_EXPECTED:
@@ -372,16 +366,16 @@ def chi_square_gof(counts: np.ndarray, probs: np.ndarray, tail_prob: float = 0.0
     return GofResult(statistic=statistic, p_value=p_value, dof=dof, bins=len(merged_exp))
 
 
-MAX_GOF_N = 2**24  # Bin(n, prob)'s pmf in the marginal GOF has n + 1 entries: 134 MB at the cap
+MAX_GOF_N = 2**24  # the GOF windows grow like sqrt(n): Bin(n, prob)'s spans ~34,000 values at the cap
 
 
 def check_gof_regime(n: int, reps: int) -> None:
     """Raise ValueError unless the marginal GOF tests can run: reps >= 1e5
-    draws, and n <= MAX_GOF_N, which bounds the pmf and the count vectors."""
+    draws, and n <= MAX_GOF_N, which bounds the windows of the pmfs and counts."""
     if reps < 10**5:
         raise ValueError(f"marginal GOF needs reps >= 1e5, got {reps}")
     if n > MAX_GOF_N:
-        raise ValueError(f"marginal GOF needs n <= {MAX_GOF_N} (n + 1 bins), got {n}")
+        raise ValueError(f"marginal GOF needs n <= {MAX_GOF_N} (its windows grow like sqrt(n)), got {n}")
 
 
 def _offset_bincount(values: np.ndarray) -> tuple[int, np.ndarray]:
@@ -412,25 +406,27 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int =
         # chunks are whole blocks, so the blocks are those of all the draws
         return _block_moments((m - m_prime) / (m_prime + 1.0)), _offset_bincount(m), _offset_bincount(m_prime)
 
-    blocks, *offset_counts = zip(*_map_streams(chunk, seed, reps, _DRAW_CHUNK, threads))
+    blocks, parts_m, parts_mp = zip(*_map_streams(chunk, seed, reps, _DRAW_CHUNK, threads))
     est, variance = _merged(block for chunk_blocks in blocks for block in chunk_blocks)
-    counts = []
-    for parts in offset_counts:  # M's (lo, bins) of each chunk, then M''s
-        total = np.zeros(max(lo + bins.size for lo, bins in parts), dtype=np.int64)
-        for lo, bins in parts:
-            total[lo : lo + bins.size] += bins
-        counts.append(total)
-    counts_m, counts_mp = counts
 
     half = _Z99 * math.sqrt(variance / reps)
     bound = expectation_gap_bound(1.0 / prob, n)
     gap = ClaimResult(bool(est - half <= bound),
                       {"est_gap": est, "ci_low": est - half, "ci_high": est + half, "bound": bound})
 
-    gof_m = chi_square_gof(counts_m, _binomial_pmf(n, prob))
-    lam = n * prob
-    hi = counts_mp.size - 1  # the largest M' drawn; the tail bin carries the mass above it
-    gof_mp = chi_square_gof(counts_mp, _poisson_pmf(lam, hi), tail_prob=_regularized_gamma(hi + 1, lam)[0])
+    gofs = []
+    for parts, window in ((parts_m, lambda lo, hi: _binomial_window(n, prob, lo, hi)),
+                          (parts_mp, lambda lo, hi: _poisson_window(n * prob, lo, hi))):
+        # sum the chunks' counts over the pmf's window; the masses outside it, and any draws
+        # outside it (only a broken sampler's: the window covers the drawn range), join its end bins
+        lo, probs, head, tail = window(min(lo for lo, _ in parts), max(lo + bins.size for lo, bins in parts) - 1)
+        counts = np.zeros(probs.size, dtype=np.int64)
+        for part_lo, bins in parts:
+            np.add.at(counts, np.clip(np.arange(part_lo - lo, part_lo - lo + bins.size), 0, probs.size - 1), bins)
+        probs[0] += head
+        probs[-1] += tail
+        gofs.append(chi_square_gof(counts, probs))
+    gof_m, gof_mp = gofs
     passed = gof_m.p_value >= GOF_P_THRESHOLD and gof_mp.p_value >= GOF_P_THRESHOLD
     marginals = ClaimResult(bool(passed), {"chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
                                            "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value})

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ from scipy import stats
 import klconc
 from klconc.bounds import (
     BoundInputs,
-    _binomial_pmf,
-    _poisson_pmf,
+    _binomial_window,
+    _poisson_window,
     _regularized_gamma,
     binomial_inverse_moment,
     binomial_inverse_moment_exact,
@@ -263,20 +264,33 @@ class TestBinomialPmf:
     @pytest.mark.parametrize("prob", [1e-9, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0])
     def test_matches_scipy(self, prob):
         worst = max(
-            _max_rel_err(_binomial_pmf(m, prob), stats.binom.pmf(np.arange(m + 1), m, prob))
+            _max_rel_err(_binomial_window(m, prob, 0, m)[1], stats.binom.pmf(np.arange(m + 1), m, prob))
             for m in [*range(201), 10**4]
         )
         assert worst <= 1e-10
 
     def test_sums_to_one_and_nonnegative(self):
         for m, prob in ((0, 0.3), (1, 1e-9), (37, 0.5), (10**4, 0.99)):
-            pmf = _binomial_pmf(m, prob)
-            assert pmf.shape == (m + 1,)
+            lo, pmf, head, tail = _binomial_window(m, prob, 0, m)
+            assert lo == 0 and pmf.shape == (m + 1,)
+            assert head == tail == 0.0
             assert np.all(pmf >= 0)
             assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-15)
 
     def test_certain_success(self):
-        assert list(_binomial_pmf(3, 1.0)) == [0.0, 0.0, 0.0, 1.0]
+        for lo, hi in ((0, 3), (3, 3)):
+            assert list(_binomial_window(3, 1.0, lo, hi)[1]) == [0.0, 0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("m,prob", [(10**4, 0.3), (10**4, 0.01), (10**6, 0.5), (2**24, 0.5)])
+    @pytest.mark.parametrize("side", [-3.0, 0.0, 3.0])
+    def test_window_holds_all_but_1e15_on_each_side(self, m, prob, side):
+        # a drawn range [x, x] is widened until Hoeffding bounds each outside mass by 1e-15
+        x = round(m * prob + side * math.sqrt(m * prob * (1 - prob)))
+        lo, pmf, _, _ = _binomial_window(m, prob, x, x)
+        hi = lo + pmf.size - 1
+        assert lo <= x <= hi
+        assert stats.binom.cdf(lo - 1, m, prob) <= 1e-15 and stats.binom.sf(hi, m, prob) <= 1e-15
+        assert _max_rel_err(pmf, stats.binom.pmf(np.arange(lo, hi + 1), m, prob)) <= 1e-10
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 4.0, 10.0, 100.0, 1e4])
@@ -286,18 +300,70 @@ class TestPoissonPmfAndTail:
 
     def test_pmf_matches_scipy(self, lam):
         hi = self._hi(lam)
-        assert _max_rel_err(_poisson_pmf(lam, hi), stats.poisson.pmf(np.arange(hi + 1), lam)) <= 1e-9
+        assert _max_rel_err(_poisson_window(lam, 0, hi)[1], stats.poisson.pmf(np.arange(hi + 1), lam)) <= 1e-9
 
     def test_pmf_prefix_below_mode(self, lam):
-        # hi below the mode: the top entry comes from the log-gamma value itself
+        # hi below the mode: the window is built from its top entry down
         hi = max(0, int(lam - 2 * math.sqrt(lam)))
-        assert _max_rel_err(_poisson_pmf(lam, hi), stats.poisson.pmf(np.arange(hi + 1), lam)) <= 1e-9
+        assert _max_rel_err(_poisson_window(lam, 0, hi)[1], stats.poisson.pmf(np.arange(hi + 1), lam)) <= 1e-9
+
+    def test_window_head_and_tail_match_scipy(self, lam):
+        lo, hi = int(lam - 3 * math.sqrt(lam)) + 1, int(lam + 3 * math.sqrt(lam))
+        got_lo, pmf, head, tail = _poisson_window(lam, lo, hi)
+        assert got_lo == lo and pmf.size == hi - lo + 1
+        assert _max_rel_err(pmf, stats.poisson.pmf(np.arange(lo, hi + 1), lam)) <= 1e-9
+        assert _max_rel_err([head, tail], [stats.poisson.cdf(lo - 1, lam), stats.poisson.sf(hi, lam)]) <= 1e-9
 
     def test_tail_matches_scipy(self, lam):
         hi = self._hi(lam)
         js = np.arange(0, hi + 1, max(1, hi // 500))
         got = [_regularized_gamma(j + 1, lam)[0] for j in js]  # Pr[N > j] = P(j + 1, lam)
         assert _max_rel_err(got, stats.poisson.sf(js, lam)) <= 1e-9
+
+
+def _binomial_oracle(m, prob, x):
+    """P[Bin(m, prob) = x] in exact rational arithmetic on the double prob."""
+    p = Fraction(prob)
+    return float(math.comb(m, x) * p**x * (1 - p) ** (m - x))
+
+
+def _poisson_oracle(lam, j):
+    """P[Poi(lam) = j]: lam**j / j! exact, times the double nearest exp(-lam)."""
+    return float(Fraction(lam) ** j / math.factorial(j) * Fraction(math.exp(-lam)))
+
+
+class TestWindowExactOracles:
+    @pytest.mark.parametrize("prob", [0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 1.0])
+    def test_binomial_matches_exact(self, prob):
+        for m in range(61):
+            for x in sorted({0, m // 3, m}):
+                lo, pmf, _, _ = _binomial_window(m, prob, x, x)
+                want = [_binomial_oracle(m, prob, k) for k in range(lo, lo + pmf.size)]
+                assert _max_rel_err(pmf, want) <= 1e-12, (m, x)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.7, 10.0, 20.0])
+    def test_poisson_off_mode_windows_match_exact(self, lam):
+        mode = int(lam)
+        windows = [(mode + 1, mode + 4), (mode + 2, mode + int(3 * math.sqrt(lam)) + 5)]
+        if mode >= 1:
+            windows += [(0, mode - 1), (mode // 2, mode - 1)]
+        for lo, hi in windows:
+            got_lo, pmf, head, tail = _poisson_window(lam, lo, hi)
+            assert got_lo == lo and not lo <= mode <= hi
+            assert _max_rel_err(pmf, [_poisson_oracle(lam, j) for j in range(lo, hi + 1)]) <= 1e-12
+            want_tail = math.fsum(_poisson_oracle(lam, j) for j in range(hi + 1, hi + 200))
+            assert _max_rel_err([tail], [want_tail]) <= 1e-12
+            if lo > 0:
+                assert _max_rel_err([head], [math.fsum(_poisson_oracle(lam, j) for j in range(lo))]) <= 1e-12
+
+    @pytest.mark.parametrize("window", [
+        lambda: _binomial_window(2**24, 0.5, 2**23 - 10**4, 2**23 + 10**4),
+        lambda: _poisson_window(1e4, 10**4 - 500, 10**4 + 500),
+        lambda: _poisson_window(2.0**23, 2**23 - 14_000, 2**23 + 14_000),
+    ], ids=["bin-2^24", "poi-1e4", "poi-2^23"])
+    def test_window_and_outside_masses_sum_to_one(self, window):
+        _, pmf, head, tail = window()
+        assert abs(math.fsum([*pmf, head, tail]) - 1.0) <= 1e-12
 
 
 class TestRegularizedGamma:

@@ -547,7 +547,7 @@ _OUT_OF_RANGE = [
     # above numpy's largest Poisson rate, which also bounds --n
     *[(command, "--n", str(2**63)) for command in ("simulate", "thm")],
     ("coupling", "--n", str(10**20)),
-    # the marginal GOF's pmf and count vectors have n + 1 entries
+    # the marginal GOF's windows grow like sqrt(n), so --n is capped at 2^24
     *[("coupling", "--n", value) for value in (str(2**24 + 1), "9000000000000000000")],
 ]
 

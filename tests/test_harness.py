@@ -1,13 +1,14 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from klconc import harness
-from klconc.bounds import _binomial_pmf, _poisson_pmf, _regularized_gamma, poisson_tail_radius
+from klconc.bounds import _binomial_window, _poisson_window, poisson_tail_radius
 from klconc.distributions import Counts, Pmf, add_t_estimate, two_point_pmf, uniform_pmf, zipf_pmf
 from klconc.harness import (
     MAX_STORED_TRIALS,
@@ -389,8 +390,9 @@ class TestChiSquareGof:
         draws = derive_trial_rng(52, 0).poisson(4.0, size=10**5)
         hi = int(draws.max())
         probs = stats.poisson.pmf(np.arange(hi + 1), 4.0)
-        gof = chi_square_gof(np.bincount(draws), probs, tail_prob=float(stats.poisson.sf(hi, 4.0)))
-        assert gof.bins < hi + 2
+        probs[-1] += stats.poisson.sf(hi, 4.0)
+        gof = chi_square_gof(np.bincount(draws), probs)
+        assert gof.bins < hi + 1
         assert gof.dof == gof.bins - 1
         assert gof.p_value >= 1e-3
 
@@ -398,8 +400,13 @@ class TestChiSquareGof:
         draws = derive_trial_rng(51, 0).poisson(4.0, size=10**5)
         hi = int(draws.max())
         probs = stats.poisson.pmf(np.arange(hi + 1), 5.0)
-        gof = chi_square_gof(np.bincount(draws), probs, tail_prob=float(stats.poisson.sf(hi, 5.0)))
+        probs[-1] += stats.poisson.sf(hi, 5.0)
+        gof = chi_square_gof(np.bincount(draws), probs)
         assert gof.p_value < 1e-6
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            chi_square_gof(np.bincount(np.full(1000, 7)), np.full(9, 1 / 9))
 
     def test_degenerate_single_bin(self):
         draws = np.full(1000, 7)
@@ -562,7 +569,7 @@ class TestCouplingDiagnostics:
             coupling_checks(20, 0.4, 10**4, seed=1)
 
     def test_marginal_gof_caps_n_before_drawing(self, monkeypatch):
-        # Bin(n, prob)'s pmf has n + 1 entries; the regime bounds it before any draw
+        # the GOF windows grow like sqrt(n); the regime bounds them before any draw
         harness.check_gof_regime(harness.MAX_GOF_N, 10**5)
         monkeypatch.setattr(harness, "derive_trial_rng", _no_draw)
         with pytest.raises(ValueError, match=f"marginal GOF needs n <= {harness.MAX_GOF_N} "):
@@ -581,6 +588,36 @@ class TestCouplingDiagnostics:
     def test_marginal_gof_small_n_high_prob(self):
         r = coupling_checks(5, 0.9, 10**5, seed=9)[1]
         assert r.passed
+
+    def test_marginal_gof_catches_shifted_poisson_rate(self, monkeypatch):
+        # negative control: M' drawn at rate n*p*1.003 instead of n*p
+        def shifted(rng, n, prob, size):
+            m, _, *rest = coupled_pairs(rng, n, prob, size)
+            return (m, rng.poisson(n * prob * 1.003, size=size), *rest)
+
+        monkeypatch.setattr(harness, "coupled_pairs", shifted)
+        r = coupling_checks(20, 0.4, 10**6, seed=7)[1]
+        assert not r.passed
+        assert r.values["p_m_prime"] < harness.GOF_P_THRESHOLD <= r.values["p_m"]
+
+    def test_marginal_gof_memory_at_the_cap(self):
+        # the pmfs and counts span the drawn window, not all n + 1 values
+        tracemalloc.start()
+        try:
+            coupling_checks(harness.MAX_GOF_N, 0.5, 10**5, 3, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+
+def _window_gof(draws, window):
+    """GOF of all the draws at once on the window that window(min, max) gives,
+    with the masses outside it folded into the end entries."""
+    lo, probs, head, tail = window(int(draws.min()), int(draws.max()))
+    probs[0] += head
+    probs[-1] += tail
+    return chi_square_gof(np.bincount(draws - lo, minlength=probs.size), probs)
 
 
 class TestStreamedClaims:
@@ -613,11 +650,8 @@ class TestStreamedClaims:
         np.testing.assert_equal([gap["est_gap"], gap["ci_low"], gap["ci_high"]],
                                 [mean, mean - _Z99 * se, mean + _Z99 * se])
 
-        lam = n * prob
-        hi = int(m_prime.max())
-        gof_m = chi_square_gof(np.bincount(m), _binomial_pmf(n, prob))
-        gof_mp = chi_square_gof(np.bincount(m_prime), _poisson_pmf(lam, hi),
-                                tail_prob=_regularized_gamma(hi + 1, lam)[0])
+        gof_m = _window_gof(m, lambda lo, hi: _binomial_window(n, prob, lo, hi))
+        gof_mp = _window_gof(m_prime, lambda lo, hi: _poisson_window(n * prob, lo, hi))
         assert gof == {
             "chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
             "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value}
