@@ -214,10 +214,13 @@ def _binomial_window(m: int, prob: float, lo: int, hi: int) -> tuple[int, np.nda
 
 def _poisson_window(lam: float, lo: int, hi: int) -> tuple[int, np.ndarray, float, float]:
     """(lo, pmf, head, tail): Poi(lam) on [lo, hi], head = Pr[N < lo] = Q(lo, lam)
-    and tail = Pr[N > hi] = P(hi + 1, lam); the pmf sums to 1 - head - tail."""
-    head = _regularized_gamma(lo, lam)[1] if lo > 0 else 0.0
-    tail = _regularized_gamma(hi + 1, lam)[0]
-    return lo, _outward_pmf(lo, hi, int(lam), lambda x: x / lam, 1.0 - head - tail), head, tail
+    and tail = Pr[N > hi] = P(hi + 1, lam). The pmf sums to 1 - head - tail if the
+    window holds int(lam), else to P(lo, lam) - tail above it or Q(hi + 1, lam) - head
+    below it, which do not cancel far in a tail."""
+    at_least, head = _regularized_gamma(lo, lam) if lo > 0 else (1.0, 0.0)
+    tail, at_most = _regularized_gamma(hi + 1, lam)
+    mass = at_least - tail if lo > int(lam) else at_most - head if hi < int(lam) else 1.0 - head - tail
+    return lo, _outward_pmf(lo, hi, int(lam), lambda x: x / lam, mass), head, tail
 
 
 def binomial_inverse_moment_exact(m: int, prob: float) -> float:

@@ -131,13 +131,33 @@ def _map_streams(fn, seed: int, reps: int, unit: int, threads: int) -> list:
     return results
 
 
+def _guide_table_lookup(cdf: np.ndarray):
+    """u -> cdf.searchsorted(u, side="right") for u in [0, 1) and a non-decreasing cdf ending
+    in 1, via a guide table (Chen & Asau 1974): guide[b] = #{j : cdf[j] <= b / grid} bounds
+    bucket b from below. A power-of-two grid in [k, 2k) makes u * grid and cdf * grid exact and
+    leaves <= 1 entry per bucket on average; two passes step short bounds up, searchsorted ends the rest."""
+    grid = 1 << (cdf.size - 1).bit_length()
+    guide = np.bincount(np.ceil(cdf * grid).astype(np.intp), minlength=grid + 1)[:grid].cumsum()
+
+    def lookup(u: np.ndarray) -> np.ndarray:
+        idx = guide[(u * grid).astype(np.intp)]
+        flat, flat_u, pending = idx.reshape(-1), u.reshape(-1), np.flatnonzero(cdf[idx] <= u)
+        for _ in range(2):
+            flat[pending] += 1
+            pending = pending[cdf[flat[pending]] <= flat_u[pending]]
+        flat[pending] = cdf.searchsorted(flat_u[pending], side="right")
+        return idx
+
+    return lookup
+
+
 def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, threads: int = 1) -> np.ndarray:
     """Per-trial KL(p || add-t estimate) losses; trial i is row i mod 2048 of
-    the block drawn on stream (master_seed, i // 2048): n symbols when
-    4n <= k (row-sorted uniforms mapped through the normalised cumulative
-    pmf), else Mult(n, p) counts. The blocks are shared among ``threads``
-    workers (see ``_map_streams``), each writing its own rows. Rejects n < 1
-    and reps outside [1, MAX_STORED_TRIALS] before drawing."""
+    the block drawn on stream (master_seed, i // 2048): n symbols when 4n <= k
+    (row-sorted uniforms through the inverse cdf, computed with a guide table:
+    Generator.choice's symbols, sorted), else Mult(n, p) counts. The blocks are
+    shared among ``threads`` workers (see ``_map_streams``), each writing its
+    own rows. Rejects n < 1 and reps outside [1, MAX_STORED_TRIALS] before drawing."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     _check_stored(reps)
@@ -148,6 +168,7 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
     if categorical:
         cdf = pmf.probs.cumsum()
         cdf /= cdf[-1]
+        inverse_cdf = _guide_table_lookup(cdf)
 
     def block(rng, block_lo, block_hi):
         for lo in range(block_lo, block_hi, chunk):
@@ -156,7 +177,7 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
                 # A monotone map of row-sorted uniforms: Generator.choice's rows, sorted.
                 u = rng.random((hi - lo, n))
                 u.sort(axis=1)
-                losses[lo:hi] = kl_losses_from_sorted_draws(pmf, cdf.searchsorted(u, side="right"), t)
+                losses[lo:hi] = kl_losses_from_sorted_draws(pmf, inverse_cdf(u), t)
             else:
                 losses[lo:hi] = kl_losses(pmf, rng.multinomial(n, pmf.probs, size=hi - lo), t)
 

@@ -70,4 +70,5 @@ def coupled_pairs(rng: Generator, n: int, prob: float, size: int) -> tuple[np.nd
     x = x_rng.binomial(np.minimum(n_latent, n), prob)
     y = y_rng.binomial(np.abs(n_latent - n), prob)
     over = n_latent > n
-    return np.where(over, x, x + y), np.where(over, x + y, x), n_latent, x, y
+    total = x + y
+    return np.where(over, x, total), np.where(over, total, x), n_latent, x, y

@@ -366,6 +366,22 @@ class TestWindowExactOracles:
         assert abs(math.fsum([*pmf, head, tail]) - 1.0) <= 1e-12
 
 
+class TestPoissonWindowOffMode:
+    # a window off the mode sums to the difference of its two tail masses, not 1 - head - tail
+    @pytest.mark.parametrize("lo,hi,tol", [(321, 400, 1e-9), (160, 200, 1e-12), (20, 60, 1e-12), (0, 40, 1e-12)],
+                             ids=["far-above", "above", "below", "below-from-0"])
+    def test_matches_scipy(self, lo, hi, tol):
+        lam = 100.0
+        got_lo, pmf, head, tail = _poisson_window(lam, lo, hi)
+        assert got_lo == lo and not lo <= lam <= hi
+        assert _max_rel_err(pmf, stats.poisson.pmf(np.arange(lo, hi + 1), lam)) <= tol
+        if lo > lam:
+            mass = stats.poisson.sf(lo - 1, lam) - stats.poisson.sf(hi, lam)
+        else:
+            mass = stats.poisson.cdf(hi, lam) - stats.poisson.cdf(lo - 1, lam)
+        assert _max_rel_err([math.fsum(pmf)], [mass]) <= tol
+
+
 class TestRegularizedGamma:
     @pytest.mark.parametrize("dof", [1, 2, 3, 17, 100, 2001])
     def test_chi2_sf_matches_scipy(self, dof):

@@ -22,6 +22,7 @@ from klconc.harness import (
     verify_variance_lb,
     _DRAW_CHUNK,
     _Z99,
+    _guide_table_lookup,
     _kl_loss_samples,
     _map_streams,
     _merged,
@@ -201,6 +202,10 @@ class TestTrialStreams:
         # zero-mass symbols are flat segments of the cdf, which no uniform may land in
         pytest.param(two_point_pmf(400, 1.0), 100, id="twopoint-400-1"),
         pytest.param(two_point_pmf(400, 0.0), 100, id="twopoint-400-0"),
+        # every cdf entry is a grid point j/1024, so the side="right" ties are drawn
+        pytest.param(uniform_pmf(1024), 256, id="uniform-1024-256"),
+        # a guide table of grid = 2^17 buckets
+        pytest.param(zipf_pmf(100_000), 1000, id="zipf-100000-1000"),
     ])
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
     def test_categorical_rows_are_sorted_choice_rows(self, pmf, n, t):
@@ -236,6 +241,87 @@ class TestTrialStreams:
         assert np.array_equal(_kl_loss_samples(p, 16, t, seed, reps), kl_losses_from_sorted_draws(p, draws, t))
         counts = derive_trial_rng(seed, 0).multinomial(17, p.probs, size=reps)
         assert np.array_equal(_kl_loss_samples(p, 17, t, seed, reps), kl_losses(p, counts, t))
+
+
+def _cdf(probs) -> np.ndarray:
+    """The engine's normalised cumulative pmf."""
+    cdf = np.asarray(probs, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _one_bucket_probs(k: int) -> np.ndarray:
+    """Half the mass on symbol 0 and on symbol k-1, 1e-12 on each other symbol:
+    cdf entries 0..k-2 are k-1 distinct values inside the guide bucket at 1/2."""
+    probs = np.full(k, 1e-12)
+    probs[0] = 0.5
+    probs[-1] = 1.0 - probs[:-1].sum()
+    return probs
+
+
+_LOOKUP_PMFS = {
+    "zipf-1000": zipf_pmf(1000).probs,
+    "uniform-1000": uniform_pmf(1000).probs,
+    "uniform-1024": uniform_pmf(1024).probs,
+    "twopoint-400-0.99": two_point_pmf(400, 0.99).probs,
+    # zero-mass symbols are flat cdf segments: at the start, inside, and up to the end
+    "zero-runs": np.array([0, 0, 1, 0, 0, 2, 3, 0, 1, 0, 0]) / 7,
+    "twopoint-400-1": two_point_pmf(400, 1.0).probs,
+    "one-bucket-5000": _one_bucket_probs(5000),
+}
+
+
+class TestGuideTableLookup:
+    def test_one_bucket_pmf_puts_k_minus_1_entries_in_one_bucket(self):
+        cdf = _cdf(_one_bucket_probs(5000))
+        grid = 1 << (5000 - 1).bit_length()
+        assert np.unique(cdf[:-1]).size == 4999 and np.unique(np.floor(cdf[:-1] * grid)).size == 1
+
+    @pytest.mark.parametrize("probs", _LOOKUP_PMFS.values(), ids=_LOOKUP_PMFS.keys())
+    def test_is_searchsorted_right(self, probs):
+        cdf = _cdf(probs)
+        grid = 1 << (cdf.size - 1).bit_length()
+        entries, points = cdf[cdf < 1.0], np.arange(grid) / grid
+        u = np.concatenate([
+            np.random.default_rng(0).random(20_000),
+            entries, np.nextafter(entries, 0.0), np.nextafter(entries, 1.0),
+            points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        rows = np.sort(np.random.default_rng(1).random((40, 300)), axis=1)  # the engine's 2-D sorted rows
+        lookup = _guide_table_lookup(cdf)
+        assert np.array_equal(lookup(u), cdf.searchsorted(u, side="right"))
+        assert np.array_equal(lookup(rows), cdf.searchsorted(rows, side="right"))
+
+    def test_cdf_entries_on_the_edges_of_any_grid(self):
+        # cdf entries j/m: a grid of m buckets, with m not a power of two, rounds
+        # u * m or cdf * m across an edge for all but ~2% of m in [k, 2k)
+        k = 1000
+        for m in range(k, 2 * k):
+            cdf = np.append(np.arange(1, k) / m, 1.0)
+            u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0), np.nextafter(cdf[:-1], 1.0)])
+            assert np.array_equal(_guide_table_lookup(cdf)(u), cdf.searchsorted(u, side="right")), m
+
+    def test_passes_are_bounded(self):
+        # uniforms in the crowded bucket sit up to 4998 entries above the guide's
+        # bound: three gathers of cdf entries and one searchsorted, not a walk
+        calls = {"gathers": 0, "searchsorted": 0}
+
+        class CountingCdf(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, np.ndarray) and key.dtype.kind == "i":
+                    calls["gathers"] += 1
+                return super().__getitem__(key)
+
+            def searchsorted(self, *args, **kwargs):
+                calls["searchsorted"] += 1
+                return super().searchsorted(*args, **kwargs)
+
+        cdf = _cdf(_one_bucket_probs(5000))
+        grid = 1 << (5000 - 1).bit_length()
+        u = np.concatenate([0.5 + np.random.default_rng(2).random(5000) / grid, np.random.default_rng(3).random(5000)])
+        assert np.array_equal(_guide_table_lookup(cdf.view(CountingCdf))(u), cdf.searchsorted(u, side="right"))
+        assert calls["gathers"] <= 3 and calls["searchsorted"] <= 1
 
 
 class _RecordedThread:
