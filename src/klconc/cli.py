@@ -64,62 +64,35 @@ def _write_table(path: str | None, header: list[str], rows: list[list], sep: str
             fh.write(text)
 
 
-def _count(text: str) -> int:
-    """argparse type for counts (trials, threads, alphabet and sample sizes): an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 # numpy's largest Poisson rate, int64 max - 10 sqrt(int64 max): the bound of --lam and of
 # --n, which the coupling draws as a Poisson rate and the samplers as an int64.
 _MAX_RATE = 9.223372006484771e18
 
 
-def _size(text: str) -> int:
-    """argparse type for sample sizes: an integer in [1, _MAX_RATE]."""
-    value = _count(text)
-    if value > _MAX_RATE:
-        raise argparse.ArgumentTypeError(f"must be <= {_MAX_RATE:.6g}, got {value}")
-    return value
+def _number(kind, accept, what: str):
+    """argparse type for a ``kind`` (int or float) that ``accept`` admits (NaN never is)."""
 
-
-def _reps(text: str) -> int:
-    """argparse type for trial counts: an integer in [1, MAX_STORED_TRIALS]."""
-    value = _count(text)
-    if value > MAX_STORED_TRIALS:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_STORED_TRIALS}, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """argparse type for master seeds: an integer in [0, 2^64)."""
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {value}")
-    return value
-
-
-def _real(accept, what: str):
-    """argparse type for a float that ``accept`` admits (NaN never is)."""
-
-    def parse(text: str) -> float:
-        value = float(text)
+    def parse(text: str):
+        value = kind(text)
         if not accept(value):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
 
-    parse.__name__ = "float"
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" / "invalid float value"
     return parse
 
 
-_delta = _real(lambda x: 0.0 < x < 1.0, "in (0, 1)")
-_prob = _real(lambda x: 0.0 < x <= 1.0, "in (0, 1]")
-_rate = _real(lambda x: 0.0 <= x < math.inf, "finite and >= 0")
-_lam = _real(lambda x: 0.0 <= x <= _MAX_RATE, f"in [0, {_MAX_RATE:.6g}]")
-_mass = _real(lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
-_finite = _real(math.isfinite, "finite")
+# counts: trials, threads, alphabet and sample sizes
+_count = _number(int, lambda x: x >= 1, ">= 1")
+_size = _number(int, lambda x: 1 <= x <= _MAX_RATE, f"in [1, {_MAX_RATE:.6g}]")
+_reps = _number(int, lambda x: 1 <= x <= MAX_STORED_TRIALS, f"in [1, {MAX_STORED_TRIALS}]")
+_seed = _number(int, lambda x: 0 <= x < 2**64, "in [0, 2^64)")
+_delta = _number(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_prob = _number(float, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+_rate = _number(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+_lam = _number(float, lambda x: 0.0 <= x <= _MAX_RATE, f"in [0, {_MAX_RATE:.6g}]")
+_mass = _number(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+_finite = _number(float, math.isfinite, "finite")
 
 # check flags named like a suite config field: field -> (argparse type, what it is)
 _FIELD_FLAGS = {
@@ -160,9 +133,8 @@ def _cmd_simulate(args) -> int:
     if not math.isfinite(args.n + k * args.t):
         raise UsageError(f"--t {args.t:g} overflows the add-t denominator n + k*t at k={k}")
     summary = run_kl_trials(pmf, args.n, args.reps, args.seed, t=args.t, delta=args.delta, threads=args.threads)
-    header = ["k", "n", "reps", "t", "mean_kl", "var_kl", "std_kl", "q50", "q90", "q99",
-              "exceed_frac", "t_delta"]
-    _write_table(args.out, header, [[k, args.n, args.reps, args.t, *summary.values()]], _sep(args.format))
+    _write_table(args.out, ["k", "n", "reps", "t", *summary], [[k, args.n, args.reps, args.t, *summary.values()]],
+                 _sep(args.format))
     return 0
 
 
@@ -185,23 +157,21 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _parse_ks(text: str) -> list[int]:
-    try:
-        ks = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"--ks must be a comma-separated list of integers, got {text!r}") from None
+def _ks(text: str) -> list[int]:
+    """argparse type for --ks: comma-separated alphabet sizes, at least one, each a ``_count``."""
+    ks = [_count(part) for part in text.split(",") if part.strip()]
     if not ks:
-        raise UsageError("--ks must name at least one alphabet size")
-    if any(k < 1 for k in ks):
-        raise UsageError("--ks entries must be >= 1")
+        raise argparse.ArgumentTypeError("must name at least one alphabet size")
     return ks
 
 
+_ks.__name__ = "int list"  # argparse names the type in "invalid int list value"
+
+
 def _cmd_figure1(args) -> int:
-    ks = _parse_ks(args.ks)
+    ks = args.ks
     rows = sweep_std_vs_heuristic(ks, args.n, args.reps, args.seed, threads=args.threads)
-    header = ["k", "sample_std", "heuristic_std", "ratio"]
-    _write_table(args.out, header, [list(r.values()) for r in rows], _sep(args.format))
+    _write_table(args.out, list(rows[0]), [list(r.values()) for r in rows], _sep(args.format))
     if args.svg:
         svg = render_xy_plot(
             [
@@ -376,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.set_defaults(func=_cmd_bounds)
 
     fig = sub.add_parser("figure1", help="sample std vs sqrt(k/2)/n sweep over alphabet sizes")
-    fig.add_argument("--ks", default="2,4,8,16,32,64", help="comma-separated alphabet sizes")
+    fig.add_argument("--ks", type=_ks, default="2,4,8,16,32,64", help="comma-separated alphabet sizes")
     fig.add_argument("--n", type=_size, default=10240)
     fig.add_argument("--reps", type=_reps, default=1000)
     fig.add_argument("--seed", type=_seed, default=0)

@@ -1,6 +1,7 @@
 import math
 import pathlib
 import re
+import shlex
 import threading
 
 import numpy as np
@@ -135,6 +136,22 @@ class TestSimulate:
         assert run("simulate", "--dist", f"file:{dist}", "--n", "64", "--reps", "50",
                    "--seed", "3", "--out", str(out)) == 0
         assert out.read_text().strip().split("\n")[1].split(",")[0] == "2"
+
+    def test_file_dist_ignores_blank_lines(self, tmp_path, capsys):
+        rows = []
+        for name, text in (("plain.txt", "0.2\n0.3\n0.5\n"), ("blanks.txt", "\n0.2\n\n  \n0.3\n\n0.5\n\n")):
+            (tmp_path / name).write_text(text)
+            assert run("simulate", "--dist", f"file:{tmp_path / name}", "--n", "64", "--reps", "50",
+                       "--seed", "3", "--out", "-") == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("text", ["\n\n  \n", "0.5\nnan\n0.5\n"], ids=["only-blank-lines", "nan-weight"])
+    def test_bad_file_dist_is_runtime_error(self, text, tmp_path, capsys):
+        dist = tmp_path / "d.txt"
+        dist.write_text(text)
+        assert run("simulate", "--dist", f"file:{dist}", "--n", "10", "--reps", "5", "--seed", "1", "--out", "-") == 1
+        assert capsys.readouterr().out == ""
 
     def test_byte_identical_across_thread_counts(self, tmp_path, started_threads):
         # the count path, then the symbol path (4n <= k)
@@ -544,6 +561,7 @@ _OUT_OF_RANGE = [
     ("simulate-twopoint", "--k", "1"),
     ("simulate", "--dist", "file:"),
     ("simulate", "--t", "1e308"),  # n + k*t overflows
+    *[("figure1", "--ks", value) for value in ("0", "2,x")],
     # above numpy's largest Poisson rate, which also bounds --n
     *[(command, "--n", str(2**63)) for command in ("simulate", "thm")],
     ("coupling", "--n", str(10**20)),
@@ -604,6 +622,17 @@ def test_csv_floats_roundtrip(tmp_path):
     var = float(cells[5])
     assert f"{mean:.17g}" == cells[4]
     assert math.sqrt(var) == pytest.approx(float(cells[6]), abs=0)
+
+
+def test_readme_cli_examples_parse():
+    # every command line of the sh block under "## CLI" parses (none is run)
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("```sh", lines.index("## CLI")) + 1
+    examples = [shlex.split(line) for line in lines[start:lines.index("```", start)]
+                if line.strip() and not line.startswith("#")]
+    assert examples and all(argv[0] == "klconc" for argv in examples)
+    for argv in examples:
+        build_parser().parse_args(argv[1:])
 
 
 def test_readme_suite_table_matches_the_suites():
