@@ -2,9 +2,10 @@
 
 Every formula is evaluated with its explicit constants; the one bound known
 only up to order of magnitude (:func:`prior_deviation_bound`) uses constant
-1 and is documented as approximate. Exact-summation companions are provided
-for the inverse-moment formulas so they can be checked against an
-independent oracle. The regularised incomplete gamma function, and the
+1 and is documented as approximate. The bounds take plain values, (k, n) or
+(k, n, delta), and hold them to two rules: k, n >= 1 and 0 < delta < 1.
+Exact-summation companions of the inverse-moment formulas check them against
+an independent oracle. The regularised incomplete gamma function, and the
 binomial and Poisson pmfs on an integer window with the masses outside it,
 that these oracles and the harness's goodness-of-fit tests need are
 computed here with numpy and ``math`` alone.
@@ -13,13 +14,11 @@ computed here with numpy and ``math`` alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "BoundInputs",
     "kl_deviation_bound",
     "prior_deviation_bound",
     "variance_lower_bound",
@@ -36,24 +35,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Alphabet size k, sample size n, and failure probability delta."""
-
-    k: int
-    n: int
-    delta: float
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.k}")
-        if self.n < 1:
-            raise ValueError(f"sample size must be >= 1, got {self.n}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"failure probability must lie in (0, 1), got {self.delta}")
+def _check_sizes(k: float, n: int) -> None:
+    """Raise ValueError unless the alphabet size k and the sample size n are >= 1."""
+    if k < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {k}")
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
 
 
-def kl_deviation_bound(b: BoundInputs) -> float:
+def _check_delta(delta: float) -> None:
+    """Raise ValueError unless the failure probability delta lies in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"failure probability must lie in (0, 1), got {delta}")
+
+
+def kl_deviation_bound(k: int, n: int, delta: float) -> float:
     """Deviation term of the KL tail bound for the add-one estimator:
 
         6*sqrt(k * log(4k/delta)**5) / n + 311/n + 160*k / n**1.5
@@ -61,19 +57,23 @@ def kl_deviation_bound(b: BoundInputs) -> float:
     This is the additive term on top of the expected loss; the expectation
     itself is measured empirically by the harness.
     """
-    lg = math.log(4.0 * b.k / b.delta)
-    return 6.0 * math.sqrt(b.k * lg**5) / b.n + 311.0 / b.n + 160.0 * b.k / b.n**1.5
+    _check_sizes(k, n)
+    _check_delta(delta)
+    lg = math.log(4.0 * k / delta)
+    return 6.0 * math.sqrt(k * lg**5) / n + 311.0 / n + 160.0 * k / n**1.5
 
 
-def prior_deviation_bound(b: BoundInputs) -> float:
+def prior_deviation_bound(k: int, n: int, delta: float) -> float:
     """Earlier deviation rate (k/n) * log(n) * log(k/delta), linear in k.
 
     Known only up to an unstated constant; evaluated here with constant 1,
     so it is an order-of-magnitude yardstick, not a certified bound.
     """
-    if b.n < 2:
-        raise ValueError(f"sample size must be >= 2 so that log(n) > 0, got {b.n}")
-    return b.k / b.n * math.log(b.n) * math.log(b.k / b.delta)
+    _check_sizes(k, n)
+    _check_delta(delta)
+    if n < 2:
+        raise ValueError(f"sample size must be >= 2 so that log(n) > 0, got {n}")
+    return k / n * math.log(n) * math.log(k / delta)
 
 
 def variance_lower_bound(k: int, n: int) -> float:
@@ -93,8 +93,7 @@ def heuristic_kl_std(k: int, n: int) -> float:
     freedom, so its exact-dof form is sqrt((k-1)/2) / n; the two differ by
     sqrt((k-1)/k), which is 0.707 at k=2.
     """
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
+    _check_sizes(k, n)
     return math.sqrt(k / 2.0) / n
 
 
@@ -107,8 +106,7 @@ def poisson_tail_radius(n_obs, delta: float):
     """
     if np.any(np.asarray(n_obs) < 0):
         raise ValueError(f"observed counts must be >= 0, got min {np.min(n_obs)}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"failure probability must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     return 6.0 * np.sqrt(n_obs + 1.0) * math.log(2.0 / delta)
 
 
@@ -116,15 +114,16 @@ def expectation_gap_bound(k: float, n: int) -> float:
     """311/n + 160*k / n**1.5: gap between the Poissonized and fixed-n
     expected adjusted KL. k is a real >= 1: the alphabet size, or 1/p for the
     coupling of one symbol of mass p."""
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
+    _check_sizes(k, n)
     return 311.0 / n + 160.0 * k / n**1.5
 
 
-def clip_threshold(b: BoundInputs) -> float:
+def clip_threshold(k: int, n: int, delta: float) -> float:
     """Per-symbol clip level 36 * log(4k/delta)**2 / n used to bound
     coordinate influence in the concentration argument."""
-    return 36.0 * math.log(4.0 * b.k / b.delta) ** 2 / b.n
+    _check_sizes(k, n)
+    _check_delta(delta)
+    return 36.0 * math.log(4.0 * k / delta) ** 2 / n
 
 
 def _check_binomial(m: int, prob: float) -> None:

@@ -13,7 +13,6 @@ import sys
 from typing import Callable, NamedTuple
 
 from .bounds import (
-    BoundInputs,
     clip_threshold,
     expectation_gap_bound,
     heuristic_kl_std,
@@ -24,6 +23,7 @@ from .bounds import (
 from .distributions import Pmf, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
 from .harness import (
     MAX_STORED_TRIALS,
+    _check_two_reps,
     _usable_cores,
     check_gof_regime,
     coupling_checks,
@@ -139,20 +139,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    b = BoundInputs(k=args.k, n=args.n, delta=args.delta)
+    b = (args.k, args.n, args.delta)
     try:
         variance_lb = variance_lower_bound(args.k, args.n)
     except ValueError:  # (k, n) outside the floor's regime: the cell stays blank
         variance_lb = None
-    prior = prior_deviation_bound(b) if args.n >= 2 else None
+    prior = prior_deviation_bound(*b) if args.n >= 2 else None
     header = ["kl_tail_bound", "prior_tail_bound", "variance_lb", "heuristic_std",
               "expectation_gap", "clip_threshold"]
-    row = [
-        kl_deviation_bound(b), prior, variance_lb,
-        heuristic_kl_std(args.k, args.n),
-        expectation_gap_bound(args.k, args.n),
-        clip_threshold(b),
-    ]
+    row = [kl_deviation_bound(*b), prior, variance_lb, heuristic_kl_std(args.k, args.n),
+           expectation_gap_bound(args.k, args.n), clip_threshold(*b)]
     _write_table(args.out, header, [row], _sep(args.format))
     return 0
 
@@ -212,14 +208,8 @@ def _poisson_tail(lam, delta, **kw):
     return poisson_tail_checks(lam, delta if isinstance(delta, tuple) else (delta,), **kw)
 
 
-def _two_reps(reps, **_):
-    """Regime of the claims judged by a sample variance, which one trial leaves undefined."""
-    if reps < 2:
-        raise ValueError(f"a sample variance needs reps >= 2, got {reps}")
-
-
 def _variance_regime(k, n, reps, **_):
-    _two_reps(reps)
+    _check_two_reps(reps)
     variance_lower_bound(k, n)  # raises unless k >= 2 and n >= 10k
 
 
@@ -265,7 +255,7 @@ def _suites() -> dict[str, _Suite]:
             lambda dist, **kw: expected_kl_check(expectation[dist], **kw),
             "mean add-one KL loss <= (k-1)/n: {dist} n={n} reps={reps} mean={mean_kl:.6e} "
             "ceiling={ceiling:.6e} slack={slack:.2e}",
-            _two_reps,
+            lambda reps, **_: _check_two_reps(reps),
         ),
         "facts": _Suite((), [()], None, run_facts_checks, "{name}: {detail}"),
     }

@@ -1,4 +1,5 @@
-"""Probability vectors, count vectors, and add-constant estimators."""
+"""Probability vectors, and the add-constant estimators that map a count
+vector (a 1-D sequence of nonnegative integers) to one."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ import numpy as np
 __all__ = [
     "Measure",
     "Pmf",
-    "Counts",
     "uniform_pmf",
     "zipf_pmf",
     "two_point_pmf",
@@ -35,6 +35,20 @@ def _as_weight_array(values, what: str) -> np.ndarray:
         bad = int(np.flatnonzero(w < 0)[0])
         raise ValueError(f"{what} has negative entry {w[bad]!r} at index {bad}")
     return w
+
+
+def _as_counts(counts) -> np.ndarray:
+    """The counts, one per symbol, as an int64 array checked 1-D, nonempty and nonnegative.
+    Their sum is the total number of draws (the multinomial n, or the realized
+    Poisson total N under Poissonized sampling); as int64, count/total ratios
+    stay exact in double precision for totals up to 2**53."""
+    c = np.asarray(counts, dtype=np.int64)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("counts must be a one-dimensional sequence of length >= 1")
+    if np.any(c < 0):
+        bad = int(np.flatnonzero(c < 0)[0])
+        raise ValueError(f"negative count {int(c[bad])} at index {bad}")
+    return c
 
 
 class Measure:
@@ -100,44 +114,6 @@ class Pmf(Measure):
         return self._weights
 
 
-class Counts:
-    """Occurrence counts per symbol plus the total number of draws.
-
-    ``total`` always equals the sum of the counts; it is the multinomial
-    sample size n, or the realized Poisson total N under Poissonized
-    sampling. Counts are stored as int64, so count/total ratios stay exact
-    in double precision for totals up to 2**53.
-    """
-
-    __slots__ = ("_counts", "_total")
-
-    def __init__(self, counts):
-        c = np.asarray(counts, dtype=np.int64)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("counts must be a one-dimensional sequence of length >= 1")
-        if np.any(c < 0):
-            bad = int(np.flatnonzero(c < 0)[0])
-            raise ValueError(f"negative count {int(c[bad])} at index {bad}")
-        c = c.copy()
-        c.flags.writeable = False
-        self._counts = c
-        self._total = int(c.sum())
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts
-
-    @property
-    def total(self) -> int:
-        return self._total
-
-    def __len__(self) -> int:
-        return self._counts.size
-
-    def __repr__(self) -> str:
-        return f"Counts({self._counts.tolist()!r})"
-
-
 def uniform_pmf(k: int) -> Pmf:
     """Uniform distribution over a k-symbol alphabet."""
     if k < 1:
@@ -191,14 +167,15 @@ def load_pmf(path) -> Pmf:
     return Pmf(weights)
 
 
-def empirical_estimate(c: Counts) -> Pmf:
+def empirical_estimate(counts) -> Pmf:
     """Maximum-likelihood estimate: entry i is count_i / total."""
-    if c.total < 1:
+    c = _as_counts(counts)
+    if c.sum() < 1:
         raise ValueError("empirical estimate requires at least one draw")
-    return Pmf(c.counts / c.total)
+    return Pmf(c / c.sum())
 
 
-def add_t_estimate(c: Counts, t: float = 1.0) -> Pmf:
+def add_t_estimate(counts, t: float = 1.0) -> Pmf:
     """Add-constant estimate: entry i is (count_i + t) / (total + k*t).
 
     t=1 is the add-one (Laplace) rule and t=1/2 the Krichevsky-Trofimov
@@ -208,11 +185,12 @@ def add_t_estimate(c: Counts, t: float = 1.0) -> Pmf:
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"smoothing constant must be a finite nonnegative real, got {t}")
     if t == 0:
-        return empirical_estimate(c)
-    return Pmf((c.counts + t) / (c.total + len(c) * t))
+        return empirical_estimate(counts)
+    c = _as_counts(counts)
+    return Pmf((c + t) / (c.sum() + c.size * t))
 
 
-def pseudo_estimate(c: Counts, n: int) -> Measure:
+def pseudo_estimate(counts, n: int) -> Measure:
     """Add-one numerator over the fixed denominator n + k: (count_i + 1) / (n + k).
 
     Unlike :func:`add_t_estimate`, the denominator uses the nominal sample
@@ -222,4 +200,5 @@ def pseudo_estimate(c: Counts, n: int) -> Measure:
     """
     if n < 1:
         raise ValueError(f"nominal sample size must be >= 1, got {n}")
-    return Measure((c.counts + 1.0) / (n + len(c)))
+    c = _as_counts(counts)
+    return Measure((c + 1.0) / (n + c.size))

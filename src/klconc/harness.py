@@ -33,8 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import (
-    BoundInputs,
     _binomial_window,
+    _check_delta,
     _poisson_window,
     _regularized_gamma,
     binomial_inverse_moment,
@@ -54,7 +54,6 @@ from .losses import kl_losses, kl_losses_from_sorted_draws
 from .sampling import _derive_subseed, coupled_pairs, derive_trial_rng
 
 __all__ = [
-    "GofResult",
     "ClaimResult",
     "exceedance_allowance",
     "run_kl_trials",
@@ -86,6 +85,13 @@ def _check_stored(reps: int) -> None:
     """Raise ValueError before drawing unless reps lies in [1, MAX_STORED_TRIALS]."""
     if not 1 <= reps <= MAX_STORED_TRIALS:
         raise ValueError(f"repetition count must be >= 1 and is capped at {MAX_STORED_TRIALS} (got {reps})")
+
+
+def _check_two_reps(reps: int) -> None:
+    """_check_stored, and then a ValueError unless reps >= 2: one trial has no sample variance."""
+    _check_stored(reps)
+    if reps < 2:
+        raise ValueError(f"a sample variance needs reps >= 2, got {reps}")
 
 
 def _usable_cores() -> int:
@@ -234,7 +240,7 @@ def run_kl_trials(pmf: Pmf, n: int, reps: int, seed: int, t: float = 1.0,
     mean + t_delta; both are None otherwise. Deterministic given its
     arguments other than ``threads``, the worker count of the draw; delta is
     checked before anything is drawn."""
-    t_delta = None if delta is None else kl_deviation_bound(BoundInputs(k=len(pmf), n=n, delta=delta))
+    t_delta = None if delta is None else kl_deviation_bound(len(pmf), n, delta)
     losses = _kl_loss_samples(pmf, n, t, seed, reps, threads=threads)
     if np.isinf(losses).any():
         # Only reachable with t = 0 (unsmoothed estimate misses support).
@@ -282,11 +288,9 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 def _variance_interval(losses: np.ndarray, mean: float, s2: float) -> tuple[float, float]:
     """95% normal interval on the sample variance s^2 of r losses, from the
-    fourth central moment m4: Var(s^2) ~ (m4 - s^4 (r-3)/(r-1)) / r. The lower
-    end is clamped at 0; below two losses the interval is (nan, nan)."""
+    fourth central moment m4: Var(s^2) ~ (m4 - s^4 (r-3)/(r-1)) / r, for r >= 2.
+    The lower end is clamped at 0."""
     r = losses.size
-    if r < 2:
-        return math.nan, math.nan
     m4 = float(np.mean((losses - mean) ** 4))
     half = _Z95 * math.sqrt(max(0.0, (m4 - s2 * s2 * (r - 3) / (r - 1)) / r))
     return max(0.0, s2 - half), s2 + half
@@ -294,8 +298,9 @@ def _variance_interval(losses: np.ndarray, mean: float, s2: float) -> tuple[floa
 
 def verify_variance_lb(k: int, n: int, reps: int, seed: int, *, threads: int = 1) -> ClaimResult:
     """Empirical Var(KL) for the add-one estimator on uniform(k) against the
-    closed-form floor k/(32 n^2); requires k >= 2 and n >= 10k."""
+    closed-form floor k/(32 n^2); requires k >= 2, n >= 10k and reps >= 2."""
     lb = variance_lower_bound(k, n)  # validates k >= 2 and n >= 10k
+    _check_two_reps(reps)
     losses = _kl_loss_samples(uniform_pmf(k), n, 1.0, seed, reps, threads=threads)
     mean, empirical = _moments_blockwise(losses)
     ci_low, ci_high = _variance_interval(losses, mean, empirical)
@@ -323,8 +328,13 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int, *, threads: in
     draws, which must stay within delta (plus sampling slack): one result per
     delta in ``deltas``, in order, all on one sample of draws, so a delta's
     result does not depend on the other deltas checked with it. The chunks
-    are shared among ``threads`` workers (see ``_map_streams``)."""
+    are shared among ``threads`` workers (see ``_map_streams``). Rejects an
+    empty ``deltas`` and any delta outside (0, 1) before drawing."""
     _check_stored(reps)
+    if len(deltas) == 0:
+        raise ValueError("need at least one failure probability")
+    for delta in deltas:
+        _check_delta(delta)
 
     def chunk_fails(rng, lo, hi):
         draws = rng.poisson(lam, size=hi - lo)
@@ -341,22 +351,13 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int, *, threads: in
     return results
 
 
-@dataclass(frozen=True)
-class GofResult:
-    statistic: float
-    p_value: float
-    dof: int
-    bins: int
-
-
-def chi_square_gof(counts: np.ndarray, probs: np.ndarray) -> GofResult:
-    """Chi-square goodness of fit of integer draws against an exact pmf on
-    one window of values: the j-th value is drawn ``counts[j]`` times and has
-    target probability ``probs[j]``. ``probs`` sums to 1, so the mass outside
-    the window is folded into its end entries. Adjacent bins are merged left
-    to right until each carries expected count >= _GOF_MIN_EXPECTED (the
-    remainder folds into the last bin), which collapses the sparse tails.
-    """
+def chi_square_gof(counts: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
+    """(statistic, p_value) of the chi-square goodness of fit of integer draws
+    against an exact pmf on one window of values: the j-th value is drawn
+    ``counts[j]`` times and has target probability ``probs[j]``. ``probs`` sums
+    to 1, so the mass outside the window is folded into its end entries. Adjacent
+    bins are merged left to right until each carries expected count >= _GOF_MIN_EXPECTED
+    (the remainder folds into the last bin); fewer than two bins give (0.0, 1.0)."""
     expected = np.asarray(probs, dtype=np.float64) * counts.sum()
 
     merged_obs: list[float] = []
@@ -369,22 +370,15 @@ def chi_square_gof(counts: np.ndarray, probs: np.ndarray) -> GofResult:
             merged_obs.append(acc_o)
             merged_exp.append(acc_e)
             acc_o = acc_e = 0.0
-    if acc_e > 0 or acc_o > 0:
-        if merged_exp:
-            merged_obs[-1] += acc_o
-            merged_exp[-1] += acc_e
-        else:
-            merged_obs.append(acc_o)
-            merged_exp.append(acc_e)
-
     if len(merged_exp) < 2:
-        return GofResult(statistic=0.0, p_value=1.0, dof=0, bins=len(merged_exp))
+        return 0.0, 1.0
+    merged_obs[-1] += acc_o
+    merged_exp[-1] += acc_e
     obs = np.array(merged_obs)
     exp = np.array(merged_exp)
     statistic = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(merged_exp) - 1
-    p_value = _regularized_gamma(dof / 2.0, statistic / 2.0)[1]  # chi2.sf(statistic, dof)
-    return GofResult(statistic=statistic, p_value=p_value, dof=dof, bins=len(merged_exp))
+    return statistic, _regularized_gamma(dof / 2.0, statistic / 2.0)[1]  # chi2.sf(statistic, dof)
 
 
 MAX_GOF_N = 2**24  # the GOF windows grow like sqrt(n): Bin(n, prob)'s spans ~34,000 values at the cap
@@ -447,16 +441,16 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int =
         probs[0] += head
         probs[-1] += tail
         gofs.append(chi_square_gof(counts, probs))
-    gof_m, gof_mp = gofs
-    passed = gof_m.p_value >= GOF_P_THRESHOLD and gof_mp.p_value >= GOF_P_THRESHOLD
-    marginals = ClaimResult(bool(passed), {"chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
-                                           "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value})
+    (chi2_m, p_m), (chi2_mp, p_mp) = gofs
+    marginals = ClaimResult(bool(p_m >= GOF_P_THRESHOLD and p_mp >= GOF_P_THRESHOLD),
+                            {"chi2_m": chi2_m, "p_m": p_m, "chi2_m_prime": chi2_mp, "p_m_prime": p_mp})
     return [gap, marginals]
 
 
 def expected_kl_check(pmf: Pmf, n: int, reps: int, seed: int, *, threads: int = 1) -> ClaimResult:
     """Mean add-one KL loss on p against the worst-case expectation (k-1)/n,
-    with one-sided CI slack of three standard errors."""
+    with one-sided CI slack of three standard errors; requires reps >= 2."""
+    _check_two_reps(reps)
     losses = _kl_loss_samples(pmf, n, 1.0, seed, reps, threads=threads)
     mean, variance = _moments_blockwise(losses)
     ceiling = (len(pmf) - 1) / n

@@ -62,7 +62,7 @@ def kl_losses(p: Pmf, counts: np.ndarray, t: float) -> np.ndarray:
 
     over the support of p: symbols with p_i = 0 contribute exactly 0
     whatever their count, and a loss is +inf iff t = 0 and the row misses a
-    symbol of the support. Counts must be nonnegative integers; p is used
+    symbol of the support. The counts must be nonnegative integers; p is used
     as given, so it is validated once, when the ``Pmf`` is built.
     """
     counts = np.asarray(counts)

@@ -11,7 +11,6 @@ from scipy import stats
 
 import klconc
 from klconc.bounds import (
-    BoundInputs,
     _binomial_window,
     _poisson_window,
     _regularized_gamma,
@@ -44,27 +43,14 @@ _PMF_AT_MEAN_ORACLE = {
 }
 
 
-def test_bound_inputs_validation():
-    BoundInputs(k=1, n=1, delta=0.5)
-    with pytest.raises(ValueError):
-        BoundInputs(k=0, n=1, delta=0.5)
-    with pytest.raises(ValueError):
-        BoundInputs(k=1, n=0, delta=0.5)
-    for delta in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            BoundInputs(k=1, n=1, delta=delta)
-
-
 class TestKlDeviationBound:
     def test_small_instance(self):
-        b = BoundInputs(k=1, n=1, delta=0.9)
         expected = 6.0 * math.sqrt(math.log(4 / 0.9) ** 5) + 311.0 + 160.0
-        assert kl_deviation_bound(b) == pytest.approx(expected, rel=1e-14)
+        assert kl_deviation_bound(1, 1, 0.9) == pytest.approx(expected, rel=1e-14)
 
     def test_large_instance(self):
-        b = BoundInputs(k=100, n=10**6, delta=0.1)
         expected = 6 * math.sqrt(100 * math.log(4000) ** 5) / 10**6 + 311 / 10**6 + 160 * 100 / 10**9
-        assert kl_deviation_bound(b) == pytest.approx(expected, rel=1e-14)
+        assert kl_deviation_bound(100, 10**6, 0.1) == pytest.approx(expected, rel=1e-14)
 
     def test_scaling_in_n(self):
         k, delta = 50, 0.05
@@ -72,32 +58,27 @@ class TestKlDeviationBound:
         for n in (100, 12345):
             t1 = 6 * math.sqrt(k * lg**5) / n
             t3 = 160 * k / n**1.5
-            doubled = kl_deviation_bound(BoundInputs(k=k, n=2 * n, delta=delta))
+            doubled = kl_deviation_bound(k, 2 * n, delta)
             expected = t1 / 2 + (311 / n) / 2 + t3 / 2**1.5
             assert doubled == pytest.approx(expected, rel=1e-12)
 
 
 class TestPriorDeviationBound:
     def test_arithmetic_instance(self):
-        b = BoundInputs(k=1, n=3, delta=1 / math.e)
-        assert prior_deviation_bound(b) == pytest.approx((1 / 3) * math.log(3), rel=1e-14)
+        assert prior_deviation_bound(1, 3, 1 / math.e) == pytest.approx((1 / 3) * math.log(3), rel=1e-14)
 
     def test_large_instance(self):
-        b = BoundInputs(k=100, n=10**6, delta=0.1)
         expected = 1e-4 * math.log(10**6) * math.log(10**3)
-        assert prior_deviation_bound(b) == pytest.approx(expected, rel=1e-14)
+        assert prior_deviation_bound(100, 10**6, 0.1) == pytest.approx(expected, rel=1e-14)
 
     def test_requires_n_at_least_two(self):
         with pytest.raises(ValueError):
-            prior_deviation_bound(BoundInputs(k=1, n=1, delta=0.5))
+            prior_deviation_bound(1, 1, 0.5)
 
     def test_ratio_to_new_bound_shrinks_with_k(self):
         n, delta = 10**6, 0.1
-        ratios = [
-            kl_deviation_bound(BoundInputs(k=k, n=n, delta=delta))
-            / prior_deviation_bound(BoundInputs(k=k, n=n, delta=delta))
-            for k in (2**j for j in range(1, 21))
-        ]
+        ratios = [kl_deviation_bound(k, n, delta) / prior_deviation_bound(k, n, delta)
+                  for k in (2**j for j in range(1, 21))]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
     def test_crossover_scan(self):
@@ -114,10 +95,8 @@ class TestPriorDeviationBound:
         assert k0 <= 10**6
         assert below[k0 - 1 :].all()
         # the vectorized scan matches the scalar calculators at the crossover
-        b = BoundInputs(k=k0, n=n, delta=delta)
-        assert kl_deviation_bound(b) < prior_deviation_bound(b)
-        b = BoundInputs(k=k0 - 1, n=n, delta=delta)
-        assert kl_deviation_bound(b) >= prior_deviation_bound(b)
+        assert kl_deviation_bound(k0, n, delta) < prior_deviation_bound(k0, n, delta)
+        assert kl_deviation_bound(k0 - 1, n, delta) >= prior_deviation_bound(k0 - 1, n, delta)
 
 
 class TestVarianceLowerBound:
@@ -168,14 +147,10 @@ def test_expectation_gap_bound_values():
 
 
 def test_clip_threshold_identities():
-    b = BoundInputs(k=1, n=36, delta=0.5)
-    assert clip_threshold(b) == pytest.approx(math.log(8) ** 2, rel=1e-14)
+    assert clip_threshold(1, 36, 0.5) == pytest.approx(math.log(8) ** 2, rel=1e-14)
     for k, n, delta in ((5, 100, 0.2), (64, 999, 0.01)):
-        b = BoundInputs(k=k, n=n, delta=delta)
-        assert clip_threshold(b) * n / 36 == pytest.approx(math.log(4 * k / delta) ** 2, rel=1e-12)
-        assert clip_threshold(BoundInputs(k=k, n=2 * n, delta=delta)) == pytest.approx(
-            clip_threshold(b) / 2, rel=1e-12
-        )
+        assert clip_threshold(k, n, delta) * n / 36 == pytest.approx(math.log(4 * k / delta) ** 2, rel=1e-12)
+        assert clip_threshold(k, 2 * n, delta) == pytest.approx(clip_threshold(k, n, delta) / 2, rel=1e-12)
 
 
 class TestBinomialInverseMoment:

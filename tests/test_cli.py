@@ -1,6 +1,5 @@
 import math
 import pathlib
-import re
 import shlex
 import threading
 
@@ -401,7 +400,7 @@ _COUPLING_FLAGS = ["--n", "20", "--prob", "0.4", "--reps", "100000"]
 _NEGATIVE_CONTROLS = {
     "variance": [("variance_lower_bound", lambda f: lambda k, n: 100 * f(k, n),
                   ["--k", "10", "--n", "100", "--reps", "2000"], "variance of add-one KL loss")],
-    "thm": [("kl_deviation_bound", lambda f: lambda b: 0.0,
+    "thm": [("kl_deviation_bound", lambda f: lambda k, n, delta: 0.0,
              ["--k", "10", "--n", "1000", "--reps", "1000"], "KL loss exceeds")],
     "poisson-tail": [("poisson_tail_radius", lambda f: lambda n_obs, delta: 0.0,
                       ["--lam", "5", "--delta", "0.3", "--reps", "20000"], "|N+1-lam|")],
@@ -636,8 +635,8 @@ def test_readme_cli_examples_parse():
 
 
 def test_readme_suite_table_matches_the_suites():
-    # the `| suite | fields | notes |` table names each suite once, with its config fields
-    # in its fields cell and its second names in its notes cell
+    # the `| suite | fields | notes |` table names the suites in `check`'s order, each
+    # with its config fields in order ("none" for none) and its second names in its notes
     lines = README.read_text(encoding="utf-8").splitlines()
     start = lines.index("| suite | fields | notes |") + 2
     rows = []
@@ -645,10 +644,9 @@ def test_readme_suite_table_matches_the_suites():
         if not line.startswith("|"):
             break
         rows.append([cell.strip() for cell in line.strip("|").split("|")])
-    table = {re.fullmatch(r"`([^`]+)`", suite)[1]: (tuple(re.findall(r"`([^`]+)`", fields)), notes)
-             for suite, fields, notes in rows}
-    assert len(table) == len(rows)
-    assert {name: fields for name, (fields, _) in table.items()} == {
-        name: suite.fields for name, suite in _suites().items()}
+    assert [(suite, fields) for suite, fields, _ in rows] == [
+        (f"`{name}`", ", ".join(f"`{field}`" for field in suite.fields) or "none")
+        for name, suite in _suites().items()]
+    notes = {suite: notes for suite, _, notes in rows}
     for alias, name in cli._ALIASES.items():
-        assert f"`{alias}`" in table[name][1]
+        assert f"`{alias}`" in notes[f"`{name}`"]

@@ -9,7 +9,7 @@ from scipy import stats
 
 from klconc import harness
 from klconc.bounds import _binomial_window, _poisson_window, poisson_tail_radius
-from klconc.distributions import Counts, Pmf, add_t_estimate, two_point_pmf, uniform_pmf, zipf_pmf
+from klconc.distributions import Pmf, add_t_estimate, two_point_pmf, uniform_pmf, zipf_pmf
 from klconc.harness import (
     MAX_STORED_TRIALS,
     chi_square_gof,
@@ -164,9 +164,9 @@ class TestRunKlTrials:
         k, n = 16, 1000
         p = uniform_pmf(k)
         for i in range(300):
-            counts = Counts(derive_trial_rng(44, i).multinomial(n, p.probs))
+            counts = derive_trial_rng(44, i).multinomial(n, p.probs)
             direct = kl_divergence(p, add_t_estimate(counts, 1.0))
-            decomposed = -math.fsum(np.log(counts.counts + 1.0)) / k + math.log(1 + n / k)
+            decomposed = -math.fsum(np.log(counts + 1.0)) / k + math.log(1 + n / k)
             assert direct == pytest.approx(decomposed, rel=1e-12)
 
 
@@ -181,7 +181,7 @@ class TestTrialStreams:
         for block, size in ((0, 2048), (1, 300)):
             counts = derive_trial_rng(seed, block).multinomial(n, p.probs, size=size)
             for row, c in enumerate(counts):
-                want = kl_divergence(p, add_t_estimate(Counts(c), t))
+                want = kl_divergence(p, add_t_estimate(c, t))
                 assert losses[2048 * block + row] == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_sub_chunks_keep_the_stream(self):
@@ -471,24 +471,44 @@ class TestExactMeanOracleCategorical:
         assert abs(_z_from_exact(Pmf(w / w.sum()), exact, reps=4096)) > 4.0
 
 
+def _greedy_merge(observed, expected, least=5.0):
+    """(observed, expected) per bin after merging adjacent bins left to right:
+    a bin is closed once it expects >= least, and a remainder that expects less
+    joins the last closed bin."""
+    bins = [[0.0, 0.0]]
+    for o, e in zip(observed, expected):
+        if bins[-1][1] >= least:
+            bins.append([0.0, 0.0])
+        bins[-1][0] += o
+        bins[-1][1] += e
+    if len(bins) > 1 and bins[-1][1] < least:
+        o, e = bins.pop()
+        bins[-1][0] += o
+        bins[-1][1] += e
+    return np.array(bins).T
+
+
 class TestChiSquareGof:
     def test_merges_sparse_tails(self):
         draws = derive_trial_rng(52, 0).poisson(4.0, size=10**5)
         hi = int(draws.max())
         probs = stats.poisson.pmf(np.arange(hi + 1), 4.0)
         probs[-1] += stats.poisson.sf(hi, 4.0)
-        gof = chi_square_gof(np.bincount(draws), probs)
-        assert gof.bins < hi + 1
-        assert gof.dof == gof.bins - 1
-        assert gof.p_value >= 1e-3
+        statistic, p_value = chi_square_gof(np.bincount(draws), probs)
+        obs, exp = _greedy_merge(np.bincount(draws), probs * draws.size)
+        assert exp.size < hi + 1  # the sparse tail bins were merged
+        want = float(np.sum((obs - exp) ** 2 / exp))
+        assert statistic == pytest.approx(want, rel=1e-12)
+        assert p_value == pytest.approx(stats.chi2.sf(want, exp.size - 1), rel=1e-12)
+        assert p_value >= 1e-3
 
     def test_detects_wrong_distribution(self):
         draws = derive_trial_rng(51, 0).poisson(4.0, size=10**5)
         hi = int(draws.max())
         probs = stats.poisson.pmf(np.arange(hi + 1), 5.0)
         probs[-1] += stats.poisson.sf(hi, 5.0)
-        gof = chi_square_gof(np.bincount(draws), probs)
-        assert gof.p_value < 1e-6
+        _, p_value = chi_square_gof(np.bincount(draws), probs)
+        assert p_value < 1e-6
 
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError):
@@ -498,8 +518,7 @@ class TestChiSquareGof:
         draws = np.full(1000, 7)
         probs = np.zeros(8)
         probs[7] = 1.0
-        gof = chi_square_gof(np.bincount(draws), probs)
-        assert gof.p_value == 1.0
+        assert chi_square_gof(np.bincount(draws), probs) == (0.0, 1.0)
 
 
 def _exact_var_k2(n: int) -> float:
@@ -542,7 +561,8 @@ class TestVarianceLb:
 
     @pytest.mark.filterwarnings("error")
     def test_interval_at_tiny_reps(self):
-        assert all(map(math.isnan, _ci(verify_variance_lb(2, 20, 1, seed=3))))
+        with pytest.raises(ValueError, match="reps >= 2"):  # one loss has no sample variance
+            verify_variance_lb(2, 20, 1, seed=3)
         for reps in (2, 3):
             low, high = _ci(verify_variance_lb(2, 20, reps, seed=3))
             assert math.isfinite(high) and 0.0 <= low <= high
@@ -736,11 +756,9 @@ class TestStreamedClaims:
         np.testing.assert_equal([gap["est_gap"], gap["ci_low"], gap["ci_high"]],
                                 [mean, mean - _Z99 * se, mean + _Z99 * se])
 
-        gof_m = _window_gof(m, lambda lo, hi: _binomial_window(n, prob, lo, hi))
-        gof_mp = _window_gof(m_prime, lambda lo, hi: _poisson_window(n * prob, lo, hi))
-        assert gof == {
-            "chi2_m": gof_m.statistic, "p_m": gof_m.p_value,
-            "chi2_m_prime": gof_mp.statistic, "p_m_prime": gof_mp.p_value}
+        chi2_m, p_m = _window_gof(m, lambda lo, hi: _binomial_window(n, prob, lo, hi))
+        chi2_mp, p_mp = _window_gof(m_prime, lambda lo, hi: _poisson_window(n * prob, lo, hi))
+        assert gof == {"chi2_m": chi2_m, "p_m": p_m, "chi2_m_prime": chi2_mp, "p_m_prime": p_mp}
 
     @pytest.mark.parametrize("size", CHUNK_EDGE_SIZES)
     def test_values_do_not_depend_on_threads(self, size, monkeypatch):
@@ -801,6 +819,19 @@ class TestExpectedKl:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
             expected_kl_check(uniform_pmf(10), 0, 10, seed=1)
+
+
+@pytest.mark.parametrize("claim", [lambda: verify_variance_lb(2, 20, 1, 7),
+                                   lambda: expected_kl_check(uniform_pmf(10), 1000, 1, 7),
+                                   lambda: poisson_tail_checks(5.0, (), 10**6, 7),
+                                   lambda: poisson_tail_checks(5.0, (0.1, 1.5), 10**6, 7)],
+                         ids=["variance-one-rep", "expectation-one-rep", "poisson-tail-no-delta",
+                              "poisson-tail-delta-above-1"])
+def test_claim_rejects_its_arguments_before_drawing(claim, monkeypatch):
+    # one trial has no sample variance; a Poisson-tail run needs deltas in (0, 1)
+    monkeypatch.setattr(harness, "derive_trial_rng", _no_draw)
+    with pytest.raises(ValueError):
+        claim()
 
 
 class TestStdSweep:

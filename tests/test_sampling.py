@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from klconc.distributions import Counts, Pmf, uniform_pmf
+from klconc.distributions import Pmf, uniform_pmf
 from klconc.harness import _DRAW_CHUNK, chi_square_gof
 from klconc.sampling import _derive_subseed, coupled_pairs, derive_trial_rng
 
@@ -58,8 +58,8 @@ class TestBinomial:
         probs = np.zeros(hi + 1)
         probs[lo : hi + 1] = stats.binom.pmf(np.arange(lo, hi + 1), 10**4, 0.3)
         probs[-1] += stats.binom.sf(hi, 10**4, 0.3)
-        gof = chi_square_gof(np.bincount(draws), probs)
-        assert gof.p_value >= GOF_ALPHA
+        _, p_value = chi_square_gof(np.bincount(draws), probs)
+        assert p_value >= GOF_ALPHA
 
 
 class TestPoisson:
@@ -68,8 +68,8 @@ class TestPoisson:
         hi = int(draws.max())
         probs = stats.poisson.pmf(np.arange(hi + 1), 4.0)
         probs[-1] += stats.poisson.sf(hi, 4.0)
-        gof = chi_square_gof(np.bincount(draws), probs)
-        assert gof.p_value >= GOF_ALPHA
+        _, p_value = chi_square_gof(np.bincount(draws), probs)
+        assert p_value >= GOF_ALPHA
 
     def test_huge_rate_mean(self):
         lam = 10**6
@@ -101,13 +101,13 @@ class TestKolmogorovExactness:
 
 class TestMultinomialCounts:
     def test_zero_draws(self):
-        c = Counts(derive_trial_rng(1, 0).multinomial(0, uniform_pmf(3).probs))
-        assert c.counts.tolist() == [0, 0, 0]
-        assert c.total == 0
+        c = derive_trial_rng(1, 0).multinomial(0, uniform_pmf(3).probs)
+        assert c.tolist() == [0, 0, 0]
+        assert c.sum() == 0
 
     def test_single_symbol(self):
-        c = Counts(derive_trial_rng(1, 0).multinomial(57, Pmf([1.0]).probs))
-        assert c.counts.tolist() == [57]
+        c = derive_trial_rng(1, 0).multinomial(57, Pmf([1.0]).probs)
+        assert c.tolist() == [57]
 
     def test_marginal_goodness_of_fit(self):
         batch = derive_trial_rng(9, 0).multinomial(10**4, [0.5, 0.5], size=10**5)
@@ -116,8 +116,8 @@ class TestMultinomialCounts:
         probs = np.zeros(hi + 1)
         probs[lo:] = stats.binom.pmf(np.arange(lo, hi + 1), 10**4, 0.5)
         probs[-1] += stats.binom.sf(hi, 10**4, 0.5)
-        gof = chi_square_gof(np.bincount(n1), probs)
-        assert gof.p_value >= GOF_ALPHA
+        _, p_value = chi_square_gof(np.bincount(n1), probs)
+        assert p_value >= GOF_ALPHA
 
 
 # Draw counts around the 2^16-draw chunks that the harness asks coupled_pairs for.
