@@ -79,13 +79,6 @@ class Measure:
     def __getitem__(self, i: int) -> float:
         return float(self._weights[i])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Measure):
-            return NotImplemented
-        return self._weights.shape == other._weights.shape and bool(
-            np.all(self._weights == other._weights)
-        )
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._weights.tolist()!r})"
 

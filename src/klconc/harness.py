@@ -51,7 +51,7 @@ from .bounds import (
 )
 from .distributions import Pmf, uniform_pmf
 from .losses import kl_losses, kl_losses_from_sorted_draws
-from .sampling import _derive_subseed, coupled_pairs, derive_trial_rng
+from .sampling import _check_sample_size, _derive_subseed, coupled_pairs, derive_trial_rng
 
 __all__ = [
     "ClaimResult",
@@ -163,9 +163,9 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
     (row-sorted uniforms through the inverse cdf, computed with a guide table:
     Generator.choice's symbols, sorted), else Mult(n, p) counts. The blocks are
     shared among ``threads`` workers (see ``_map_streams``), each writing its
-    own rows. Rejects n < 1 and reps outside [1, MAX_STORED_TRIALS] before drawing."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    own rows. Rejects an n that is not an integer >= 1 and reps outside
+    [1, MAX_STORED_TRIALS] before drawing."""
+    _check_sample_size(n)
     _check_stored(reps)
     k = len(pmf)
     categorical = _CATEGORICAL * n <= k
@@ -413,6 +413,7 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int =
     Bin(n, prob) for M and Poi(n * prob) for M'. The chunks are shared
     among ``threads`` workers (see ``_map_streams``); their block statistics
     are folded in index order, so the doubles do not depend on the worker count."""
+    _check_sample_size(n)
     check_gof_regime(n, reps)
     _check_stored(reps)
 

@@ -26,6 +26,12 @@ def _seed_sequence(master_seed: int, spawn_key: tuple[int, ...]) -> SeedSequence
     return SeedSequence(master_seed, spawn_key=spawn_key)
 
 
+def _check_sample_size(n) -> None:
+    """The one rule for a sample size: a Python or numpy integer >= 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"sample size must be an integer >= 1, got {n!r}")
+
+
 def derive_trial_rng(master_seed: int, trial_index: int) -> Generator:
     """Statistically independent stream for one unit of a run.
 
@@ -59,8 +65,7 @@ def coupled_pairs(rng: Generator, n: int, prob: float, size: int) -> tuple[np.nd
     and the y draws, so the first r draws of any size are those of size r.
     The arguments are checked before anything is drawn.
     """
-    if n < 1:
-        raise ValueError(f"nominal sample size must be >= 1, got {n}")
+    _check_sample_size(n)
     if not 0.0 < prob <= 1.0:
         raise ValueError(f"probability must lie in (0, 1], got {prob}")
     if size < 1:

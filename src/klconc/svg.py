@@ -38,8 +38,26 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _label(v: float) -> str:
-    return f"{v:.6g}"
+def _text(x, y, size, body: str, anchor: str = "middle", extra: str = "") -> str:
+    """One ``<text>`` element with ``&``, ``<`` and ``>`` escaped in ``body``;
+    an empty ``anchor`` omits ``text-anchor``, ``extra`` is appended as is."""
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"{anchor}{extra}>{body}</text>'
+
+
+def _log_scale(values: list[float], px_lo: float, px_hi: float):
+    """``(lo, hi, to_px)``: the span of ``values``, widened to [v/2, 2v] for a
+    single value v, and the map of that span onto [px_lo, px_hi] in log10."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        lo, hi = lo / 2.0, hi * 2.0
+
+    def to_px(v: float) -> float:
+        frac = (math.log10(v) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
+        return px_lo + frac * (px_hi - px_lo)
+
+    return lo, hi, to_px
 
 
 def render_xy_plot(
@@ -65,73 +83,34 @@ def render_xy_plot(
     if not all_pts:
         raise ValueError("nothing to plot: no finite points in range")
 
-    def span(vals):
-        lo, hi = min(vals), max(vals)
-        if hi == lo:
-            lo, hi = lo / 2.0, hi * 2.0
-        return lo, hi
-
-    x_lo, x_hi = span([p[0] for p in all_pts])
-    y_lo, y_hi = span([p[1] for p in all_pts])
-
-    def to_px(v, lo, hi, px_lo, px_hi):
-        frac = (math.log10(v) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
-        return px_lo + frac * (px_hi - px_lo)
-
-    def xp(v):
-        return to_px(v, x_lo, x_hi, _MARGIN_L, _WIDTH - _MARGIN_R)
-
-    def yp(v):
-        return to_px(v, y_lo, y_hi, _HEIGHT - _MARGIN_B, _MARGIN_T)
-
-    out = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-    )
-    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-    out.append(
-        f'<text x="{_WIDTH / 2:.0f}" y="22" font-family="sans-serif" font-size="15" '
-        f'text-anchor="middle">{_escape(title)}</text>'
-    )
-
     ax_bottom = _HEIGHT - _MARGIN_B
-    out.append(
-        f'<line x1="{_MARGIN_L}" y1="{ax_bottom}" x2="{_WIDTH - _MARGIN_R}" y2="{ax_bottom}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" y2="{ax_bottom}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
+    x_lo, x_hi, xp = _log_scale([p[0] for p in all_pts], _MARGIN_L, _WIDTH - _MARGIN_R)
+    y_lo, y_hi, yp = _log_scale([p[1] for p in all_pts], ax_bottom, _MARGIN_T)
 
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        _text(f"{_WIDTH / 2:.0f}", 22, 15, title),
+        f'<line x1="{_MARGIN_L}" y1="{ax_bottom}" x2="{_WIDTH - _MARGIN_R}" y2="{ax_bottom}" '
+        f'stroke="black" stroke-width="1"/>',
+        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" y2="{ax_bottom}" '
+        f'stroke="black" stroke-width="1"/>',
+    ]
     for t in _decade_ticks(x_lo, x_hi):
-        px = xp(t)
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{ax_bottom}" x2="{_fmt(px)}" y2="{ax_bottom + 5}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{ax_bottom + 18}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="middle">{_label(t)}</text>'
-        )
+        px = _fmt(xp(t))
+        out.append(f'<line x1="{px}" y1="{ax_bottom}" x2="{px}" y2="{ax_bottom + 5}" stroke="black"/>')
+        out.append(_text(px, ax_bottom + 18, 11, f"{t:.6g}"))
     for t in _decade_ticks(y_lo, y_hi):
         py = yp(t)
         out.append(f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(py)}" x2="{_MARGIN_L}" y2="{_fmt(py)}" stroke="black"/>')
-        out.append(
-            f'<text x="{_MARGIN_L - 8}" y="{_fmt(py + 4)}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="end">{_label(t)}</text>'
-        )
+        out.append(_text(_MARGIN_L - 8, _fmt(py + 4), 11, f"{t:.6g}", anchor="end"))
 
-    out.append(
-        f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.0f}" y="{_HEIGHT - 14}" '
-        f'font-family="sans-serif" font-size="13" text-anchor="middle">{_escape(x_label)}</text>'
-    )
-    cy = (_MARGIN_T + ax_bottom) / 2
-    out.append(
-        f'<text x="18" y="{cy:.0f}" font-family="sans-serif" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 18 {cy:.0f})">{_escape(y_label)}</text>'
-    )
+    out.append(_text(f"{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.0f}", _HEIGHT - 14, 13, x_label))
+    cy = f"{(_MARGIN_T + ax_bottom) / 2:.0f}"
+    out.append(_text(18, cy, 13, y_label, extra=f' transform="rotate(-90 18 {cy})"'))
 
+    legend, legend_x = [], _WIDTH - _MARGIN_R - 180
     for idx, (name, pts) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
         if len(pts) > 1:
@@ -139,21 +118,10 @@ def render_xy_plot(
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         for x, y in pts:
             out.append(f'<circle cx="{_fmt(xp(x))}" cy="{_fmt(yp(y))}" r="3" fill="{color}"/>')
+        y0 = _MARGIN_T + 6 + idx * 18
+        legend.append(f'<rect x="{legend_x}" y="{y0 - 9}" width="12" height="12" fill="{color}"/>')
+        legend.append(_text(legend_x + 18, y0 + 2, 12, name, anchor=""))
 
-    legend_x = _WIDTH - _MARGIN_R - 180
-    legend_y = _MARGIN_T + 6
-    for idx, (name, _) in enumerate(cleaned):
-        color = _PALETTE[idx % len(_PALETTE)]
-        y0 = legend_y + idx * 18
-        out.append(f'<rect x="{legend_x}" y="{y0 - 9}" width="12" height="12" fill="{color}"/>')
-        out.append(
-            f'<text x="{legend_x + 18}" y="{y0 + 2}" font-family="sans-serif" '
-            f'font-size="12">{_escape(name)}</text>'
-        )
-
+    out += legend
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

@@ -395,8 +395,8 @@ def _shift_m(pairs):
 _COUPLING_FLAGS = ["--n", "20", "--prob", "0.4", "--reps", "100000"]
 
 # Per suite, one control per claim: (klconc.harness name, replacement built from the
-# original, check flags, start of the claim line it breaks). Each replacement breaks
-# that claim, so its lines must FAIL and the verdict with them.
+# original, check flags, start (or starts) of the claim lines it breaks). Each replacement
+# breaks its claims only, so their lines must FAIL, every other line PASS, and the verdict FAIL.
 _NEGATIVE_CONTROLS = {
     "variance": [("variance_lower_bound", lambda f: lambda k, n: 100 * f(k, n),
                   ["--k", "10", "--n", "100", "--reps", "2000"], "variance of add-one KL loss")],
@@ -404,11 +404,17 @@ _NEGATIVE_CONTROLS = {
              ["--k", "10", "--n", "1000", "--reps", "1000"], "KL loss exceeds")],
     "poisson-tail": [("poisson_tail_radius", lambda f: lambda n_obs, delta: 0.0,
                       ["--lam", "5", "--delta", "0.3", "--reps", "20000"], "|N+1-lam|")],
-    "coupling": [("coupled_pairs", _shift_m, _COUPLING_FLAGS, "coupling gap"),
+    # shifting M moves its marginal too, so this control fails both coupling lines
+    "coupling": [("coupled_pairs", _shift_m, _COUPLING_FLAGS, ("coupling gap", "coupling marginals")),
                  ("GOF_P_THRESHOLD", lambda f: 1.01, _COUPLING_FLAGS, "coupling marginals")],
     "expectation": [("_kl_loss_samples", lambda f: lambda *a, **kw: f(*a, **kw) + 1.0,
                      ["--n", "1000", "--reps", "1000"], "mean add-one KL loss")],
-    "facts": [("binomial_product_variance", lambda f: lambda n0: f(n0) + 1.0, [], "Var(X(n0-X))")],
+    "facts": [("binomial_inverse_moment", lambda f: lambda m, p: f(m, p) * (1 + 1e-9), [], "binomial inverse moment"),
+              ("binomial_inverse_moment2_bound", lambda f: lambda m, p: 0.5 * f(m, p), [], "second inverse moment"),
+              ("poisson_pmf_at_mean", lambda f: lambda n: 0.8 * f(n), [], "Pr[Poi(n) = n]"),
+              ("binomial_product_variance", lambda f: lambda n0: f(n0) + 1.0, [], "Var(X(n0-X))"),
+              ("_monotone_variance_instance", lambda f: lambda a, b: (f(a, b)[0], 100 * f(a, b)[1]), [],
+               "Var(f(X))")],
 }
 
 
@@ -505,14 +511,15 @@ def test_negative_control_fails(suite, control, monkeypatch, capsys):
     name, breaks, flags, claim = control
     argv = ["check", "--suite", suite, *flags, "--seed", "7"]
     assert run(*argv) == 0  # the same run passes unbroken
-    broken = [line for line in _claim_lines(capsys.readouterr().out) if line[6:].startswith(claim)]
-    assert broken  # the control names a line the run prints
+    before = _claim_lines(capsys.readouterr().out)
+    assert any(line[6:].startswith(claim) for line in before)  # the control names a line the run prints
     monkeypatch.setattr(harness, name, breaks(getattr(harness, name)))
     assert run(*argv) == 1
     out = capsys.readouterr().out
-    lines = [line for line in _claim_lines(out) if line[6:].startswith(claim)]
-    assert len(lines) == len(broken) and all(line.startswith("FAIL  ") for line in lines)
-    assert "== verdict: FAIL" in out
+    after = _claim_lines(out)
+    assert len(after) == len(before) and "== verdict: FAIL" in out
+    for was, now in zip(before, after):  # its own lines FAIL, every other line still PASSes
+        assert now.startswith("FAIL  " if was[6:].startswith(claim) else "PASS  ")
 
 
 def test_no_subcommand_is_usage_error():

@@ -824,11 +824,17 @@ class TestExpectedKl:
 @pytest.mark.parametrize("claim", [lambda: verify_variance_lb(2, 20, 1, 7),
                                    lambda: expected_kl_check(uniform_pmf(10), 1000, 1, 7),
                                    lambda: poisson_tail_checks(5.0, (), 10**6, 7),
-                                   lambda: poisson_tail_checks(5.0, (0.1, 1.5), 10**6, 7)],
+                                   lambda: poisson_tail_checks(5.0, (0.1, 1.5), 10**6, 7),
+                                   lambda: run_kl_trials(uniform_pmf(3), 2.5, 2000, 1),
+                                   lambda: run_kl_trials(zipf_pmf(100), 2.5, 2000, 1),
+                                   lambda: coupling_checks(2.5, 0.5, 10**5, 1),
+                                   lambda: coupling_checks(0, 0.5, 10**5, 1)],
                          ids=["variance-one-rep", "expectation-one-rep", "poisson-tail-no-delta",
-                              "poisson-tail-delta-above-1"])
+                              "poisson-tail-delta-above-1", "counts-fractional-n", "symbols-fractional-n",
+                              "coupling-fractional-n", "coupling-zero-n"])
 def test_claim_rejects_its_arguments_before_drawing(claim, monkeypatch):
-    # one trial has no sample variance; a Poisson-tail run needs deltas in (0, 1)
+    # one trial has no sample variance; a Poisson-tail run needs deltas in (0, 1); a sample
+    # size is an integer >= 1 on the count path, the symbol path and the coupling alike
     monkeypatch.setattr(harness, "derive_trial_rng", _no_draw)
     with pytest.raises(ValueError):
         claim()
