@@ -52,7 +52,8 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _write_table(path: str | None, header: list[str], rows: list[list], sep: str) -> None:
+def _write_table(path: str | None, header: list[str], rows: list[list], fmt: str) -> None:
+    sep = "\t" if fmt == "tsv" else ","
     lines = [sep.join(header)]
     for row in rows:
         lines.append(sep.join(_fmt_cell(v) for v in row))
@@ -104,10 +105,6 @@ _FIELD_FLAGS = {
 }
 
 
-def _sep(fmt: str) -> str:
-    return "\t" if fmt == "tsv" else ","
-
-
 def _parse_dist(args) -> Pmf:
     spec = args.dist
     if spec in ("file", "file:"):
@@ -134,7 +131,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"--t {args.t:g} overflows the add-t denominator n + k*t at k={k}")
     summary = run_kl_trials(pmf, args.n, args.reps, args.seed, t=args.t, delta=args.delta, threads=args.threads)
     _write_table(args.out, ["k", "n", "reps", "t", *summary], [[k, args.n, args.reps, args.t, *summary.values()]],
-                 _sep(args.format))
+                 args.format)
     return 0
 
 
@@ -149,7 +146,7 @@ def _cmd_bounds(args) -> int:
               "expectation_gap", "clip_threshold"]
     row = [kl_deviation_bound(*b), prior, variance_lb, heuristic_kl_std(args.k, args.n),
            expectation_gap_bound(args.k, args.n), clip_threshold(*b)]
-    _write_table(args.out, header, [row], _sep(args.format))
+    _write_table(args.out, header, [row], args.format)
     return 0
 
 
@@ -167,7 +164,7 @@ _ks.__name__ = "int list"  # argparse names the type in "invalid int list value"
 def _cmd_figure1(args) -> int:
     ks = args.ks
     rows = sweep_std_vs_heuristic(ks, args.n, args.reps, args.seed, threads=args.threads)
-    _write_table(args.out, list(rows[0]), [list(r.values()) for r in rows], _sep(args.format))
+    _write_table(args.out, list(rows[0]), [list(r.values()) for r in rows], args.format)
     if args.svg:
         svg = render_xy_plot(
             [

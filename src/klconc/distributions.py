@@ -51,6 +51,22 @@ def _as_counts(counts) -> np.ndarray:
     return c
 
 
+def _check_smoothing(t) -> None:
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"smoothing constant must be a finite nonnegative real, got {t}")
+
+
+def _check_drawn(totals, t: float) -> None:
+    if t == 0 and np.any(totals < 1):
+        raise ValueError("empirical estimate requires at least one draw")
+
+
+def _check_nominal_size(n, k: int = 1, message: str = "nominal sample size must be >= 1, got {n}") -> None:
+    """The nominal-n rule: the nominal sample size n (a real) and the alphabet size k are >= 1."""
+    if n < 1 or k < 1:
+        raise ValueError(message.format(n=n))
+
+
 class Measure:
     """Nonnegative weight vector over a finite alphabet; total mass unconstrained.
 
@@ -162,10 +178,7 @@ def load_pmf(path) -> Pmf:
 
 def empirical_estimate(counts) -> Pmf:
     """Maximum-likelihood estimate: entry i is count_i / total."""
-    c = _as_counts(counts)
-    if c.sum() < 1:
-        raise ValueError("empirical estimate requires at least one draw")
-    return Pmf(c / c.sum())
+    return add_t_estimate(counts, 0.0)
 
 
 def add_t_estimate(counts, t: float = 1.0) -> Pmf:
@@ -175,11 +188,9 @@ def add_t_estimate(counts, t: float = 1.0) -> Pmf:
     rule; t=0 reduces to the empirical estimate (valid only when at least
     one draw was observed). Every entry is strictly positive when t > 0.
     """
-    if not (t >= 0 and math.isfinite(t)):
-        raise ValueError(f"smoothing constant must be a finite nonnegative real, got {t}")
-    if t == 0:
-        return empirical_estimate(counts)
+    _check_smoothing(t)
     c = _as_counts(counts)
+    _check_drawn(c.sum(), t)
     return Pmf((c + t) / (c.sum() + c.size * t))
 
 
@@ -191,7 +202,6 @@ def pseudo_estimate(counts, n: int) -> Measure:
     ``Measure``: its mass is (total + k) / (n + k), which equals 1 only
     when the realized total equals n.
     """
-    if n < 1:
-        raise ValueError(f"nominal sample size must be >= 1, got {n}")
+    _check_nominal_size(n)
     c = _as_counts(counts)
     return Measure((c + 1.0) / (n + c.size))

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .distributions import Measure, Pmf
+from .distributions import Measure, Pmf, _check_drawn, _check_nominal_size, _check_smoothing
 
 __all__ = [
     "kl_divergence",
@@ -69,11 +69,9 @@ def kl_losses(p: Pmf, counts: np.ndarray, t: float) -> np.ndarray:
     k = len(p)
     if counts.ndim != 2 or counts.shape[1] != k:
         raise ValueError(f"counts must have shape (rows, {k}), got {counts.shape}")
-    if not (t >= 0 and math.isfinite(t)):
-        raise ValueError(f"smoothing constant must be a finite nonnegative real, got {t}")
+    _check_smoothing(t)
     totals = counts.sum(axis=1)
-    if t == 0 and np.any(totals == 0):
-        raise ValueError("empirical estimate requires at least one draw")
+    _check_drawn(totals, t)
     support = p.probs > 0
     ps = p.probs[support]
     if not support.all():
@@ -102,11 +100,9 @@ def kl_losses_from_sorted_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarr
     Symbols must lie in [0, k).
     """
     k = len(p)
-    if not (t >= 0 and math.isfinite(t)):
-        raise ValueError(f"smoothing constant must be a finite nonnegative real, got {t}")
+    _check_smoothing(t)
     rows, n = draws.shape
-    if t == 0 and n == 0:
-        raise ValueError("empirical estimate requires at least one draw")
+    _check_drawn(n, t)
     if draws.size and (draws[:, 0].min() < 0 or draws[:, -1].max() >= k):
         raise ValueError(f"symbols must lie in [0, {k})")
     flat = draws.ravel()
@@ -130,8 +126,7 @@ def kl_losses_from_sorted_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarr
 
 def adjusted_kl_shift(n: int, k: int) -> float:
     """(n+k)/n - log((n+k)/n) - 1; nonnegative, tends to 0 as n/k grows."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
+    _check_nominal_size(n, k, "n and k must be >= 1")
     x = (n + k) / n
     return x - math.log(x) - 1.0
 
@@ -146,8 +141,7 @@ def adjusted_kl_divergence(p: Pmf, q: Measure, n: int) -> float:
     is KL(p||q) + :func:`adjusted_kl_shift`. Returns +inf iff KL does.
     """
     _check_same_length(p, q)
-    if n < 1:
-        raise ValueError(f"nominal sample size must be >= 1, got {n}")
+    _check_nominal_size(n)
     kl = kl_divergence(p, q)
     if math.isinf(kl):
         return math.inf
@@ -164,8 +158,7 @@ def adjusted_kl_terms(p: Pmf, q: Measure, n: int) -> np.ndarray:
     (c_i + 1)/(n + k) the term reads p_i*log(n*p_i/(c_i+1)) + (c_i+1)/n - p_i.
     """
     _check_same_length(p, q)
-    if n < 1:
-        raise ValueError(f"nominal sample size must be >= 1, got {n}")
+    _check_nominal_size(n)
     k = len(p)
     a = p.weights
     b = q.weights

@@ -1,45 +1,28 @@
 """Acceptance gate: every criterion at its stated size and tolerance.
 
-Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
-live). Criterion 1 compares the sample std of the loss with the chi-square
-law under multinomial sampling, which has k-1 degrees of freedom:
+Criteria 1-7 run ``klconc figure1 --seed 42`` and ``klconc check --seed 7``,
+pin their configs and reps to those commands' defaults, and assert on the
+values the run computed. Each test prints one PASS/FAIL line (``pytest -s``
+shows them). Criterion 1 compares the sample std of the loss with the
+chi-square law under multinomial sampling, which has k-1 degrees of freedom:
 sqrt((k-1)/2)/n. The large-k form sqrt(k/2)/n is off by sqrt((k-1)/k),
 0.707 at k=2, so it cannot be the reference at small k; an exact oracle
 at k=2 and k=4 backs the k-1 reference independently of the Monte Carlo.
 """
 
+import contextlib
+import csv
+import inspect
+import io
 import math
 
 import numpy as np
-import pytest
 from scipy.stats import binom
 
+from klconc import cli
 from klconc.bounds import heuristic_kl_std
-from klconc.cli import main
-from klconc.distributions import (
-    Pmf,
-    add_t_estimate,
-    pseudo_estimate,
-    two_point_pmf,
-    uniform_pmf,
-    zipf_pmf,
-)
-from klconc.harness import (
-    coupling_checks,
-    exceedance_allowance,
-    expected_kl_check,
-    poisson_tail_checks,
-    run_facts_checks,
-    sweep_std_vs_heuristic,
-    verify_kl_tail_bound,
-    verify_variance_lb,
-)
-from klconc.losses import (
-    adjusted_kl_divergence,
-    adjusted_kl_shift,
-    adjusted_kl_terms,
-    kl_divergence,
-)
+from klconc.distributions import Pmf, add_t_estimate, pseudo_estimate, two_point_pmf, uniform_pmf, zipf_pmf
+from klconc.losses import adjusted_kl_divergence, adjusted_kl_shift, adjusted_kl_terms, kl_divergence
 from klconc.sampling import derive_trial_rng
 
 SEED = 7
@@ -92,8 +75,34 @@ def _exact_std_uniform(k: int, n: int) -> float:
     return math.sqrt(k * var + k * (k - 1) * cov) / k
 
 
-def test_criterion_1_std_sweep_matches_heuristic():
-    n = 10240
+def _check(monkeypatch, suite: str, runner: str, configs: list, reps: int | None):
+    """Pin a criterion's configs and reps to ``suite``'s defaults, then run
+    ``klconc check --suite SUITE --seed 7`` once. Returns the printed lines,
+    the arguments by name of each call of ``runner`` (the harness name the
+    suite looks up in ``klconc.cli``), and every result of those calls."""
+    table = cli._suites()[suite]
+    assert (table.configs, table.reps) == (configs, reps)
+    real, calls, results = getattr(cli, runner), [], []
+
+    def record(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+        results.extend(out if isinstance(out, list) else [out])
+        return out
+
+    monkeypatch.setattr(cli, runner, record)
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(["check", "--suite", suite, "--seed", "7"])
+    lines = stdout.getvalue().splitlines()
+    assert code == 0 and lines[-1] == "== verdict: PASS", stdout.getvalue()
+    assert len(calls) == len(configs) and all((c.get("reps"), c.get("seed", SEED)) == (reps, SEED) for c in calls)
+    return lines, calls, results
+
+
+def test_criterion_1_std_sweep_matches_heuristic(tmp_path):
+    ks, n = [2, 4, 8, 16, 32, 64], 10240
+    defaults = cli.build_parser().parse_args(["figure1", "--out", "-"])
+    assert (defaults.ks, defaults.n, defaults.reps) == (ks, n, 1000)
     exact = {2: _exact_std_k2(n), 4: _exact_std_uniform(4, n)}
     exact_ok = all(abs(s / _chi2_std(k, n) - 1) <= 1e-3 for k, s in exact.items())
     exact_detail = ", ".join(
@@ -102,27 +111,33 @@ def test_criterion_1_std_sweep_matches_heuristic():
     )
     _report(1, "exact std within 1e-3 of sqrt((k-1)/2)/n at k=2, 4", exact_ok, exact_detail)
 
-    rows = sweep_std_vs_heuristic([2, 4, 8, 16, 32, 64], n=n, reps=1000, master_seed=42)
-    ratios = {r["k"]: r["sample_std"] / _chi2_std(r["k"], n) for r in rows}
+    out = tmp_path / "figure1.csv"
+    assert cli.main(["figure1", "--seed", "42", "--out", str(out)]) == 0
+    with out.open(newline="") as fh:  # 17 significant digits: every value reads back exactly
+        rows = [{col: float(v) for col, v in row.items()} for row in csv.DictReader(fh)]
+    assert [r["k"] for r in rows] == ks
+    ratios = {k: r["sample_std"] / _chi2_std(k, n) for k, r in zip(ks, rows)}
     passed = all(0.85 <= v <= 1.15 for v in ratios.values())
-    detail = ", ".join(f"k={r['k']}: {ratios[r['k']]:.3f} (vs sqrt(k/2)/n: {r['ratio']:.3f})" for r in rows)
+    detail = ", ".join(f"k={k}: {ratios[k]:.3f} (vs sqrt(k/2)/n: {r['ratio']:.3f})" for k, r in zip(ks, rows))
     _report(1, "sample std within 15% of sqrt((k-1)/2)/n for k in 2..64", passed, detail)
     assert exact_ok, f"exact std / sqrt((k-1)/2)/n not within 1e-3 of 1: {exact_detail}"
     assert passed, f"std / sqrt((k-1)/2)/n ratios out of [0.85, 1.15]: {detail}"
 
 
-def test_criterion_2_variance_floor():
-    configs = ((2, 20), (10, 100), (64, 10240))
-    reports = [verify_variance_lb(k, n, 100_000, SEED) for k, n in configs]
+def test_criterion_2_variance_floor(monkeypatch):
+    configs = [(2, 20), (10, 100), (64, 10240)]
+    _, calls, reports = _check(monkeypatch, "variance", "verify_variance_lb", configs, 100_000)
+    assert [(c["k"], c["n"]) for c in calls] == configs
     passed = all(r.passed and r.values["ratio"] >= 5.0 for r in reports)
     detail = ", ".join(f"(k={k},n={n}): ratio={r.values['ratio']:.2f}" for (k, n), r in zip(configs, reports))
     _report(2, "empirical Var(KL) >= k/(32 n^2) with ratio >= 5", passed, detail)
     assert passed, detail
 
 
-def test_criterion_3_tail_bound_exceedance():
-    configs = ((10, 1000, 0.1), (100, 10_000, 0.05))
-    reports = [verify_kl_tail_bound(k, n, 10_000, delta, SEED) for k, n, delta in configs]
+def test_criterion_3_tail_bound_exceedance(monkeypatch):
+    configs = [(10, 1000, 0.1), (100, 10_000, 0.05)]
+    _, calls, reports = _check(monkeypatch, "thm", "verify_kl_tail_bound", configs, 10_000)
+    assert [(c["k"], c["n"], c["delta"]) for c in calls] == configs
     passed = all(r.passed for r in reports)
     detail = ", ".join(
         f"(k={k},n={n},delta={delta}): exceed={r.values['exceed_frac']:.5f}<=allowed={r.values['allowed']:.5f}"
@@ -132,12 +147,10 @@ def test_criterion_3_tail_bound_exceedance():
     assert passed, detail
 
 
-def test_criterion_4_poisson_tail_failure_rate():
-    reports = [
-        poisson_tail_checks(lam, (delta,), 1_000_000, SEED)[0]
-        for lam in (1.0, 10.0, 100.0, 10_000.0)
-        for delta in (0.05, 0.1, 0.5)
-    ]
+def test_criterion_4_poisson_tail_failure_rate(monkeypatch):
+    configs = [(lam, (0.05, 0.1, 0.5)) for lam in (1.0, 10.0, 100.0, 10_000.0)]
+    _, calls, reports = _check(monkeypatch, "poisson-tail", "poisson_tail_checks", configs, 1_000_000)
+    assert [(c["lam"], c["deltas"]) for c in calls] == configs and len(reports) == 12
     passed = all(r.passed for r in reports)
     worst = max(r.values["fail_frac"] - r.values["allowed"] for r in reports)
     _report(4, "|N+1-lam| tail radius fails on at most a delta fraction", passed,
@@ -145,9 +158,11 @@ def test_criterion_4_poisson_tail_failure_rate():
     assert passed
 
 
-def test_criterion_5_coupling_marginals_and_gap():
-    configs = ((20, 0.4), (100, 0.5), (10_000, 0.01))
-    gap, gof = zip(*(coupling_checks(n, p, 1_000_000, SEED) for n, p in configs))
+def test_criterion_5_coupling_marginals_and_gap(monkeypatch):
+    configs = [(20, 0.4), (100, 0.5), (10_000, 0.01)]
+    _, calls, reports = _check(monkeypatch, "coupling", "coupling_checks", configs, 1_000_000)
+    assert [(c["n"], c["prob"]) for c in calls] == configs
+    gap, gof = reports[0::2], reports[1::2]  # each call returns [gap, marginals]
     passed = all(r.passed for r in gof) and all(r.passed for r in gap)
     detail = "; ".join(
         f"(n={n},p={p}): pM={g.values['p_m']:.4f}, pM'={g.values['p_m_prime']:.4f}, "
@@ -158,18 +173,21 @@ def test_criterion_5_coupling_marginals_and_gap():
     assert passed, detail
 
 
-def test_criterion_6_exact_oracle_facts():
-    checks = run_facts_checks()
+def test_criterion_6_exact_oracle_facts(monkeypatch):
+    _, _, checks = _check(monkeypatch, "facts", "run_facts_checks", [()], None)
     passed = all(c.passed for c in checks)
     detail = "; ".join(f"{c.values['name']}: {'ok' if c.passed else 'FAIL'}" for c in checks)
     _report(6, "closed-form facts match exact oracles", passed, detail)
     assert passed, detail
 
 
-def test_criterion_7_expectation_ceiling():
+def test_criterion_7_expectation_ceiling(monkeypatch):
     dists = {"uniform(10)": uniform_pmf(10), "zipf(10,1)": zipf_pmf(10, 1.0),
              "twopoint(10,0.99)": two_point_pmf(10, 0.99)}
-    reports = [expected_kl_check(p, 1000, 100_000, SEED) for p in dists.values()]
+    configs = [(label, 1000) for label in dists]
+    lines, calls, reports = _check(monkeypatch, "expectation", "expected_kl_check", configs, 100_000)
+    assert [(c["pmf"].probs.tolist(), c["n"]) for c in calls] == [(p.probs.tolist(), 1000) for p in dists.values()]
+    assert [line.split(": ")[1].split(" ")[0] for line in lines if line.startswith("PASS")] == list(dists)
     passed = all(r.passed for r in reports)
     detail = ", ".join(f"{label}: mean={r.values['mean_kl']:.3e}"
                        f"<=ceil+slack={r.values['ceiling'] + r.values['slack']:.3e}"
@@ -253,7 +271,7 @@ def test_criterion_9_thread_count_determinism(tmp_path):
     threads = ["1", "4", str(max(1, __import__("os").cpu_count() or 1))]
     for tag, t in enumerate(threads):
         out = tmp_path / f"run{tag}.csv"
-        code = main([
+        code = cli.main([
             "simulate", "--dist", "uniform", "--k", "8", "--n", "500", "--reps", "2000",
             "--seed", "11", "--threads", t, "--out", str(out),
         ])

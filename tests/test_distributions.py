@@ -116,8 +116,9 @@ class TestEmpiricalEstimate:
         np.testing.assert_allclose(empirical_estimate([3, 1]).probs, [0.75, 0.25])
 
     def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_estimate([0, 0])
+        for estimate in (empirical_estimate, lambda c: add_t_estimate(c, 0.0)):
+            with pytest.raises(ValueError, match="^empirical estimate requires at least one draw$"):
+                estimate([0, 0])
 
 
 class TestAddTEstimate:
@@ -134,13 +135,14 @@ class TestAddTEstimate:
             counts = rng.integers(0, 50, size=k) + rng.integers(0, 2, size=k)
             if counts.sum() == 0:
                 continue
-            np.testing.assert_array_equal(
-                add_t_estimate(counts, 0.0).probs, empirical_estimate(counts).probs
-            )
+            ratios = Pmf(counts / counts.sum()).probs  # count_i / total, as integers divided
+            np.testing.assert_array_equal(add_t_estimate(counts, 0.0).probs, ratios)
+            np.testing.assert_array_equal(empirical_estimate(counts).probs, ratios)
 
     def test_negative_t_rejected(self):
-        with pytest.raises(ValueError):
-            add_t_estimate([1, 1], -0.5)
+        for t in (-0.5, -1e-300, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^smoothing constant must be a finite nonnegative real, got {t}$"):
+                add_t_estimate([1, 1], t)
 
     def test_sums_to_one_and_positive(self):
         rng = np.random.default_rng(11)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from klconc.losses import (
     kl_losses,
     kl_losses_from_sorted_draws,
 )
+
+
+# smoothing constants outside the add-t rule (finite and >= 0)
+_BAD_T = (-1.0, -1e-300, math.nan, math.inf, -math.inf)
 
 
 def random_pmf(rng, k):
@@ -125,8 +130,9 @@ class TestKlLosses:
             kl_losses(p, np.zeros((2, 4), dtype=np.int64), 1.0)
         with pytest.raises(ValueError, match="shape"):
             kl_losses(p, np.zeros(3, dtype=np.int64), 1.0)
-        with pytest.raises(ValueError, match="smoothing"):
-            kl_losses(p, np.ones((1, 3), dtype=np.int64), -1.0)
+        for t in _BAD_T:
+            with pytest.raises(ValueError, match="smoothing constant must be a finite nonnegative real"):
+                kl_losses(p, np.ones((1, 3), dtype=np.int64), t)
         with pytest.raises(ValueError, match="at least one draw"):
             kl_losses(p, np.zeros((1, 3), dtype=np.int64), 0.0)
 
@@ -179,8 +185,9 @@ class TestKlLossesFromSortedDraws:
 
     def test_validation(self):
         p = uniform_pmf(3)
-        with pytest.raises(ValueError, match="smoothing"):
-            kl_losses_from_sorted_draws(p, np.zeros((1, 2), dtype=np.int64), -1.0)
+        for t in _BAD_T:
+            with pytest.raises(ValueError, match="smoothing constant must be a finite nonnegative real"):
+                kl_losses_from_sorted_draws(p, np.zeros((1, 2), dtype=np.int64), t)
         with pytest.raises(ValueError, match="at least one draw"):
             kl_losses_from_sorted_draws(p, np.zeros((2, 0), dtype=np.int64), 0.0)
         for row in ([-1, 0], [0, 3]):
@@ -257,3 +264,21 @@ class TestAdjustedKlShift:
             assert 0.0 <= val < prev
             prev = val
         assert adjusted_kl_shift(10**9, 1) < 1e-9
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda n: adjusted_kl_shift(n, 3), "n and k must be >= 1"),
+    (lambda n: adjusted_kl_divergence(uniform_pmf(2), uniform_pmf(2), n), "nominal sample size must be >= 1, got {n}"),
+    (lambda n: adjusted_kl_terms(uniform_pmf(2), uniform_pmf(2), n), "nominal sample size must be >= 1, got {n}"),
+    (lambda n: pseudo_estimate([1, 1], n), "nominal sample size must be >= 1, got {n}"),
+], ids=["adjusted_kl_shift", "adjusted_kl_divergence", "adjusted_kl_terms", "pseudo_estimate"])
+@pytest.mark.parametrize("n", [0, 0.5, -3])
+def test_nominal_sample_size_rule(call, message, n):
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(n=n))}$"):
+        call(n)
+    call(1)  # n = 1 is allowed
+
+
+def test_shift_alphabet_size_rule():
+    with pytest.raises(ValueError, match="^n and k must be >= 1$"):
+        adjusted_kl_shift(5, 0)

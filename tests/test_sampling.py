@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator
 from scipy import stats
 
 from klconc.distributions import Pmf, uniform_pmf
@@ -49,6 +51,33 @@ class TestStreamDerivation:
             derive_trial_rng(seed, 3).integers(0, 2**64, size=8, dtype=np.uint64),
             want.integers(0, 2**64, size=8, dtype=np.uint64),
         )
+
+
+# The first outputs of each Generator method klconc draws with, all from
+# derive_trial_rng(2024, 0), and the sha256 of their bytes as numpy 2.4.6 gives
+# them. numpy does not promise that its distributions keep their streams across
+# versions (NEP 19), and every golden and bit-exact test rests on these streams,
+# so a mismatch here says that numpy changed a stream, not klconc an output.
+_STREAM_DRAWS = {
+    "random": (lambda rng: rng.random((4, 16)),
+               "0d93db86633ed378b8cf4c4a24677303d7fb4fb92595e1a2fe99653a79f5631c"),
+    "multinomial": (lambda rng: rng.multinomial(1000, np.arange(1, 65) / 2080, size=8),
+                    "d4fab03a266919525a92469b78cb8bafe22f1015ddd9d8894a555898b975129b"),
+    "poisson": (lambda rng: rng.poisson([0.5, 5.0, 10.0, 100.0, 1e4, 1e12], size=(8, 6)),
+                "cbc61e7f731b3fa1f0cddd889f99ede35be842275c1d47172024e3708d5e64e0"),
+    "binomial": (lambda rng: rng.binomial([5, 100, 10_000, 10**9], [0.3, 0.9, 0.01, 0.5], size=(8, 4)),
+                 "55dd8c3bb20571e47c056298f66f48ca713bd0111c519f1ceff6172b90d48afc"),
+    "jumped": (lambda rng: Generator(rng.bit_generator.jumped(1)).random(16),
+               "13a97c1124bbb3165c047c9210587b85d8746b3ada7a2aab054edae7b7362bfc"),
+}
+
+
+@pytest.mark.parametrize("method", list(_STREAM_DRAWS))
+def test_numpy_stream_fingerprint(method):
+    draw, digest = _STREAM_DRAWS[method]
+    got = hashlib.sha256(draw(derive_trial_rng(2024, 0)).tobytes()).hexdigest()
+    assert got == digest, (f"numpy {np.__version__} draws another {method} stream than numpy 2.4.6, "
+                           "on which the goldens were recorded")
 
 
 class TestBinomial:
