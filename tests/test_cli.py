@@ -8,7 +8,8 @@ import pytest
 
 from klconc import cli, harness
 from klconc.cli import UsageError, _parse_dist, _suites, build_parser, main
-from klconc.distributions import two_point_pmf, zipf_pmf
+from klconc.distributions import two_point_pmf, uniform_pmf, zipf_pmf
+from klconc.harness import ClaimResult
 
 
 def run(*argv):
@@ -481,6 +482,21 @@ def test_check_all_draws_the_coupled_pairs_once_per_config(monkeypatch, capsys):
     assert run("check", "--suite", "all", "--reps", "100000", "--seed", "7") == 0
     assert sorted(sizes) == sorted(_suites()["coupling"].configs)
     assert all(sum(chunks) == 100_000 and max(chunks) <= 2**16 for chunks in sizes.values())
+
+
+def test_expectation_labels_name_their_pmfs(monkeypatch, capsys):
+    seen = []
+
+    def record(pmf, n, reps, seed, **_):
+        seen.append(pmf.probs.tolist())
+        return ClaimResult(True, {"mean_kl": 0.0, "ceiling": 0.0, "slack": 0.0})
+
+    monkeypatch.setattr(cli, "expected_kl_check", record)
+    assert run("check", "--suite", "expectation", "--reps", "2", "--seed", "7", "--threads", "1") == 0
+    assert seen == [p.probs.tolist() for p in (uniform_pmf(10), zipf_pmf(10, 1.0), two_point_pmf(10, 0.99))]
+    labels = [line.split(": ")[1].split(" ")[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("PASS")]
+    assert labels == ["uniform(10)", "zipf(10,1)", "twopoint(10,0.99)"]
 
 
 def test_every_suite_has_a_negative_control():
