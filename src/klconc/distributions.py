@@ -105,9 +105,11 @@ class Pmf(Measure):
     Inputs whose sum deviates from 1 by more than ``PMF_SUM_TOL`` (absolute)
     are rejected; anything inside the tolerance is renormalized exactly once
     so downstream code can rely on ``sum() == 1`` to machine precision.
+    The loss kernels' per-pmf constants over the support, sum p_i log p_i and
+    the support's mass, are computed here once.
     """
 
-    __slots__ = ()
+    __slots__ = ("_sum_plogp", "_support_mass")
 
     def __init__(self, probs):
         super().__init__(probs)
@@ -117,6 +119,9 @@ class Pmf(Measure):
         w = self._weights / s
         w.flags.writeable = False
         self._weights = w
+        ps = w[w > 0]
+        self._sum_plogp = math.fsum(ps * np.log(ps))
+        self._support_mass = math.fsum(ps)
 
     @property
     def probs(self) -> np.ndarray:

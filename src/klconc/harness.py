@@ -9,17 +9,20 @@ of a run draws its slice of the run from the stream derived from
 (master_seed, u). The units are the engine's 2048-trial blocks (``_BLOCK``)
 and the coupling and Poisson-tail claims' 2^16-draw chunks
 (``_DRAW_CHUNK``); the README's "Exact seeded sampling" states the rule in
-full. Aggregation walks the blocks, or the chunks, in index order, and the
-only auxiliary randomness, the figure-1 sweep's per-row sub-seeds, lives
-on a reserved stream domain. Both coupling claims, the expectation gap and
+full. A symbol-path block is drawn in pieces, each on the block's stream
+advanced past the draws of the rows before it, so its draws are unchanged.
+Aggregation walks the blocks, or the chunks, in index order, and the only
+auxiliary randomness, the figure-1 sweep's per-row sub-seeds, lives on a
+reserved stream domain. Both coupling claims, the expectation gap and
 the exact marginals, are judged on one pass over the same draws.
 Intervals are closed-form functions of the losses and draw nothing.
-The drawing entry points take ``threads``: the blocks, or the chunks, of
-one call are shared among that many worker threads (capped at the usable
-cores and at the units to draw; one runs on the calling thread and starts
-none). A unit draws only from its own stream and writes only its own
-result, so the output does not depend on the thread count. Checks share
-no mutable state, so they may also run on concurrent threads.
+The drawing entry points take ``threads``: the pieces of one call (its
+blocks, a symbol-path block's pieces, or its chunks) are shared among that
+many worker threads (capped at the usable cores and at the pieces to draw;
+one runs on the calling thread and starts none). A piece draws only from
+its own stream and writes only its own result, so the output does not
+depend on the thread count. Checks share no mutable state, so they may
+also run on concurrent threads.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ MAX_STORED_TRIALS = 10**7
 GOF_P_THRESHOLD = 1e-3
 _GOF_MIN_EXPECTED = 5.0  # a GOF bin is merged into the next until its expected count reaches this
 _BLOCK = 2048
-_CHUNK_CELLS = 2**18  # symbols or counts held at once: 2 MB of int64, whatever k and n are
+_CHUNK_CELLS = 2**18  # symbols or counts a worker holds at once: 2 MB of int64, whatever k and n are
 _CATEGORICAL = 4  # rows are drawn as symbols when _CATEGORICAL * n <= k
 _DRAW_CHUNK = 2**16  # draws of the coupling and Poisson-tail claims per stream: 512 KB of int64
 
@@ -98,31 +101,40 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _map_streams(fn, seed: int, reps: int, unit: int, threads: int) -> list:
-    """[fn(rng, lo, hi) for each unit u], in index order: unit u draws the
-    slice [lo, hi) = [u * unit, min(u * unit + unit, reps)) of the run from
-    rng = derive_trial_rng(seed, u). The units are shared among
-    min(threads, usable cores, units) workers: the calling thread and one
-    fewer started threads, each taking the next unit until none is left.
-    With one worker no thread is started. The first exception a unit raises
-    stops the workers taking units, and is raised once every started thread
-    has been joined."""
-    count = -(-reps // unit)
-    workers = min(threads, count, _usable_cores())
-    results = [None] * count
-    units = iter(range(count))
+def _map_streams(fn, seed: int, reps: int, unit: int, threads: int, draws: int = 0) -> list:
+    """[fn(rng, lo, hi) for each piece of the run], in index order. Unit u is
+    the slice [u * unit, min(u * unit + unit, reps)) of the run and draws from
+    rng = derive_trial_rng(seed, u). A piece is a whole unit, unless each item
+    of the run draws a fixed number ``draws`` > 0 of 64-bit outputs: then a
+    unit is cut into pieces of max(1, _CHUNK_CELLS // draws) items, and a
+    piece starts on its unit's stream advanced past the outputs that the
+    unit's earlier items draw, so it draws what one pass over the unit would.
+    The pieces are shared among min(threads, usable cores, pieces) workers:
+    the calling thread and one fewer started threads, each taking the next
+    piece until none is left. With one worker no thread is started. The first
+    exception a piece raises stops the workers taking pieces, and is raised
+    once every started thread has been joined."""
+    step = max(1, _CHUNK_CELLS // draws) if draws else unit
+    pieces = [(start // unit, lo, min(lo + step, start + unit, reps))
+              for start in range(0, reps, unit) for lo in range(start, min(start + unit, reps), step)]
+    workers = min(threads, len(pieces), _usable_cores())
+    results = [None] * len(pieces)
+    order = iter(range(len(pieces)))
     lock = threading.Lock()
     errors = []
 
     def work():
         while not errors:
             with lock:
-                u = next(units, None)
-            if u is None:
+                i = next(order, None)
+            if i is None:
                 return
-            lo = u * unit
+            u, lo, hi = pieces[i]
             try:
-                results[u] = fn(derive_trial_rng(seed, u), lo, min(lo + unit, reps))
+                rng = derive_trial_rng(seed, u)
+                if lo > u * unit:
+                    rng.bit_generator.advance((lo - u * unit) * draws)
+                results[i] = fn(rng, lo, hi)
             except BaseException as exc:  # raised again on the calling thread
                 errors.append(exc)
 
@@ -161,33 +173,36 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
     """Per-trial KL(p || add-t estimate) losses; trial i is row i mod 2048 of
     the block drawn on stream (master_seed, i // 2048): n symbols when 4n <= k
     (row-sorted uniforms through the inverse cdf, computed with a guide table:
-    Generator.choice's symbols, sorted), else Mult(n, p) counts. The blocks are
+    Generator.choice's symbols, sorted), else Mult(n, p) counts. The symbol
+    blocks' pieces of at most _CHUNK_CELLS symbols, or the count blocks, are
     shared among ``threads`` workers (see ``_map_streams``), each writing its
     own rows. Rejects an n that is not an integer >= 1 and reps outside
     [1, MAX_STORED_TRIALS] before drawing."""
     _check_sample_size(n)
     _check_stored(reps)
     k = len(pmf)
-    categorical = _CATEGORICAL * n <= k
     losses = np.empty(reps, dtype=np.float64)
-    chunk = max(1, _CHUNK_CELLS // (n if categorical else k))
-    if categorical:
+    if _CATEGORICAL * n <= k:
         cdf = pmf.probs.cumsum()
         cdf /= cdf[-1]
         inverse_cdf = _guide_table_lookup(cdf)
 
-    def block(rng, block_lo, block_hi):
-        for lo in range(block_lo, block_hi, chunk):
-            hi = min(lo + chunk, block_hi)
-            if categorical:
-                # A monotone map of row-sorted uniforms: Generator.choice's rows, sorted.
-                u = rng.random((hi - lo, n))
-                u.sort(axis=1)
-                losses[lo:hi] = kl_losses_from_sorted_draws(pmf, inverse_cdf(u), t)
-            else:
+        def piece(rng, lo, hi):
+            # A monotone map of row-sorted uniforms: Generator.choice's rows, sorted.
+            u = rng.random((hi - lo, n))
+            u.sort(axis=1)
+            losses[lo:hi] = kl_losses_from_sorted_draws(pmf, inverse_cdf(u), t)
+
+        _map_streams(piece, master_seed, reps, _BLOCK, threads, draws=n)  # a row draws n doubles
+    else:
+        chunk = max(1, _CHUNK_CELLS // k)
+
+        def block(rng, block_lo, block_hi):
+            for lo in range(block_lo, block_hi, chunk):
+                hi = min(lo + chunk, block_hi)
                 losses[lo:hi] = kl_losses(pmf, rng.multinomial(n, pmf.probs, size=hi - lo), t)
 
-    _map_streams(block, master_seed, reps, _BLOCK, threads)
+        _map_streams(block, master_seed, reps, _BLOCK, threads)
     if t > 0 and not np.all(np.isfinite(losses)):
         raise RuntimeError("add-t losses with t > 0 must be finite")
     return losses

@@ -80,7 +80,7 @@ def kl_losses(p: Pmf, counts: np.ndarray, t: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         np.log(cells, out=cells)  # -inf where t = 0 misses a symbol
     cells *= ps
-    return math.fsum(ps * np.log(ps)) + np.log(totals + k * t) - cells.sum(axis=1)
+    return p._sum_plogp + np.log(totals + k * t) - cells.sum(axis=1)
 
 
 def kl_losses_from_sorted_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarray:
@@ -113,15 +113,13 @@ def kl_losses_from_sorted_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarr
     run_rows = first // n
     run_counts = np.diff(first, append=flat.size)
     run_probs = p.probs[flat[first]]
-    support = p.probs > 0
-    ps = p.probs[support]
-    base = math.fsum(ps * np.log(ps)) + math.log(n + k * t)
+    base = p._sum_plogp + math.log(n + k * t)
     if t == 0:
         drawn = np.bincount(run_rows, weights=run_probs * np.log(run_counts), minlength=rows)
-        missed = np.bincount(run_rows, weights=run_probs > 0, minlength=rows) < ps.size
+        missed = np.bincount(run_rows, weights=run_probs > 0, minlength=rows) < np.count_nonzero(p.probs)
         return np.where(missed, math.inf, base - drawn)
     drawn = np.bincount(run_rows, weights=run_probs * np.log1p(run_counts / t), minlength=rows)
-    return base - math.log(t) * math.fsum(ps) - drawn
+    return base - math.log(t) * p._support_mass - drawn
 
 
 def adjusted_kl_shift(n: int, k: int) -> float:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, Generator
 from scipy import stats
 
 from klconc import harness
@@ -324,6 +325,23 @@ class TestGuideTableLookup:
         assert calls["gathers"] <= 3 and calls["searchsorted"] <= 1
 
 
+ZIPF_10K = zipf_pmf(10_000)
+
+
+class _NoAdvance(PCG64):
+    """PCG64 whose advance is a no-op."""
+
+    def advance(self, delta):
+        return self
+
+
+def _sorted_choice_losses(pmf, n, seed, sizes):
+    """The add-one losses of rows of n symbols, Generator.choice's rows sorted: ``sizes[b]``
+    rows drawn in one call on stream (seed, b) for each block b."""
+    return np.concatenate([kl_losses_from_sorted_draws(pmf, np.sort(derive_trial_rng(seed, b).choice(
+        len(pmf), size=(size, n), p=pmf.probs), axis=1), 1.0) for b, size in enumerate(sizes)])
+
+
 class _RecordedThread:
     """Stands in for threading.Thread: records its creation and starts nothing,
     so the calling thread runs every unit."""
@@ -348,8 +366,9 @@ def recorded_threads(monkeypatch):
 
 
 class TestBlockPool:
-    """The blocks of the engine and the chunks of the streamed claims are
-    shared among worker threads; the results do not depend on how many."""
+    """The engine's count blocks and symbol-block pieces, and the streamed
+    claims' chunks, are shared among worker threads; the results do not
+    depend on how many."""
 
     def test_units_are_each_run_once_in_index_order(self, monkeypatch):
         # more workers than cores, with a short switch interval to interleave them
@@ -413,6 +432,77 @@ class TestBlockPool:
         reps = 3 * 2048 + 5
         assert np.array_equal(_kl_loss_samples(pmf, n, 1.0, 9, reps, threads=1),
                               _kl_loss_samples(pmf, n, 1.0, 9, reps, threads=3))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("reps", [1, 6, 7, 8, 3 * 7 + 5])  # around units of 7 items
+    def test_pieces_start_on_their_units_advanced_stream(self, reps, threads, monkeypatch):
+        # items of _CHUNK_CELLS // 3 draws each: a unit of 7 items is cut into pieces of 3, 3 and 1
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
+        draws = harness._CHUNK_CELLS // 3
+        got = _map_streams(lambda rng, lo, hi: (rng.bit_generator.state, lo, hi), 5, reps, 7, threads, draws)
+        want = []
+        for start in range(0, reps, 7):
+            for lo in range(start, min(start + 7, reps), 3):
+                rng = derive_trial_rng(5, start // 7)
+                rng.bit_generator.advance((lo - start) * draws)
+                want.append((rng.bit_generator.state, lo, min(lo + 3, start + 7, reps)))
+        assert got == want
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_symbol_pieces_draw_their_blocks_rows(self, threads, monkeypatch):
+        # one whole block of eight 262-row pieces and a partial block of two
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
+        losses = _kl_loss_samples(ZIPF_10K, 1000, 1.0, 4, 2048 + 300, threads=threads)
+        assert np.array_equal(losses, _sorted_choice_losses(ZIPF_10K, 1000, 4, (2048, 300)))
+
+    def test_unadvanced_pieces_leave_their_blocks_rows(self, monkeypatch):
+        # negative control: pieces that start on their block's stream without the advance
+        # draw piece 0's rows again, so only the first 262 losses are the block's
+        monkeypatch.setattr(harness, "derive_trial_rng", lambda seed, u: Generator(_NoAdvance(
+            derive_trial_rng(seed, u).bit_generator.seed_seq)))
+        losses = _kl_loss_samples(ZIPF_10K, 1000, 1.0, 4, 600)
+        want = _sorted_choice_losses(ZIPF_10K, 1000, 4, (600,))
+        assert np.array_equal(losses[:262], want[:262])
+        assert not np.any(losses[262:] == want[262:])
+
+    @pytest.mark.parametrize("cores,reps,threads,started", [
+        (3, 2048, 100_000, 2),  # eight pieces, capped at the usable cores
+        (8, 2048, 4, 3),  # capped at the threads
+        (8, 600, 100_000, 2),  # capped at the pieces: 262 + 262 + 76 rows
+        (8, 262, 100_000, 0),  # one piece starts no thread
+    ])
+    def test_one_blocks_pieces_are_shared(self, cores, reps, threads, started, recorded_threads, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+        _kl_loss_samples(ZIPF_10K, 1000, 1.0, 4, reps, threads=threads)
+        assert len(recorded_threads) == started
+
+    def test_partial_block_dispatches_no_empty_piece(self, monkeypatch):
+        rows = []
+        kernel = harness.kl_losses_from_sorted_draws
+        monkeypatch.setattr(harness, "kl_losses_from_sorted_draws",
+                            lambda p, draws, t: rows.append(draws.shape[0]) or kernel(p, draws, t))
+        _kl_loss_samples(ZIPF_10K, 1000, 1.0, 4, 2048 + 300)
+        assert rows == [262] * 7 + [2048 - 7 * 262, 262, 300 - 262]
+
+    def test_piece_error_reaches_the_caller_after_every_thread_is_joined(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        calls = []
+        lock = threading.Lock()
+        kernel = harness.kl_losses_from_sorted_draws
+
+        def third_raises(*args):
+            with lock:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise RuntimeError("third piece")
+            return kernel(*args)
+
+        monkeypatch.setattr(harness, "kl_losses_from_sorted_draws", third_raises)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third piece"):
+            _kl_loss_samples(ZIPF_10K, 1000, 1.0, 7, 2048, threads=2)  # one block of eight pieces
+        assert threading.active_count() == before
+
 
 
 def _exact_mean_add_one(p: np.ndarray, n: int) -> float:

@@ -80,6 +80,23 @@ def test_numpy_stream_fingerprint(method):
                            "on which the goldens were recorded")
 
 
+@pytest.mark.parametrize("skip,rows,n", [
+    pytest.param(0, 3, 16, id="no-advance"),
+    pytest.param(5, 3, 16, id="mid-row"),
+    pytest.param(2 * 16, 3, 16, id="whole-rows"),
+    pytest.param(262 * 1000, 2, 1000, id="one-engine-piece"),
+])
+def test_advanced_stream_continues_one_random_call(skip, rows, n):
+    # The engine's symbol path cuts a block into pieces and starts each on the block's stream
+    # advanced past the doubles of the rows before it. That gives the block's rows only while
+    # Generator.random takes exactly one 64-bit output a double, which this pins.
+    whole = derive_trial_rng(2024, 3).random(skip + rows * n)
+    rng = derive_trial_rng(2024, 3)
+    rng.bit_generator.advance(skip)
+    assert np.array_equal(rng.random((rows, n)), whole[skip:].reshape(rows, n)), (
+        f"numpy {np.__version__}: an advanced stream no longer continues one random call")
+
+
 class TestBinomial:
     def test_goodness_of_fit_large_m(self):
         draws = derive_trial_rng(3, 0).binomial(10**4, 0.3, size=10**6)
