@@ -10,6 +10,5 @@ from .bounds import *
 from .distributions import *
 from .harness import *
 from .losses import *
-from .sampling import *
 
 __version__ = "0.1.0"

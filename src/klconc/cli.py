@@ -23,6 +23,7 @@ from .bounds import (
 from .distributions import Pmf, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
 from .harness import (
     MAX_STORED_TRIALS,
+    _MAX_RATE,
     _check_two_reps,
     _usable_cores,
     check_gof_regime,
@@ -63,11 +64,6 @@ def _write_table(path: str | None, header: list[str], rows: list[list], fmt: str
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-# numpy's largest Poisson rate, int64 max - 10 sqrt(int64 max): the bound of --lam and of
-# --n, which the coupling draws as a Poisson rate and the samplers as an int64.
-_MAX_RATE = 9.223372006484771e18
 
 
 def _number(kind, accept, what: str):
@@ -373,6 +369,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate; Python's is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -1,21 +1,28 @@
-"""Seeded Monte Carlo experiments for the distributional claims.
+"""Seeded Monte Carlo experiments for the distributional claims, and the
+streams they draw from.
 
 Every experiment takes the distribution as a ``Pmf`` and plain arguments
 and is a pure function of them: ``run_kl_trials`` returns the aggregated
 losses keyed as ``simulate``'s CSV columns, and each claim check returns a
 ``ClaimResult``.
 Every random draw follows one rule, which ``_map_streams`` applies: unit u
-of a run draws its slice of the run from the stream derived from
-(master_seed, u). The units are the engine's 2048-trial blocks (``_BLOCK``)
-and the coupling and Poisson-tail claims' 2^16-draw chunks
-(``_DRAW_CHUNK``); the README's "Exact seeded sampling" states the rule in
-full. A symbol-path block is drawn in pieces, each on the block's stream
-advanced past the draws of the rows before it, so its draws are unchanged.
-Aggregation walks the blocks, or the chunks, in index order, and the only
-auxiliary randomness, the figure-1 sweep's per-row sub-seeds, lives on a
-reserved stream domain. Both coupling claims, the expectation gap and
-the exact marginals, are judged on one pass over the same draws.
-Intervals are closed-form functions of the losses and draw nothing.
+of a run draws its slice of the run from ``derive_trial_rng(master_seed, u)``,
+a stream that hashes the spawn key (u,) with the 64-bit master seed, so it
+never depends on how many other streams exist or in which order they were
+made. The units are the engine's 2048-trial blocks (``_BLOCK``) and the
+coupling and Poisson-tail claims' 2^16-draw chunks (``_DRAW_CHUNK``); the
+README's "Exact seeded sampling" states the rule in full. A symbol-path
+block is drawn in pieces, each on the block's stream advanced past the
+draws of the rows before it, so its draws are unchanged. Aggregation
+walks the blocks, or the chunks, in index order, and the only auxiliary
+randomness, the figure-1 sweep's per-row sub-seeds, uses the two-element
+spawn keys (2, k), disjoint from every trial stream.
+numpy's binomial and Poisson generators are exact-rejection samplers (no
+normal or translated approximations), which the tests certify by
+goodness-of-fit and Kolmogorov-distance checks. Both coupling claims, the
+expectation gap and the exact marginals, are judged on one pass over the
+same draws. Intervals are closed-form functions of the losses and draw
+nothing. Arguments are checked before anything is drawn.
 The drawing entry points take ``threads``: the pieces of one call (its
 blocks, a symbol-path block's pieces, or its chunks) are shared among that
 many worker threads (capped at the usable cores and at the pieces to draw;
@@ -34,9 +41,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .bounds import (
     _binomial_window,
+    _check_binomial,
     _check_delta,
     _poisson_window,
     _regularized_gamma,
@@ -54,9 +63,10 @@ from .bounds import (
 )
 from .distributions import Pmf, uniform_pmf
 from .losses import kl_losses, kl_losses_from_sorted_draws
-from .sampling import _check_sample_size, _derive_subseed, coupled_pairs, derive_trial_rng
 
 __all__ = [
+    "derive_trial_rng",
+    "coupled_pairs",
     "ClaimResult",
     "exceedance_allowance",
     "run_kl_trials",
@@ -79,9 +89,29 @@ _BLOCK = 2048
 _CHUNK_CELLS = 2**18  # symbols or counts a worker holds at once: 2 MB of int64, whatever k and n are
 _CATEGORICAL = 4  # rows are drawn as symbols when _CATEGORICAL * n <= k
 _DRAW_CHUNK = 2**16  # draws of the coupling and Poisson-tail claims per stream: 512 KB of int64
+# numpy's largest Poisson rate, int64 max - 10 sqrt(int64 max): the bound of a Poisson-tail rate and
+# of the CLI's --n, which the coupling draws as a Poisson rate and the samplers as an int64.
+_MAX_RATE = 9.223372006484771e18
 
-# Reserved stream domain of the sweep rows' sub-seeds (see sampling._derive_subseed).
-_DOMAIN_SWEEP_ROW = 2
+
+def _seed_sequence(master_seed: int, spawn_key: tuple[int, ...]) -> SeedSequence:
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master seed must lie in [0, 2^64), got {master_seed}")
+    return SeedSequence(master_seed, spawn_key=spawn_key)
+
+
+def derive_trial_rng(master_seed: int, trial_index: int) -> Generator:
+    """The stream of unit ``trial_index`` of a run: PCG64 seeded from the spawn
+    key (trial_index,) of ``master_seed``, not by jumping one stream ahead."""
+    if trial_index < 0:
+        raise ValueError(f"trial index must be >= 0, got {trial_index}")
+    return Generator(PCG64(_seed_sequence(master_seed, (trial_index,))))
+
+
+def _check_sample_size(n) -> None:
+    """The one rule for a sample size: a Python or numpy integer >= 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"sample size must be an integer >= 1, got {n!r}")
 
 
 def _check_stored(reps: int) -> None:
@@ -113,7 +143,9 @@ def _map_streams(fn, seed: int, reps: int, unit: int, threads: int, draws: int =
     the calling thread and one fewer started threads, each taking the next
     piece until none is left. With one worker no thread is started. The first
     exception a piece raises stops the workers taking pieces, and is raised
-    once every started thread has been joined."""
+    once every started thread has been joined. Rejects a ``threads`` that is not an integer >= 1."""
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"thread count must be an integer >= 1, got {threads!r}")
     step = max(1, _CHUNK_CELLS // draws) if draws else unit
     pieces = [(start // unit, lo, min(lo + step, start + unit, reps))
               for start in range(0, reps, unit) for lo in range(start, min(start + unit, reps), step)]
@@ -281,7 +313,8 @@ def sweep_std_vs_heuristic(ks, n: int, reps: int, master_seed: int, *, threads: 
     """
     rows = []
     for k in ks:
-        sub_seed = _derive_subseed(master_seed, _DOMAIN_SWEEP_ROW, k)
+        # spawn key (2, k): two elements, so the row's sub-seed is disjoint from every trial stream
+        sub_seed = int(_seed_sequence(master_seed, (2, k)).generate_state(1, np.uint64)[0])
         std = run_kl_trials(uniform_pmf(k), n, reps, sub_seed, threads=threads)["std_kl"]
         heuristic = heuristic_kl_std(k, n)
         rows.append({"k": k, "sample_std": std, "heuristic_std": heuristic,
@@ -343,8 +376,11 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int, *, threads: in
     draws, which must stay within delta (plus sampling slack): one result per
     delta in ``deltas``, in order, all on one sample of draws, so a delta's
     result does not depend on the other deltas checked with it. The chunks
-    are shared among ``threads`` workers (see ``_map_streams``). Rejects an
-    empty ``deltas`` and any delta outside (0, 1) before drawing."""
+    are shared among ``threads`` workers (see ``_map_streams``). Rejects a
+    lam outside [0, _MAX_RATE], an empty ``deltas`` and any delta outside
+    (0, 1) before drawing."""
+    if not 0.0 <= lam <= _MAX_RATE:
+        raise ValueError(f"Poisson rate must lie in [0, {_MAX_RATE:.6g}], got {lam}")
     _check_stored(reps)
     if len(deltas) == 0:
         raise ValueError("need at least one failure probability")
@@ -415,6 +451,33 @@ def _offset_bincount(values: np.ndarray) -> tuple[int, np.ndarray]:
     return lo, np.bincount(values - lo)
 
 
+def coupled_pairs(rng: Generator, n: int, prob: float, size: int) -> tuple[np.ndarray, ...]:
+    """``size`` draws from the joint binomial/Poisson construction, as arrays
+    (m, m_prime, n_latent, x, y).
+
+    ``m`` has the Bin(n, prob) marginal and ``m_prime`` the Poi(n * prob)
+    marginal; ``n_latent`` is the shared latent Poi(n) total and (x, y) the
+    two conditionally independent binomial pieces: x on min(n_latent, n)
+    trials and y on |n - n_latent| trials. When n_latent > n the pair is
+    (m, m_prime) = (x, x + y), otherwise (x + y, x); hence
+    |m - m_prime| = y always. ``rng`` gives the n_latent draws, and copies
+    of it jumped ahead once and twice, taken before any draw, give the x
+    and the y draws, so the first r draws of any size are those of size r.
+    The arguments are checked before anything is drawn.
+    """
+    _check_sample_size(n)
+    _check_binomial(n, prob)
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    x_rng, y_rng = (Generator(rng.bit_generator.jumped(jumps)) for jumps in (1, 2))
+    n_latent = rng.poisson(n, size=size)
+    x = x_rng.binomial(np.minimum(n_latent, n), prob)
+    y = y_rng.binomial(np.abs(n_latent - n), prob)
+    over = n_latent > n
+    total = x + y
+    return np.where(over, x, total), np.where(over, total, x), n_latent, x, y
+
+
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -427,8 +490,10 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int =
     goodness of fit of the two coordinates against their exact marginals,
     Bin(n, prob) for M and Poi(n * prob) for M'. The chunks are shared
     among ``threads`` workers (see ``_map_streams``); their block statistics
-    are folded in index order, so the doubles do not depend on the worker count."""
+    are folded in index order, so the doubles do not depend on the worker count.
+    Rejects an n or prob that ``coupled_pairs`` would before drawing."""
     _check_sample_size(n)
+    _check_binomial(n, prob)
     check_gof_regime(n, reps)
     _check_stored(reps)
 

@@ -152,6 +152,19 @@ class TestSimulate:
         assert run("simulate", "--dist", f"file:{dist}", "--n", "10", "--reps", "5", "--seed", "1", "--out", "-") == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""], ids=["numpy", "bare"])
+    def test_out_of_memory_is_runtime_error(self, message, monkeypatch, capsys):
+        # stands in for uniform_pmf(10**12), so the test allocates nothing; the suites' small pmfs still build
+        def out_of_memory(k):
+            if k > 10**9:
+                raise MemoryError(message)
+            return uniform_pmf(k)
+
+        monkeypatch.setattr(cli, "uniform_pmf", out_of_memory)
+        assert run("simulate", "--dist", "uniform", "--k", "1000000000000", "--n", "1", "--reps", "1",
+                   "--seed", "0", "--out", "-") == 1
+        assert capsys.readouterr() == ("", f"error: {message or 'out of memory'}\n")
+
     def test_byte_identical_across_thread_counts(self, tmp_path, started_threads):
         # the count path, then the symbol path (4n <= k)
         for dist in (["uniform", "--k", "8", "--n", "200"], ["zipf", "--k", "1000", "--n", "100"]):
@@ -592,9 +605,9 @@ def test_out_of_range_count_or_seed_is_usage_error(command, flag, value, capsys)
 
 def test_rate_bound_is_numpys_largest_poisson_rate():
     rng = np.random.default_rng(0)
-    assert rng.poisson(cli._MAX_RATE) > 0
+    assert rng.poisson(harness._MAX_RATE) > 0
     with pytest.raises(ValueError, match="lam value too large"):
-        rng.poisson(np.nextafter(cli._MAX_RATE, np.inf))
+        rng.poisson(np.nextafter(harness._MAX_RATE, np.inf))
 
 
 @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))

@@ -14,7 +14,9 @@ from klconc.distributions import Pmf, add_t_estimate, two_point_pmf, uniform_pmf
 from klconc.harness import (
     MAX_STORED_TRIALS,
     chi_square_gof,
+    coupled_pairs,
     coupling_checks,
+    derive_trial_rng,
     expected_kl_check,
     poisson_tail_checks,
     run_kl_trials,
@@ -30,7 +32,6 @@ from klconc.harness import (
     _moments_blockwise,
 )
 from klconc.losses import kl_divergence, kl_losses, kl_losses_from_sorted_draws
-from klconc.sampling import coupled_pairs, derive_trial_rng
 
 # Draw counts around the 2^16-draw chunks of the coupling and Poisson-tail claims.
 CHUNK_EDGE_SIZES = [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5]
@@ -911,20 +912,33 @@ class TestExpectedKl:
             expected_kl_check(uniform_pmf(10), 0, 10, seed=1)
 
 
-@pytest.mark.parametrize("claim", [lambda: verify_variance_lb(2, 20, 1, 7),
-                                   lambda: expected_kl_check(uniform_pmf(10), 1000, 1, 7),
-                                   lambda: poisson_tail_checks(5.0, (), 10**6, 7),
-                                   lambda: poisson_tail_checks(5.0, (0.1, 1.5), 10**6, 7),
-                                   lambda: run_kl_trials(uniform_pmf(3), 2.5, 2000, 1),
-                                   lambda: run_kl_trials(zipf_pmf(100), 2.5, 2000, 1),
-                                   lambda: coupling_checks(2.5, 0.5, 10**5, 1),
-                                   lambda: coupling_checks(0, 0.5, 10**5, 1)],
-                         ids=["variance-one-rep", "expectation-one-rep", "poisson-tail-no-delta",
-                              "poisson-tail-delta-above-1", "counts-fractional-n", "symbols-fractional-n",
-                              "coupling-fractional-n", "coupling-zero-n"])
+_REJECTED_CLAIMS = {
+    "variance-one-rep": lambda: verify_variance_lb(2, 20, 1, 7),
+    "expectation-one-rep": lambda: expected_kl_check(uniform_pmf(10), 1000, 1, 7),
+    "poisson-tail-no-delta": lambda: poisson_tail_checks(5.0, (), 10**6, 7),
+    "poisson-tail-delta-above-1": lambda: poisson_tail_checks(5.0, (0.1, 1.5), 10**6, 7),
+    "counts-fractional-n": lambda: run_kl_trials(uniform_pmf(3), 2.5, 2000, 1),
+    "symbols-fractional-n": lambda: run_kl_trials(zipf_pmf(100), 2.5, 2000, 1),
+    "coupling-fractional-n": lambda: coupling_checks(2.5, 0.5, 10**5, 1),
+    "coupling-zero-n": lambda: coupling_checks(0, 0.5, 10**5, 1),
+    **{f"coupling-prob-{prob}": (lambda prob=prob: coupling_checks(100, prob, 10**5, 1))
+       for prob in (0.0, 1.5, math.nan)},
+    **{f"poisson-tail-lam-{lam:g}": (lambda lam=lam: poisson_tail_checks(lam, (0.1,), 10**5, 1))
+       for lam in (-1.0, math.nan, math.inf, 1e19)},
+    **{f"{path}-threads-{threads}": (lambda pmf=pmf, threads=threads: run_kl_trials(pmf, 10, 5000, 3, threads=threads))
+       for path, pmf in (("counts", uniform_pmf(4)), ("symbols", zipf_pmf(100))) for threads in (0, -7, 1.5)},
+    "sweep-threads-0": lambda: sweep_std_vs_heuristic([2], 10, 100, 3, threads=0),
+    "coupling-threads-0": lambda: coupling_checks(100, 0.5, 10**5, 1, threads=0),
+    "poisson-tail-threads-0": lambda: poisson_tail_checks(5.0, (0.1,), 10**5, 1, threads=0),
+    "variance-threads-0": lambda: verify_variance_lb(2, 20, 100, 7, threads=0),
+}
+
+
+@pytest.mark.parametrize("claim", list(_REJECTED_CLAIMS.values()), ids=list(_REJECTED_CLAIMS))
 def test_claim_rejects_its_arguments_before_drawing(claim, monkeypatch):
-    # one trial has no sample variance; a Poisson-tail run needs deltas in (0, 1); a sample
-    # size is an integer >= 1 on the count path, the symbol path and the coupling alike
+    # one trial has no sample variance; a Poisson-tail run needs deltas in (0, 1) and a rate numpy
+    # can draw; a sample size is an integer >= 1 on the count path, the symbol path and the
+    # coupling alike; the coupling's prob lies in (0, 1]; every drawing routine needs an integer threads >= 1
     monkeypatch.setattr(harness, "derive_trial_rng", _no_draw)
     with pytest.raises(ValueError):
         claim()

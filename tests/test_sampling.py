@@ -7,8 +7,7 @@ from numpy.random import Generator
 from scipy import stats
 
 from klconc.distributions import Pmf, uniform_pmf
-from klconc.harness import _DRAW_CHUNK, chi_square_gof
-from klconc.sampling import _derive_subseed, coupled_pairs, derive_trial_rng
+from klconc.harness import _DRAW_CHUNK, chi_square_gof, coupled_pairs, derive_trial_rng, sweep_std_vs_heuristic
 
 GOF_ALPHA = 1e-3
 
@@ -41,8 +40,8 @@ class TestStreamDerivation:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError):
                 derive_trial_rng(seed, 0)
-            with pytest.raises(ValueError):
-                _derive_subseed(seed, 2)
+            with pytest.raises(ValueError, match="master seed"):  # the sweep rows' sub-seeds
+                sweep_std_vs_heuristic([2], 1, 2, seed)
 
     def test_top_seed_keeps_its_stream(self):
         seed = 2**64 - 1
