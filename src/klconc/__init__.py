@@ -9,6 +9,5 @@ distributional claims.
 from .bounds import *
 from .distributions import *
 from .harness import *
-from .losses import *
 
 __version__ = "0.1.0"

@@ -61,14 +61,12 @@ from .bounds import (
     poisson_tail_radius,
     variance_lower_bound,
 )
-from .distributions import Pmf, uniform_pmf
-from .losses import kl_losses, kl_losses_from_sorted_draws
+from .distributions import Pmf, kl_losses, kl_losses_from_sorted_draws, uniform_pmf
 
 __all__ = [
     "derive_trial_rng",
     "coupled_pairs",
     "ClaimResult",
-    "exceedance_allowance",
     "run_kl_trials",
     "sweep_std_vs_heuristic",
     "verify_variance_lb",
@@ -356,7 +354,7 @@ def verify_variance_lb(k: int, n: int, reps: int, seed: int, *, threads: int = 1
                                                "ratio": empirical / lb, "ci_low": ci_low, "ci_high": ci_high})
 
 
-def exceedance_allowance(delta: float, reps: int) -> float:
+def _exceedance_allowance(delta: float, reps: int) -> float:
     """delta plus three binomial standard errors, so Monte Carlo noise cannot
     flip a true pass into a fail."""
     return delta + 3.0 * math.sqrt(delta * (1.0 - delta) / reps)
@@ -366,7 +364,7 @@ def verify_kl_tail_bound(k: int, n: int, reps: int, delta: float, seed: int, *, 
     """Fraction of trials whose KL loss exceeds mean + deviation bound; must
     stay within delta (plus sampling slack)."""
     trials = run_kl_trials(uniform_pmf(k), n, reps, seed, delta=delta, threads=threads)
-    allowed = exceedance_allowance(delta, reps)
+    allowed = _exceedance_allowance(delta, reps)
     return ClaimResult(bool(trials["exceed_frac"] <= allowed),
                        {"t_delta": trials["t_delta"], "exceed_frac": trials["exceed_frac"], "allowed": allowed})
 
@@ -396,7 +394,7 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int, *, threads: in
     results = []
     for delta, count in zip(deltas, fails):
         fail_frac = count / reps
-        allowed = exceedance_allowance(delta, reps)
+        allowed = _exceedance_allowance(delta, reps)
         results.append(ClaimResult(bool(fail_frac <= allowed),
                                    {"delta": delta, "fail_frac": fail_frac, "allowed": allowed}))
     return results

@@ -23,7 +23,7 @@ from klconc import cli
 from klconc.bounds import heuristic_kl_std
 from klconc.distributions import Pmf, add_t_estimate, pseudo_estimate, two_point_pmf, uniform_pmf, zipf_pmf
 from klconc.harness import derive_trial_rng
-from klconc.losses import adjusted_kl_divergence, adjusted_kl_shift, adjusted_kl_terms, kl_divergence
+from klconc.distributions import adjusted_kl_divergence, adjusted_kl_shift, adjusted_kl_terms, kl_divergence
 
 SEED = 7
 

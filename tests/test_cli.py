@@ -113,6 +113,13 @@ class TestSimulate:
         cells = out.read_text().strip().split("\n")[1].split(",")
         assert float(cells[4]) == 0.0
 
+    def test_tiny_smoothing_on_the_symbol_path(self, capsys):
+        # k > n takes the symbol path, where c/t overflows below t = n/DBL_MAX
+        assert run("simulate", "--dist", "uniform", "--k", "100", "--n", "10", "--reps", "5",
+                   "--seed", "1", "--t", "1e-320", "--out", "-") == 0
+        out, err = capsys.readouterr()
+        assert err == "" and math.isfinite(float(out.split("\n")[1].split(",")[4]))
+
     def test_missing_k_is_usage_error(self, tmp_path):
         code = run("simulate", "--dist", "uniform", "--n", "10", "--reps", "5",
                    "--seed", "1", "--out", str(tmp_path / "x.csv"))

@@ -7,7 +7,6 @@ from klconc.distributions import (
     Measure,
     Pmf,
     add_t_estimate,
-    empirical_estimate,
     load_pmf,
     pseudo_estimate,
     two_point_pmf,
@@ -106,19 +105,19 @@ def test_load_pmf(tmp_path):
 
 
 class TestEmpiricalEstimate:
+    # the empirical estimate is the add-t estimate at t = 0
     def test_all_mass_on_one_symbol(self):
-        np.testing.assert_allclose(empirical_estimate([2, 0]).probs, [1.0, 0.0])
+        np.testing.assert_allclose(add_t_estimate([2, 0], 0.0).probs, [1.0, 0.0])
 
     def test_even_split(self):
-        np.testing.assert_allclose(empirical_estimate([1, 1]).probs, [0.5, 0.5])
+        np.testing.assert_allclose(add_t_estimate([1, 1], 0.0).probs, [0.5, 0.5])
 
     def test_direct_ratio(self):
-        np.testing.assert_allclose(empirical_estimate([3, 1]).probs, [0.75, 0.25])
+        np.testing.assert_allclose(add_t_estimate([3, 1], 0.0).probs, [0.75, 0.25])
 
     def test_zero_total_rejected(self):
-        for estimate in (empirical_estimate, lambda c: add_t_estimate(c, 0.0)):
-            with pytest.raises(ValueError, match="^empirical estimate requires at least one draw$"):
-                estimate([0, 0])
+        with pytest.raises(ValueError, match="^empirical estimate requires at least one draw$"):
+            add_t_estimate([0, 0], 0.0)
 
 
 class TestAddTEstimate:
@@ -137,7 +136,6 @@ class TestAddTEstimate:
                 continue
             ratios = Pmf(counts / counts.sum()).probs  # count_i / total, as integers divided
             np.testing.assert_array_equal(add_t_estimate(counts, 0.0).probs, ratios)
-            np.testing.assert_array_equal(empirical_estimate(counts).probs, ratios)
 
     def test_negative_t_rejected(self):
         for t in (-0.5, -1e-300, math.nan, math.inf, -math.inf):

@@ -31,7 +31,7 @@ from klconc.harness import (
     _merged,
     _moments_blockwise,
 )
-from klconc.losses import kl_divergence, kl_losses, kl_losses_from_sorted_draws
+from klconc.distributions import kl_divergence, kl_losses, kl_losses_from_sorted_draws
 
 # Draw counts around the 2^16-draw chunks of the coupling and Poisson-tail claims.
 CHUNK_EDGE_SIZES = [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5]

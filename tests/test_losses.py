@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from klconc.distributions import Measure, Pmf, add_t_estimate, pseudo_estimate, uniform_pmf
-from klconc.losses import (
+from klconc.distributions import (
     adjusted_kl_divergence,
     adjusted_kl_shift,
     adjusted_kl_terms,
@@ -173,6 +173,17 @@ class TestKlLossesFromSortedDraws:
             finite += int(np.sum(ok))
         assert worst <= 1e-12
         assert infinite > 0 and finite > 0  # both kinds of unsmoothed row were exercised
+
+    def test_matches_dense_kernel_where_c_over_t_overflows(self):
+        # below t = n/DBL_MAX some c/t is inf, so log1p(c/t) must become log c - log t; a
+        # symbol not drawn adds p_i log t, so the losses are of size |log t| ~ 740
+        rng = np.random.default_rng(61)
+        for t in (1e-307, 1e-310, 1e-320, 5e-324):
+            for p, draws in _random_draws(rng, 60, 20):
+                want = kl_losses(p, _bincounted(draws, len(p)), t)
+                got = kl_losses_from_sorted_draws(p, draws, t)
+                assert np.all(np.isfinite(got))
+                assert float(np.max(np.abs(got - want))) <= 5e-15 * abs(math.log(t))
 
     def test_rows_do_not_depend_on_their_batch(self):
         rng = np.random.default_rng(59)
