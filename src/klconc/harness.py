@@ -11,9 +11,12 @@ a stream that hashes the spawn key (u,) with the 64-bit master seed, so it
 never depends on how many other streams exist or in which order they were
 made. The units are the engine's 2048-trial blocks (``_BLOCK``) and the
 coupling and Poisson-tail claims' 2^16-draw chunks (``_DRAW_CHUNK``); the
-README's "Exact seeded sampling" states the rule in full. A symbol-path
-block is drawn in pieces, each on the block's stream advanced past the
-draws of the rows before it, so its draws are unchanged. Aggregation
+README's "Exact seeded sampling" states the rule in full. No worker holds
+more than ``_CHUNK_CELLS`` values per array at once (a longer row is drawn
+whole): a symbol-path block is drawn in pieces, each on the block's stream
+advanced past the draws of the rows before it; a count block in
+consecutive sub-chunks of its stream; a claim chunk in consecutive slices
+of its streams. So the draws are those of one pass over the unit. Aggregation
 walks the blocks, or the chunks, in index order, and the only auxiliary
 randomness, the figure-1 sweep's per-row sub-seeds, uses the two-element
 spawn keys (2, k), disjoint from every trial stream.
@@ -84,9 +87,9 @@ MAX_STORED_TRIALS = 10**7
 GOF_P_THRESHOLD = 1e-3
 _GOF_MIN_EXPECTED = 5.0  # a GOF bin is merged into the next until its expected count reaches this
 _BLOCK = 2048
-_CHUNK_CELLS = 2**18  # symbols or counts a worker holds at once: 2 MB of int64, whatever k and n are
+_CHUNK_CELLS = 2**14  # values a worker holds per array at once (one row at least): 128 KiB of int64
 _CATEGORICAL = 4  # rows are drawn as symbols when _CATEGORICAL * n <= k
-_DRAW_CHUNK = 2**16  # draws of the coupling and Poisson-tail claims per stream: 512 KB of int64
+_DRAW_CHUNK = 2**16  # draws of the coupling and Poisson-tail claims per stream, drawn _CHUNK_CELLS at a time
 # numpy's largest Poisson rate, int64 max - 10 sqrt(int64 max): the bound of a Poisson-tail rate and
 # of the CLI's --n, which the coupling draws as a Poisson rate and the samplers as an int64.
 _MAX_RATE = 9.223372006484771e18
@@ -123,6 +126,11 @@ def _check_two_reps(reps: int) -> None:
     _check_stored(reps)
     if reps < 2:
         raise ValueError(f"a sample variance needs reps >= 2, got {reps}")
+
+
+def _slice_sizes(count: int) -> list[int]:
+    """The sizes of ``count`` values cut into consecutive slices of at most _CHUNK_CELLS."""
+    return [min(_CHUNK_CELLS, count - lo) for lo in range(0, count, _CHUNK_CELLS)]
 
 
 def _usable_cores() -> int:
@@ -374,7 +382,8 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int, *, threads: in
     draws, which must stay within delta (plus sampling slack): one result per
     delta in ``deltas``, in order, all on one sample of draws, so a delta's
     result does not depend on the other deltas checked with it. The chunks
-    are shared among ``threads`` workers (see ``_map_streams``). Rejects a
+    are shared among ``threads`` workers (see ``_map_streams``), each drawn in
+    consecutive slices of at most _CHUNK_CELLS draws. Rejects a
     lam outside [0, _MAX_RATE], an empty ``deltas`` and any delta outside
     (0, 1) before drawing."""
     if not 0.0 <= lam <= _MAX_RATE:
@@ -386,9 +395,13 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int, *, threads: in
         _check_delta(delta)
 
     def chunk_fails(rng, lo, hi):
-        draws = rng.poisson(lam, size=hi - lo)
-        deviation = np.abs(draws + 1.0 - lam)
-        return [int(np.count_nonzero(deviation > poisson_tail_radius(draws, delta))) for delta in deltas]
+        fails = [0] * len(deltas)
+        for size in _slice_sizes(hi - lo):
+            draws = rng.poisson(lam, size=size)
+            deviation = np.abs(draws + 1.0 - lam)
+            fails = [f + int(np.count_nonzero(deviation > poisson_tail_radius(draws, delta)))
+                     for f, delta in zip(fails, deltas)]
+        return fails
 
     fails = [sum(counts) for counts in zip(*_map_streams(chunk_fails, seed, reps, _DRAW_CHUNK, threads))]
     results = []
@@ -449,9 +462,19 @@ def _offset_bincount(values: np.ndarray) -> tuple[int, np.ndarray]:
     return lo, np.bincount(values - lo)
 
 
-def coupled_pairs(rng: Generator, n: int, prob: float, size: int) -> tuple[np.ndarray, ...]:
-    """``size`` draws from the joint binomial/Poisson construction, as arrays
-    (m, m_prime, n_latent, x, y).
+def _add_counts(parts) -> tuple[int, np.ndarray]:
+    """The ``_offset_bincount`` of the values whose ``_offset_bincount``s are ``parts``."""
+    lo = min(part_lo for part_lo, _ in parts)
+    counts = np.zeros(max(part_lo + bins.size for part_lo, bins in parts) - lo, dtype=np.int64)
+    for part_lo, bins in parts:
+        counts[part_lo - lo : part_lo - lo + bins.size] += bins
+    return lo, counts
+
+
+def coupled_pairs(rng: Generator, n: int, prob: float, size: int):
+    """``size`` draws from the joint binomial/Poisson construction, as an
+    iterator over consecutive slices of at most _CHUNK_CELLS draws, each a
+    tuple of arrays (m, m_prime, n_latent, x, y).
 
     ``m`` has the Bin(n, prob) marginal and ``m_prime`` the Poi(n * prob)
     marginal; ``n_latent`` is the shared latent Poi(n) total and (x, y) the
@@ -459,21 +482,27 @@ def coupled_pairs(rng: Generator, n: int, prob: float, size: int) -> tuple[np.nd
     trials and y on |n - n_latent| trials. When n_latent > n the pair is
     (m, m_prime) = (x, x + y), otherwise (x + y, x); hence
     |m - m_prime| = y always. ``rng`` gives the n_latent draws, and copies
-    of it jumped ahead once and twice, taken before any draw, give the x
-    and the y draws, so the first r draws of any size are those of size r.
-    The arguments are checked before anything is drawn.
+    of it jumped ahead once and twice, taken once before any draw, give the
+    x and the y draws; every slice continues the same three generators, so
+    the slices are one call's draws cut apart, and the first r draws of any
+    size are those of size r. The arguments are checked, and the copies
+    taken, when it is called; a slice is drawn when it is taken.
     """
     _check_sample_size(n)
     _check_binomial(n, prob)
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     x_rng, y_rng = (Generator(rng.bit_generator.jumped(jumps)) for jumps in (1, 2))
-    n_latent = rng.poisson(n, size=size)
-    x = x_rng.binomial(np.minimum(n_latent, n), prob)
-    y = y_rng.binomial(np.abs(n_latent - n), prob)
-    over = n_latent > n
-    total = x + y
-    return np.where(over, x, total), np.where(over, total, x), n_latent, x, y
+
+    def pairs(count):
+        n_latent = rng.poisson(n, size=count)
+        x = x_rng.binomial(np.minimum(n_latent, n), prob)
+        y = y_rng.binomial(np.abs(n_latent - n), prob)
+        over = n_latent > n
+        total = x + y
+        return np.where(over, x, total), np.where(over, total, x), n_latent, x, y
+
+    return map(pairs, _slice_sizes(size))
 
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -487,18 +516,24 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int =
     certifies a violation (lower edge above the ceiling). marginals: the
     goodness of fit of the two coordinates against their exact marginals,
     Bin(n, prob) for M and Poi(n * prob) for M'. The chunks are shared
-    among ``threads`` workers (see ``_map_streams``); their block statistics
-    are folded in index order, so the doubles do not depend on the worker count.
+    among ``threads`` workers (see ``_map_streams``), each drawn slice by
+    slice; their block statistics are folded in index order, so the doubles
+    do not depend on the worker count.
     Rejects an n or prob that ``coupled_pairs`` would before drawing."""
     _check_sample_size(n)
     _check_binomial(n, prob)
     check_gof_regime(n, reps)
     _check_stored(reps)
 
-    def chunk(rng, lo, hi):
-        m, m_prime, *_ = coupled_pairs(rng, n, prob, hi - lo)
-        # chunks are whole blocks, so the blocks are those of all the draws
+    def slice_stats(pairs):
+        m, m_prime, *_ = pairs
         return _block_moments((m - m_prime) / (m_prime + 1.0)), _offset_bincount(m), _offset_bincount(m_prime)
+
+    def chunk(rng, lo, hi):
+        # map lets go of a slice before it draws the next one; chunks and slices are whole
+        # blocks, so the blocks are those of all the draws
+        blocks, parts_m, parts_mp = zip(*map(slice_stats, coupled_pairs(rng, n, prob, hi - lo)))
+        return [block for slice_blocks in blocks for block in slice_blocks], _add_counts(parts_m), _add_counts(parts_mp)
 
     blocks, parts_m, parts_mp = zip(*_map_streams(chunk, seed, reps, _DRAW_CHUNK, threads))
     est, variance = _merged(block for chunk_blocks in blocks for block in chunk_blocks)
@@ -513,10 +548,10 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int =
                           (parts_mp, lambda lo, hi: _poisson_window(n * prob, lo, hi))):
         # sum the chunks' counts over the pmf's window; the masses outside it, and any draws
         # outside it (only a broken sampler's: the window covers the drawn range), join its end bins
-        lo, probs, head, tail = window(min(lo for lo, _ in parts), max(lo + bins.size for lo, bins in parts) - 1)
+        drawn_lo, drawn = _add_counts(parts)
+        lo, probs, head, tail = window(drawn_lo, drawn_lo + drawn.size - 1)
         counts = np.zeros(probs.size, dtype=np.int64)
-        for part_lo, bins in parts:
-            np.add.at(counts, np.clip(np.arange(part_lo - lo, part_lo - lo + bins.size), 0, probs.size - 1), bins)
+        np.add.at(counts, np.clip(np.arange(drawn_lo - lo, drawn_lo - lo + drawn.size), 0, probs.size - 1), drawn)
         probs[0] += head
         probs[-1] += tail
         gofs.append(chi_square_gof(counts, probs))
@@ -538,16 +573,17 @@ def expected_kl_check(pmf: Pmf, n: int, reps: int, seed: int, *, threads: int = 
 
 
 def _exact_binomial_product_variance(n0: int) -> Fraction:
-    """Var(X*(n0-X)) for X ~ Bin(n0, 1/2) by exact rational enumeration."""
-    denom = Fraction(1, 2**n0)
-    e1 = Fraction(0)
-    e2 = Fraction(0)
+    """Var(X*(n0-X)) for X ~ Bin(n0, 1/2) by exact rational enumeration: the
+    sums of comb(n0, x) g and comb(n0, x) g^2, g = x(n0-x), are integers,
+    divided by 2^n0 once."""
+    s1 = s2 = 0
     for x in range(n0 + 1):
-        w = math.comb(n0, x) * denom
-        g = Fraction(x * (n0 - x))
-        e1 += w * g
-        e2 += w * g * g
-    return e2 - e1 * e1
+        w = math.comb(n0, x)
+        g = x * (n0 - x)
+        s1 += w * g
+        s2 += w * g * g
+    e1 = Fraction(s1, 2**n0)
+    return Fraction(s2, 2**n0) - e1 * e1
 
 
 def _monotone_variance_instance(a: int, b: int) -> tuple[float, float]:

@@ -406,8 +406,8 @@ def test_config_outside_a_claim_regime_is_usage_error(argv, capsys):
 
 def _shift_m(pairs):
     def shifted(rng, n, prob, size):
-        m, *rest = pairs(rng, n, prob, size)
-        return (m + 100 * n, *rest)
+        for m, *rest in pairs(rng, n, prob, size):
+            yield (m + 100 * n, *rest)
 
     return shifted
 
@@ -490,18 +490,21 @@ def test_marginals_is_a_second_name_for_coupling(capsys):
 
 def test_check_all_draws_the_coupled_pairs_once_per_config(monkeypatch, capsys):
     # the gap and the marginals lines of a config come from one pass over its draws,
-    # drawn in chunks of at most 2^16
-    sizes = {}
+    # asked for in chunks of at most 2^16 and drawn in slices of at most _CHUNK_CELLS
+    sizes, drawn = {}, {}
     pairs = harness.coupled_pairs
 
     def counted(rng, n, prob, size):
         sizes.setdefault((n, prob), []).append(size)
-        return pairs(rng, n, prob, size)
+        for pair_slice in pairs(rng, n, prob, size):
+            drawn.setdefault((n, prob), []).append(pair_slice[0].size)
+            yield pair_slice
 
     monkeypatch.setattr(harness, "coupled_pairs", counted)
     assert run("check", "--suite", "all", "--reps", "100000", "--seed", "7") == 0
-    assert sorted(sizes) == sorted(_suites()["coupling"].configs)
+    assert sorted(sizes) == sorted(drawn) == sorted(_suites()["coupling"].configs)
     assert all(sum(chunks) == 100_000 and max(chunks) <= 2**16 for chunks in sizes.values())
+    assert all(sum(slices) == 100_000 and max(slices) <= harness._CHUNK_CELLS for slices in drawn.values())
 
 
 def test_expectation_labels_name_their_pmfs(monkeypatch, capsys):

@@ -9,7 +9,7 @@ from numpy.random import PCG64, Generator
 from scipy import stats
 
 from klconc import harness
-from klconc.bounds import _binomial_window, _poisson_window, poisson_tail_radius
+from klconc.bounds import _binomial_window, _poisson_window, expectation_gap_bound, poisson_tail_radius
 from klconc.distributions import Pmf, add_t_estimate, two_point_pmf, uniform_pmf, zipf_pmf
 from klconc.harness import (
     MAX_STORED_TRIALS,
@@ -23,6 +23,7 @@ from klconc.harness import (
     sweep_std_vs_heuristic,
     verify_kl_tail_bound,
     verify_variance_lb,
+    _CHUNK_CELLS,
     _DRAW_CHUNK,
     _Z99,
     _guide_table_lookup,
@@ -35,12 +36,31 @@ from klconc.distributions import kl_divergence, kl_losses, kl_losses_from_sorted
 
 # Draw counts around the 2^16-draw chunks of the coupling and Poisson-tail claims.
 CHUNK_EDGE_SIZES = [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5]
+# Rows of 1000 symbols, or of 1000 counts, that a worker holds at once.
+PIECE_ROWS = _CHUNK_CELLS // 1000
 
 
 def _chunk_streams(seed, reps):
     """(generator, size) of each chunk of reps draws: chunk c is drawn from stream (seed, c)."""
     return [(derive_trial_rng(seed, lo // _DRAW_CHUNK), min(_DRAW_CHUNK, reps - lo))
             for lo in range(0, reps, _DRAW_CHUNK)]
+
+
+def _unit_pairs(rng, n, prob, size):
+    """(m, m_prime) of ``size`` coupled pairs drawn in one call each: the latent
+    Poi(n) totals from ``rng``, the binomial pieces from copies of it jumped
+    ahead once and twice."""
+    x_rng, y_rng = (Generator(rng.bit_generator.jumped(jumps)) for jumps in (1, 2))
+    n_latent = rng.poisson(n, size=size)
+    x = x_rng.binomial(np.minimum(n_latent, n), prob)
+    y = y_rng.binomial(np.abs(n_latent - n), prob)
+    over = n_latent > n
+    return np.where(over, x, x + y), np.where(over, x + y, x)
+
+
+def _joined(slices):
+    """The arrays of ``coupled_pairs``' slices, each joined into one."""
+    return tuple(np.concatenate(parts) for parts in zip(*slices))
 
 
 def _stats(parts):
@@ -187,13 +207,15 @@ class TestTrialStreams:
                 assert losses[2048 * block + row] == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_sub_chunks_keep_the_stream(self):
-        # k=1000 holds at most 2^18 // 1000 = 262 count rows at once: eight sub-chunks a block
+        # k=1000 holds at most PIECE_ROWS count rows at once: a block is several sub-chunks
+        assert PIECE_ROWS < 2048
         p = uniform_pmf(1000)
         one_shot = kl_losses(p, derive_trial_rng(4, 0).multinomial(300, p.probs, size=2048), 1.0)
         assert np.array_equal(_kl_loss_samples(p, 300, 1.0, 4, 2048), one_shot)
 
     def test_categorical_sub_chunks_keep_the_stream(self):
-        # n=1000 holds at most 2^18 // 1000 = 262 symbol rows at once: eight sub-chunks a block
+        # n=1000 holds at most PIECE_ROWS symbol rows at once: a block is several pieces
+        assert PIECE_ROWS < 2048
         p = zipf_pmf(10_000)
         draws = np.sort(derive_trial_rng(4, 0).choice(10_000, size=(2048, 1000), p=p.probs), axis=1)
         assert np.array_equal(_kl_loss_samples(p, 1000, 1.0, 4, 2048), kl_losses_from_sorted_draws(p, draws, 1.0))
@@ -211,8 +233,9 @@ class TestTrialStreams:
     ])
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
     def test_categorical_rows_are_sorted_choice_rows(self, pmf, n, t):
-        # 300 rows of n=1000 span two sub-chunks of 262 rows
+        # 300 rows of n=1000 span several pieces of PIECE_ROWS rows
         k, seed, rows = len(pmf), 5, 300
+        assert PIECE_ROWS < rows
         draws = np.sort(derive_trial_rng(seed, 0).choice(k, size=(rows, n), p=pmf.probs), axis=1)
         assert np.array_equal(_kl_loss_samples(pmf, n, t, seed, rows), kl_losses_from_sorted_draws(pmf, draws, t))
 
@@ -451,26 +474,26 @@ class TestBlockPool:
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_symbol_pieces_draw_their_blocks_rows(self, threads, monkeypatch):
-        # one whole block of eight 262-row pieces and a partial block of two
+        # one whole block of PIECE_ROWS-row pieces and a partial block of 300 rows
         monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
         losses = _kl_loss_samples(ZIPF_10K, 1000, 1.0, 4, 2048 + 300, threads=threads)
         assert np.array_equal(losses, _sorted_choice_losses(ZIPF_10K, 1000, 4, (2048, 300)))
 
     def test_unadvanced_pieces_leave_their_blocks_rows(self, monkeypatch):
         # negative control: pieces that start on their block's stream without the advance
-        # draw piece 0's rows again, so only the first 262 losses are the block's
+        # draw piece 0's rows again, so only the first PIECE_ROWS losses are the block's
         monkeypatch.setattr(harness, "derive_trial_rng", lambda seed, u: Generator(_NoAdvance(
             derive_trial_rng(seed, u).bit_generator.seed_seq)))
         losses = _kl_loss_samples(ZIPF_10K, 1000, 1.0, 4, 600)
         want = _sorted_choice_losses(ZIPF_10K, 1000, 4, (600,))
-        assert np.array_equal(losses[:262], want[:262])
-        assert not np.any(losses[262:] == want[262:])
+        assert np.array_equal(losses[:PIECE_ROWS], want[:PIECE_ROWS])
+        assert not np.any(losses[PIECE_ROWS:] == want[PIECE_ROWS:])
 
     @pytest.mark.parametrize("cores,reps,threads,started", [
-        (3, 2048, 100_000, 2),  # eight pieces, capped at the usable cores
+        (3, 2048, 100_000, 2),  # 2048 / PIECE_ROWS pieces, capped at the usable cores
         (8, 2048, 4, 3),  # capped at the threads
-        (8, 600, 100_000, 2),  # capped at the pieces: 262 + 262 + 76 rows
-        (8, 262, 100_000, 0),  # one piece starts no thread
+        (8, 2 * PIECE_ROWS + 1, 100_000, 2),  # capped at the pieces: two whole and one of one row
+        (8, PIECE_ROWS, 100_000, 0),  # one piece starts no thread
     ])
     def test_one_blocks_pieces_are_shared(self, cores, reps, threads, started, recorded_threads, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
@@ -483,7 +506,12 @@ class TestBlockPool:
         monkeypatch.setattr(harness, "kl_losses_from_sorted_draws",
                             lambda p, draws, t: rows.append(draws.shape[0]) or kernel(p, draws, t))
         _kl_loss_samples(ZIPF_10K, 1000, 1.0, 4, 2048 + 300)
-        assert rows == [262] * 7 + [2048 - 7 * 262, 262, 300 - 262]
+
+        def pieces(block_rows):
+            whole, partial = divmod(block_rows, PIECE_ROWS)
+            return [PIECE_ROWS] * whole + ([partial] if partial else [])
+
+        assert rows == pieces(2048) + pieces(300)
 
     def test_piece_error_reaches_the_caller_after_every_thread_is_joined(self, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
@@ -501,7 +529,7 @@ class TestBlockPool:
         monkeypatch.setattr(harness, "kl_losses_from_sorted_draws", third_raises)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="third piece"):
-            _kl_loss_samples(ZIPF_10K, 1000, 1.0, 7, 2048, threads=2)  # one block of eight pieces
+            _kl_loss_samples(ZIPF_10K, 1000, 1.0, 7, 2048, threads=2)  # one block of many pieces
         assert threading.active_count() == before
 
 
@@ -789,8 +817,8 @@ class TestCouplingDiagnostics:
     def test_marginal_gof_catches_shifted_poisson_rate(self, monkeypatch):
         # negative control: M' drawn at rate n*p*1.003 instead of n*p
         def shifted(rng, n, prob, size):
-            m, _, *rest = coupled_pairs(rng, n, prob, size)
-            return (m, rng.poisson(n * prob * 1.003, size=size), *rest)
+            for m, _, *rest in coupled_pairs(rng, n, prob, size):
+                yield (m, rng.poisson(n * prob * 1.003, size=m.size), *rest)
 
         monkeypatch.setattr(harness, "coupled_pairs", shifted)
         r = coupling_checks(20, 0.4, 10**6, seed=7)[1]
@@ -838,8 +866,7 @@ class TestStreamedClaims:
     @pytest.mark.parametrize("n,prob", [(20, 0.4), (100, 0.5), (10_000, 0.01), (7, 1.0)])
     def test_coupling_chunk_c_is_stream_c(self, n, prob, size, monkeypatch):
         monkeypatch.setattr(harness, "check_gof_regime", lambda n, reps: None)  # let sizes below 1e5 in
-        chunks = [coupled_pairs(rng, n, prob, s) for rng, s in _chunk_streams(6, size)]
-        m, m_prime = (np.concatenate(parts) for parts in list(zip(*chunks))[:2])
+        m, m_prime = _joined(_unit_pairs(rng, n, prob, s) for rng, s in _chunk_streams(6, size))
 
         gap, gof = (r.values for r in coupling_checks(n, prob, size, seed=6))
         mean, variance = _moments_blockwise((m - m_prime) / (m_prime + 1.0))
@@ -885,15 +912,111 @@ class TestStreamedClaims:
             seen = []
 
             def pairs(*args):
-                seen.append(coupled_pairs(*args))
-                return seen[-1]
+                for pair_slice in coupled_pairs(*args):
+                    seen.append(pair_slice)
+                    yield pair_slice
 
             monkeypatch.setattr(harness, "coupled_pairs", pairs)
             coupling_checks(20, 0.4, r, seed=8)
-            return [np.concatenate(parts) for parts in zip(*seen)]
+            return _joined(seen)
 
         for short, longer in zip(drawn(reps), drawn(CHUNK_EDGE_SIZES[-1]), strict=True):
             np.testing.assert_array_equal(short, longer[:reps])
+
+
+# Claim sizes around the slices of at most _CHUNK_CELLS draws that a chunk is drawn in.
+SLICE_EDGE_REPS = [_CHUNK_CELLS - 1, _CHUNK_CELLS + 1, _DRAW_CHUNK + 5, 3 * _DRAW_CHUNK + 5]
+_TAIL_DELTAS = (0.05, 0.5, 0.99)
+
+
+def _narrow_radius(draws, delta):
+    # fails often, so the Poisson-tail counts are not all zero
+    return delta * np.sqrt(draws + 1.0)
+
+
+def _claim_values(reps, threads):
+    """The values of the Poisson-tail results at lam=10 on seed 4 and of the
+    coupling results at n=20, prob=0.4 on seed 6."""
+    return ([r.values for r in poisson_tail_checks(10.0, _TAIL_DELTAS, reps, seed=4, threads=threads)],
+            [r.values for r in coupling_checks(20, 0.4, reps, seed=6, threads=threads)])
+
+
+def _one_call_values(reps):
+    """``_claim_values`` computed from draws that take each chunk in one call."""
+    draws = np.concatenate([rng.poisson(10.0, size=s) for rng, s in _chunk_streams(4, reps)])
+    deviation = np.abs(draws + 1.0 - 10.0)
+    tail = [{"delta": delta, "fail_frac": int(np.count_nonzero(deviation > _narrow_radius(draws, delta))) / reps,
+             "allowed": harness._exceedance_allowance(delta, reps)} for delta in _TAIL_DELTAS]
+
+    m, m_prime = _joined(_unit_pairs(rng, 20, 0.4, s) for rng, s in _chunk_streams(6, reps))
+    mean, variance = _moments_blockwise((m - m_prime) / (m_prime + 1.0))
+    half = _Z99 * math.sqrt(variance / reps)
+    gap = {"est_gap": mean, "ci_low": mean - half, "ci_high": mean + half, "bound": expectation_gap_bound(2.5, 20)}
+    chi2_m, p_m = _window_gof(m, lambda lo, hi: _binomial_window(20, 0.4, lo, hi))
+    chi2_mp, p_mp = _window_gof(m_prime, lambda lo, hi: _poisson_window(8.0, lo, hi))
+    return tail, [gap, {"chi2_m": chi2_m, "p_m": p_m, "chi2_m_prime": chi2_mp, "p_m_prime": p_mp}]
+
+
+class _Rederiving:
+    """Stands in for a chunk's generator: every draw call starts again on the
+    chunk's stream, as a slice that re-derived its chunk's stream would."""
+
+    def __init__(self, seed, unit):
+        self.seed, self.unit = seed, unit
+
+    def __getattr__(self, name):
+        return getattr(derive_trial_rng(self.seed, self.unit), name)
+
+
+class TestClaimSlices:
+    """A claim chunk is drawn in consecutive slices of its streams, which give
+    the draws of one call a chunk."""
+
+    @pytest.fixture(autouse=True)
+    def _narrow(self, monkeypatch):
+        monkeypatch.setattr(harness, "poisson_tail_radius", _narrow_radius)
+        monkeypatch.setattr(harness, "check_gof_regime", lambda n, reps: None)  # let sizes below 1e5 in
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("reps", SLICE_EDGE_REPS)
+    def test_slices_give_one_call_a_chunk(self, reps, threads):
+        np.testing.assert_equal(_claim_values(reps, threads), _one_call_values(reps))
+
+    @pytest.mark.parametrize("reps", SLICE_EDGE_REPS[1:])  # a chunk of more than one slice
+    def test_slices_that_rederive_their_stream_fail(self, reps, monkeypatch):
+        # negative control: each slice's Poisson draws start again on the chunk's stream
+        monkeypatch.setattr(harness, "derive_trial_rng", _Rederiving)
+        got, want = _claim_values(reps, 1), _one_call_values(reps)
+        for claim in range(2):
+            with pytest.raises(AssertionError):
+                np.testing.assert_equal(got[claim], want[claim])
+
+
+ZIPF_2K, UNIFORM_1K = zipf_pmf(2000), uniform_pmf(1000)
+# One-thread runs of each draw path, and the trials whose losses it stores.
+_DRAW_PATHS = {
+    "coupling": (lambda: coupling_checks(100, 0.5, 2 * _DRAW_CHUNK, 3, threads=1), 0),
+    "poisson-tail": (lambda: poisson_tail_checks(100.0, (0.05, 0.1, 0.5), 2 * _DRAW_CHUNK, 3, threads=1), 0),
+    "symbols": (lambda: _kl_loss_samples(ZIPF_2K, 400, 1.0, 4, 2048, threads=1), 2048),
+    "counts": (lambda: _kl_loss_samples(UNIFORM_1K, 300, 1.0, 4, 2048, threads=1), 2048),
+}
+
+
+@pytest.mark.parametrize("cells", [2**12, _CHUNK_CELLS])
+@pytest.mark.parametrize("path", list(_DRAW_PATHS))
+def test_draw_path_peak_follows_the_chunk_cells(path, cells, monkeypatch):
+    # the arrays a worker holds at once are at most _CHUNK_CELLS values each, so its
+    # peak is a fixed multiple of one such int64 array, plus the losses it stores
+    monkeypatch.setattr(harness, "_CHUNK_CELLS", cells)
+    run, stored = _DRAW_PATHS[path]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * cells + 8 * stored
 
 
 class TestExpectedKl:

@@ -7,7 +7,14 @@ from numpy.random import Generator
 from scipy import stats
 
 from klconc.distributions import Pmf, uniform_pmf
-from klconc.harness import _DRAW_CHUNK, chi_square_gof, coupled_pairs, derive_trial_rng, sweep_std_vs_heuristic
+from klconc.harness import (
+    _CHUNK_CELLS,
+    _DRAW_CHUNK,
+    chi_square_gof,
+    coupled_pairs,
+    derive_trial_rng,
+    sweep_std_vs_heuristic,
+)
 
 GOF_ALPHA = 1e-3
 
@@ -83,7 +90,7 @@ def test_numpy_stream_fingerprint(method):
     pytest.param(0, 3, 16, id="no-advance"),
     pytest.param(5, 3, 16, id="mid-row"),
     pytest.param(2 * 16, 3, 16, id="whole-rows"),
-    pytest.param(262 * 1000, 2, 1000, id="one-engine-piece"),
+    pytest.param(_CHUNK_CELLS // 1000 * 1000, 2, 1000, id="one-engine-piece"),
 ])
 def test_advanced_stream_continues_one_random_call(skip, rows, n):
     # The engine's symbol path cuts a block into pieces and starts each on the block's stream
@@ -165,21 +172,28 @@ class TestMultinomialCounts:
         assert p_value >= GOF_ALPHA
 
 
-# Draw counts around the 2^16-draw chunks that the harness asks coupled_pairs for.
-CHUNK_EDGE_SIZES = [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5]
+# Draw counts around the 2^16-draw chunks that the harness asks coupled_pairs for, and
+# around the slices of at most _CHUNK_CELLS draws that coupled_pairs yields them in.
+CHUNK_EDGE_SIZES = [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5,
+                    _CHUNK_CELLS - 1, _CHUNK_CELLS + 1]
+
+
+def _pairs(rng, n, prob, size):
+    """coupled_pairs' slices, each array joined into one."""
+    return tuple(np.concatenate(parts) for parts in zip(*coupled_pairs(rng, n, prob, size)))
 
 
 class TestCoupling:
     def test_certain_success_forces_structure(self):
         # prob=1: X = min(N, n) and Y = |n - N|, so M = n and M' = N always
         n = 17
-        m, m_prime, n_latent, _, _ = coupled_pairs(derive_trial_rng(31, 0), n, 1.0, size=200)
+        m, m_prime, n_latent, _, _ = _pairs(derive_trial_rng(31, 0), n, 1.0, size=200)
         assert np.all(m == n)
         np.testing.assert_array_equal(m_prime, n_latent)
 
     def test_gap_is_y_with_sign_from_latent(self):
         n = 20
-        m, m_prime, n_latent, x, y = coupled_pairs(derive_trial_rng(33, 0), n, 0.4, size=2000)
+        m, m_prime, n_latent, x, y = _pairs(derive_trial_rng(33, 0), n, 0.4, size=2000)
         np.testing.assert_array_equal(np.abs(m - m_prime), y)
         under = n_latent <= n
         np.testing.assert_array_equal((m - m_prime)[under], y[under])
@@ -190,9 +204,15 @@ class TestCoupling:
     @pytest.mark.parametrize("n,prob", [(20, 0.4), (100, 0.5), (10_000, 0.01), (7, 1.0)])
     def test_first_draws_do_not_depend_on_size(self, n, prob, size):
         # size draws are the first size draws of a longer call on the same stream
-        longer = coupled_pairs(derive_trial_rng(35, 0), n, prob, CHUNK_EDGE_SIZES[-1] + 1)
-        for got, ref in zip(coupled_pairs(derive_trial_rng(35, 0), n, prob, size), longer, strict=True):
+        longer = _pairs(derive_trial_rng(35, 0), n, prob, max(CHUNK_EDGE_SIZES) + 1)
+        for got, ref in zip(_pairs(derive_trial_rng(35, 0), n, prob, size), longer, strict=True):
             np.testing.assert_array_equal(got, ref[:size])
+
+    @pytest.mark.parametrize("size", CHUNK_EDGE_SIZES)
+    def test_slices_hold_at_most_the_chunk_cells(self, size):
+        sizes = [m.size for m, *_ in coupled_pairs(derive_trial_rng(35, 0), 20, 0.4, size)]
+        assert sum(sizes) == size
+        assert all(part == _CHUNK_CELLS for part in sizes[:-1]) and 1 <= sizes[-1] <= _CHUNK_CELLS
 
     def test_prob_validation(self):
         rng = derive_trial_rng(1, 0)
