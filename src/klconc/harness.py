@@ -187,12 +187,19 @@ def _map_streams(fn, seed: int, reps: int, unit: int, threads: int, draws: int =
     return results
 
 
+def _guide_grid(k: int) -> int:
+    """The guide table's bucket count for k symbols: the power of two in [2k, 4k)."""
+    return 1 << (2 * k - 1).bit_length()
+
+
 def _guide_table_lookup(cdf: np.ndarray):
     """u -> cdf.searchsorted(u, side="right") for u in [0, 1) and a non-decreasing cdf ending
     in 1, via a guide table (Chen & Asau 1974): guide[b] = #{j : cdf[j] <= b / grid} bounds
-    bucket b from below. A power-of-two grid in [k, 2k) makes u * grid and cdf * grid exact and
-    leaves <= 1 entry per bucket on average; two passes step short bounds up, searchsorted ends the rest."""
-    grid = 1 << (cdf.size - 1).bit_length()
+    bucket b from below. A power-of-two grid (``_guide_grid``) makes u * grid and cdf * grid
+    exact and leaves <= 1/2 entry per bucket on average, so a draw needs <= k / grid extra
+    comparisons on average (Devroye 1986, III.2.4); two passes step short bounds up,
+    searchsorted ends the rest. The table is 2k to 4k int64 entries."""
+    grid = _guide_grid(cdf.size)
     guide = np.bincount(np.ceil(cdf * grid).astype(np.intp), minlength=grid + 1)[:grid].cumsum()
 
     def lookup(u: np.ndarray) -> np.ndarray:

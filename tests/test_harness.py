@@ -26,6 +26,7 @@ from klconc.harness import (
     _CHUNK_CELLS,
     _DRAW_CHUNK,
     _Z99,
+    _guide_grid,
     _guide_table_lookup,
     _kl_loss_samples,
     _map_streams,
@@ -296,16 +297,40 @@ _LOOKUP_PMFS = {
 }
 
 
+def _counting_view(cdf):
+    """A view of ``cdf`` that counts its gathers (integer-array indexing), its
+    searchsorted calls and the uniforms sent to them; and the counts."""
+    calls = {"gathers": 0, "searchsorted": 0, "searched": 0}
+
+    class CountingCdf(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, np.ndarray) and key.dtype.kind == "i":
+                calls["gathers"] += 1
+            return super().__getitem__(key)
+
+        def searchsorted(self, v, *args, **kwargs):
+            calls["searchsorted"] += 1
+            calls["searched"] += np.size(v)
+            return super().searchsorted(v, *args, **kwargs)
+
+    return cdf.view(CountingCdf), calls
+
+
 class TestGuideTableLookup:
     def test_one_bucket_pmf_puts_k_minus_1_entries_in_one_bucket(self):
         cdf = _cdf(_one_bucket_probs(5000))
-        grid = 1 << (5000 - 1).bit_length()
+        grid = _guide_grid(5000)
         assert np.unique(cdf[:-1]).size == 4999 and np.unique(np.floor(cdf[:-1] * grid)).size == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 1000, 1024, 1025, 10_000])
+    def test_grid_is_the_power_of_two_in_2k_to_4k(self, k):
+        grid = _guide_grid(k)
+        assert grid & (grid - 1) == 0 and 2 * k <= grid < 4 * k
 
     @pytest.mark.parametrize("probs", _LOOKUP_PMFS.values(), ids=_LOOKUP_PMFS.keys())
     def test_is_searchsorted_right(self, probs):
         cdf = _cdf(probs)
-        grid = 1 << (cdf.size - 1).bit_length()
+        grid = _guide_grid(cdf.size)
         entries, points = cdf[cdf < 1.0], np.arange(grid) / grid
         u = np.concatenate([
             np.random.default_rng(0).random(20_000),
@@ -319,10 +344,11 @@ class TestGuideTableLookup:
         assert np.array_equal(lookup(rows), cdf.searchsorted(rows, side="right"))
 
     def test_cdf_entries_on_the_edges_of_any_grid(self):
-        # cdf entries j/m: a grid of m buckets, with m not a power of two, rounds
-        # u * m or cdf * m across an edge for all but ~2% of m in [k, 2k)
+        # cdf entries j/m, for m from k up to twice the shipped grid: a grid of m
+        # buckets, with m not a power of two, rounds u * m or cdf * m across an edge
+        # for most m, and the entries sit on the shipped grid's edges where m divides it
         k = 1000
-        for m in range(k, 2 * k):
+        for m in range(k, 2 * _guide_grid(k)):
             cdf = np.append(np.arange(1, k) / m, 1.0)
             u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0), np.nextafter(cdf[:-1], 1.0)])
             assert np.array_equal(_guide_table_lookup(cdf)(u), cdf.searchsorted(u, side="right")), m
@@ -330,23 +356,21 @@ class TestGuideTableLookup:
     def test_passes_are_bounded(self):
         # uniforms in the crowded bucket sit up to 4998 entries above the guide's
         # bound: three gathers of cdf entries and one searchsorted, not a walk
-        calls = {"gathers": 0, "searchsorted": 0}
-
-        class CountingCdf(np.ndarray):
-            def __getitem__(self, key):
-                if isinstance(key, np.ndarray) and key.dtype.kind == "i":
-                    calls["gathers"] += 1
-                return super().__getitem__(key)
-
-            def searchsorted(self, *args, **kwargs):
-                calls["searchsorted"] += 1
-                return super().searchsorted(*args, **kwargs)
-
         cdf = _cdf(_one_bucket_probs(5000))
-        grid = 1 << (5000 - 1).bit_length()
-        u = np.concatenate([0.5 + np.random.default_rng(2).random(5000) / grid, np.random.default_rng(3).random(5000)])
-        assert np.array_equal(_guide_table_lookup(cdf.view(CountingCdf))(u), cdf.searchsorted(u, side="right"))
+        counting, calls = _counting_view(cdf)
+        u = np.concatenate([0.5 + np.random.default_rng(2).random(5000) / _guide_grid(5000),
+                            np.random.default_rng(3).random(5000)])
+        assert np.array_equal(_guide_table_lookup(counting)(u), cdf.searchsorted(u, side="right"))
         assert calls["gathers"] <= 3 and calls["searchsorted"] <= 1
+
+    def test_few_draws_reach_searchsorted(self):
+        # zipf(10^4): a grid of 2k to 4k buckets leaves 2,174 of 10^6 draws to
+        # searchsorted after its two passes; one of k to 2k buckets left 30,080
+        cdf = _cdf(zipf_pmf(10_000).probs)
+        counting, calls = _counting_view(cdf)
+        u = np.random.default_rng(7).random(1_000_000)
+        assert np.array_equal(_guide_table_lookup(counting)(u), cdf.searchsorted(u, side="right"))
+        assert calls["searched"] <= 0.005 * u.size
 
 
 ZIPF_10K = zipf_pmf(10_000)
