@@ -11,28 +11,25 @@ a stream that hashes the spawn key (u,) with the 64-bit master seed, so it
 never depends on how many other streams exist or in which order they were
 made. The units are the engine's 2048-trial blocks (``_BLOCK``) and the
 coupling and Poisson-tail claims' 2^16-draw chunks (``_DRAW_CHUNK``); the
-README's "Exact seeded sampling" states the rule in full. No worker holds
-more than ``_CHUNK_CELLS`` values per array at once (a longer row is drawn
-whole): a symbol-path block is drawn in pieces, each on the block's stream
-advanced past the draws of the rows before it; a count block in
-consecutive sub-chunks of its stream; a claim chunk in consecutive slices
-of its streams. So the draws are those of one pass over the unit. Aggregation
-walks the blocks, or the chunks, in index order, and the only auxiliary
-randomness, the figure-1 sweep's per-row sub-seeds, uses the two-element
-spawn keys (2, k), disjoint from every trial stream.
+README's "Exact seeded sampling" states the rule in full. A unit is drawn
+in consecutive slices of at most ``_CHUNK_CELLS`` values (``_slice_sizes``;
+one row at least), each continuing the unit's streams, so its draws are
+those of one call. Aggregation walks the blocks, or the chunks, in index
+order, and the only auxiliary randomness, the figure-1 sweep's per-row
+sub-seeds, uses the two-element spawn keys (2, k), disjoint from every
+trial stream.
 numpy's binomial and Poisson generators are exact-rejection samplers (no
 normal or translated approximations), which the tests certify by
 goodness-of-fit and Kolmogorov-distance checks. Both coupling claims, the
 expectation gap and the exact marginals, are judged on one pass over the
 same draws. Intervals are closed-form functions of the losses and draw
 nothing. Arguments are checked before anything is drawn.
-The drawing entry points take ``threads``: the pieces of one call (its
-blocks, a symbol-path block's pieces, or its chunks) are shared among that
-many worker threads (capped at the usable cores and at the pieces to draw;
-one runs on the calling thread and starts none). A piece draws only from
-its own stream and writes only its own result, so the output does not
-depend on the thread count. Checks share no mutable state, so they may
-also run on concurrent threads.
+The drawing entry points take ``threads``: the units of one call are
+shared among that many worker threads (capped at the usable cores and at
+the units; one runs on the calling thread and starts none). A unit draws
+only from its own stream and writes only its own result, so the output
+does not depend on the thread count. Checks share no mutable state, so
+they may also run on concurrent threads.
 """
 
 from __future__ import annotations
@@ -128,51 +125,43 @@ def _check_two_reps(reps: int) -> None:
         raise ValueError(f"a sample variance needs reps >= 2, got {reps}")
 
 
-def _slice_sizes(count: int) -> list[int]:
-    """The sizes of ``count`` values cut into consecutive slices of at most _CHUNK_CELLS."""
-    return [min(_CHUNK_CELLS, count - lo) for lo in range(0, count, _CHUNK_CELLS)]
+def _slice_sizes(count: int, cells: int = 1) -> list[int]:
+    """The sizes, in items, of ``count`` items of ``cells`` values each cut into
+    consecutive slices of at most _CHUNK_CELLS values (one item at least)."""
+    step = max(1, _CHUNK_CELLS // cells)
+    return [min(step, count - lo) for lo in range(0, count, step)]
 
 
 def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _map_streams(fn, seed: int, reps: int, unit: int, threads: int, draws: int = 0) -> list:
-    """[fn(rng, lo, hi) for each piece of the run], in index order. Unit u is
-    the slice [u * unit, min(u * unit + unit, reps)) of the run and draws from
-    rng = derive_trial_rng(seed, u). A piece is a whole unit, unless each item
-    of the run draws a fixed number ``draws`` > 0 of 64-bit outputs: then a
-    unit is cut into pieces of max(1, _CHUNK_CELLS // draws) items, and a
-    piece starts on its unit's stream advanced past the outputs that the
-    unit's earlier items draw, so it draws what one pass over the unit would.
-    The pieces are shared among min(threads, usable cores, pieces) workers:
-    the calling thread and one fewer started threads, each taking the next
-    piece until none is left. With one worker no thread is started. The first
-    exception a piece raises stops the workers taking pieces, and is raised
-    once every started thread has been joined. Rejects a ``threads`` that is not an integer >= 1."""
+def _map_streams(fn, seed: int, reps: int, unit: int, threads: int) -> list:
+    """[fn(derive_trial_rng(seed, u), lo, hi) for each unit u of the run], in
+    index order, where unit u is the slice [lo, hi) = [u * unit,
+    min(u * unit + unit, reps)) of the run. The units are shared among
+    min(threads, usable cores, units) workers: the calling thread and one
+    fewer started threads, each taking the next unit until none is left. With
+    one worker no thread is started. The first exception a unit raises stops
+    the workers taking units, and is raised once every started thread has
+    been joined. Rejects a ``threads`` that is not an integer >= 1."""
     if not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ValueError(f"thread count must be an integer >= 1, got {threads!r}")
-    step = max(1, _CHUNK_CELLS // draws) if draws else unit
-    pieces = [(start // unit, lo, min(lo + step, start + unit, reps))
-              for start in range(0, reps, unit) for lo in range(start, min(start + unit, reps), step)]
-    workers = min(threads, len(pieces), _usable_cores())
-    results = [None] * len(pieces)
-    order = iter(range(len(pieces)))
+    units = -(-reps // unit)
+    workers = min(threads, units, _usable_cores())
+    results = [None] * units
+    order = iter(range(units))
     lock = threading.Lock()
     errors = []
 
     def work():
         while not errors:
             with lock:
-                i = next(order, None)
-            if i is None:
+                u = next(order, None)
+            if u is None:
                 return
-            u, lo, hi = pieces[i]
             try:
-                rng = derive_trial_rng(seed, u)
-                if lo > u * unit:
-                    rng.bit_generator.advance((lo - u * unit) * draws)
-                results[i] = fn(rng, lo, hi)
+                results[u] = fn(derive_trial_rng(seed, u), u * unit, min(u * unit + unit, reps))
             except BaseException as exc:  # raised again on the calling thread
                 errors.append(exc)
 
@@ -218,11 +207,11 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
     """Per-trial KL(p || add-t estimate) losses; trial i is row i mod 2048 of
     the block drawn on stream (master_seed, i // 2048): n symbols when 4n <= k
     (row-sorted uniforms through the inverse cdf, computed with a guide table:
-    Generator.choice's symbols, sorted), else Mult(n, p) counts. The symbol
-    blocks' pieces of at most _CHUNK_CELLS symbols, or the count blocks, are
-    shared among ``threads`` workers (see ``_map_streams``), each writing its
-    own rows. Rejects an n that is not an integer >= 1 and reps outside
-    [1, MAX_STORED_TRIALS] before drawing."""
+    Generator.choice's symbols, sorted), else Mult(n, p) counts. A block is
+    drawn in consecutive slices of at most _CHUNK_CELLS symbols or counts, and
+    the blocks are shared among ``threads`` workers (see ``_map_streams``),
+    each writing its own rows. Rejects an n that is not an integer >= 1 and
+    reps outside [1, MAX_STORED_TRIALS] before drawing."""
     _check_sample_size(n)
     _check_stored(reps)
     k = len(pmf)
@@ -231,23 +220,25 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
         cdf = pmf.probs.cumsum()
         cdf /= cdf[-1]
         inverse_cdf = _guide_table_lookup(cdf)
+        cells = n
 
-        def piece(rng, lo, hi):
+        def draw(rng, rows):
             # A monotone map of row-sorted uniforms: Generator.choice's rows, sorted.
-            u = rng.random((hi - lo, n))
+            u = rng.random((rows, n))
             u.sort(axis=1)
-            losses[lo:hi] = kl_losses_from_sorted_draws(pmf, inverse_cdf(u), t)
-
-        _map_streams(piece, master_seed, reps, _BLOCK, threads, draws=n)  # a row draws n doubles
+            return kl_losses_from_sorted_draws(pmf, inverse_cdf(u), t)
     else:
-        chunk = max(1, _CHUNK_CELLS // k)
+        cells = k
 
-        def block(rng, block_lo, block_hi):
-            for lo in range(block_lo, block_hi, chunk):
-                hi = min(lo + chunk, block_hi)
-                losses[lo:hi] = kl_losses(pmf, rng.multinomial(n, pmf.probs, size=hi - lo), t)
+        def draw(rng, rows):
+            return kl_losses(pmf, rng.multinomial(n, pmf.probs, size=rows), t)
 
-        _map_streams(block, master_seed, reps, _BLOCK, threads)
+    def block(rng, lo, hi):
+        for rows in _slice_sizes(hi - lo, cells):
+            losses[lo : lo + rows] = draw(rng, rows)
+            lo += rows
+
+    _map_streams(block, master_seed, reps, _BLOCK, threads)
     if t > 0 and not np.all(np.isfinite(losses)):
         raise RuntimeError("add-t losses with t > 0 must be finite")
     return losses

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.random import PCG64, Generator
+from numpy.random import Generator
 from scipy import stats
 
 from klconc import harness
@@ -37,8 +37,8 @@ from klconc.distributions import kl_divergence, kl_losses, kl_losses_from_sorted
 
 # Draw counts around the 2^16-draw chunks of the coupling and Poisson-tail claims.
 CHUNK_EDGE_SIZES = [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5]
-# Rows of 1000 symbols, or of 1000 counts, that a worker holds at once.
-PIECE_ROWS = _CHUNK_CELLS // 1000
+# Rows of 1000 symbols, or of 1000 counts, in one slice of a block: what a worker holds at once.
+SLICE_ROWS = _CHUNK_CELLS // 1000
 
 
 def _chunk_streams(seed, reps):
@@ -208,15 +208,15 @@ class TestTrialStreams:
                 assert losses[2048 * block + row] == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_sub_chunks_keep_the_stream(self):
-        # k=1000 holds at most PIECE_ROWS count rows at once: a block is several sub-chunks
-        assert PIECE_ROWS < 2048
+        # k=1000 holds at most SLICE_ROWS count rows at once: a block is several slices
+        assert SLICE_ROWS < 2048
         p = uniform_pmf(1000)
         one_shot = kl_losses(p, derive_trial_rng(4, 0).multinomial(300, p.probs, size=2048), 1.0)
         assert np.array_equal(_kl_loss_samples(p, 300, 1.0, 4, 2048), one_shot)
 
     def test_categorical_sub_chunks_keep_the_stream(self):
-        # n=1000 holds at most PIECE_ROWS symbol rows at once: a block is several pieces
-        assert PIECE_ROWS < 2048
+        # n=1000 holds at most SLICE_ROWS symbol rows at once: a block is several slices
+        assert SLICE_ROWS < 2048
         p = zipf_pmf(10_000)
         draws = np.sort(derive_trial_rng(4, 0).choice(10_000, size=(2048, 1000), p=p.probs), axis=1)
         assert np.array_equal(_kl_loss_samples(p, 1000, 1.0, 4, 2048), kl_losses_from_sorted_draws(p, draws, 1.0))
@@ -234,9 +234,9 @@ class TestTrialStreams:
     ])
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
     def test_categorical_rows_are_sorted_choice_rows(self, pmf, n, t):
-        # 300 rows of n=1000 span several pieces of PIECE_ROWS rows
+        # 300 rows of n=1000 span several slices of SLICE_ROWS rows
         k, seed, rows = len(pmf), 5, 300
-        assert PIECE_ROWS < rows
+        assert SLICE_ROWS < rows
         draws = np.sort(derive_trial_rng(seed, 0).choice(k, size=(rows, n), p=pmf.probs), axis=1)
         assert np.array_equal(_kl_loss_samples(pmf, n, t, seed, rows), kl_losses_from_sorted_draws(pmf, draws, t))
 
@@ -376,18 +376,23 @@ class TestGuideTableLookup:
 ZIPF_10K = zipf_pmf(10_000)
 
 
-class _NoAdvance(PCG64):
-    """PCG64 whose advance is a no-op."""
-
-    def advance(self, delta):
-        return self
-
-
 def _sorted_choice_losses(pmf, n, seed, sizes):
     """The add-one losses of rows of n symbols, Generator.choice's rows sorted: ``sizes[b]``
     rows drawn in one call on stream (seed, b) for each block b."""
     return np.concatenate([kl_losses_from_sorted_draws(pmf, np.sort(derive_trial_rng(seed, b).choice(
         len(pmf), size=(size, n), p=pmf.probs), axis=1), 1.0) for b, size in enumerate(sizes)])
+
+
+class _RestartingStream:
+    """Stands in for derive_trial_rng(seed, u): every draw method it hands out
+    is that of a fresh derive_trial_rng(seed, u), so each draw restarts the
+    stream instead of continuing it."""
+
+    def __init__(self, seed, u):
+        self.seed, self.u = seed, u
+
+    def __getattr__(self, name):
+        return getattr(derive_trial_rng(self.seed, self.u), name)
 
 
 class _RecordedThread:
@@ -414,9 +419,9 @@ def recorded_threads(monkeypatch):
 
 
 class TestBlockPool:
-    """The engine's count blocks and symbol-block pieces, and the streamed
-    claims' chunks, are shared among worker threads; the results do not
-    depend on how many."""
+    """The engine's blocks and the streamed claims' chunks are shared among
+    worker threads, each drawn in consecutive slices on its own stream; the
+    results do not depend on how many threads."""
 
     def test_units_are_each_run_once_in_index_order(self, monkeypatch):
         # more workers than cores, with a short switch interval to interleave them
@@ -482,46 +487,35 @@ class TestBlockPool:
                               _kl_loss_samples(pmf, n, 1.0, 9, reps, threads=3))
 
     @pytest.mark.parametrize("threads", [1, 3])
-    @pytest.mark.parametrize("reps", [1, 6, 7, 8, 3 * 7 + 5])  # around units of 7 items
-    def test_pieces_start_on_their_units_advanced_stream(self, reps, threads, monkeypatch):
-        # items of _CHUNK_CELLS // 3 draws each: a unit of 7 items is cut into pieces of 3, 3 and 1
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
-        draws = harness._CHUNK_CELLS // 3
-        got = _map_streams(lambda rng, lo, hi: (rng.bit_generator.state, lo, hi), 5, reps, 7, threads, draws)
-        want = []
-        for start in range(0, reps, 7):
-            for lo in range(start, min(start + 7, reps), 3):
-                rng = derive_trial_rng(5, start // 7)
-                rng.bit_generator.advance((lo - start) * draws)
-                want.append((rng.bit_generator.state, lo, min(lo + 3, start + 7, reps)))
-        assert got == want
-
-    @pytest.mark.parametrize("threads", [1, 3])
     def test_symbol_pieces_draw_their_blocks_rows(self, threads, monkeypatch):
-        # one whole block of PIECE_ROWS-row pieces and a partial block of 300 rows
+        # one whole block of SLICE_ROWS-row slices and a partial block of 300 rows
         monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
         losses = _kl_loss_samples(ZIPF_10K, 1000, 1.0, 4, 2048 + 300, threads=threads)
         assert np.array_equal(losses, _sorted_choice_losses(ZIPF_10K, 1000, 4, (2048, 300)))
 
-    def test_unadvanced_pieces_leave_their_blocks_rows(self, monkeypatch):
-        # negative control: pieces that start on their block's stream without the advance
-        # draw piece 0's rows again, so only the first PIECE_ROWS losses are the block's
-        monkeypatch.setattr(harness, "derive_trial_rng", lambda seed, u: Generator(_NoAdvance(
-            derive_trial_rng(seed, u).bit_generator.seed_seq)))
-        losses = _kl_loss_samples(ZIPF_10K, 1000, 1.0, 4, 600)
-        want = _sorted_choice_losses(ZIPF_10K, 1000, 4, (600,))
-        assert np.array_equal(losses[:PIECE_ROWS], want[:PIECE_ROWS])
-        assert not np.any(losses[PIECE_ROWS:] == want[PIECE_ROWS:])
+    # zipf, not uniform: a uniform loss depends on the counts only through their histogram, so rows tie
+    @pytest.mark.parametrize("pmf,n", [(ZIPF_10K, 1000), (zipf_pmf(1000), 300)], ids=["symbols", "counts"])
+    def test_restarted_slices_leave_their_blocks_rows(self, pmf, n, monkeypatch):
+        # negative control: slices that each restart on a fresh derive_trial_rng(seed, u), instead
+        # of continuing it, draw slice 0's rows again, so only the first SLICE_ROWS losses are the block's
+        if 4 * n <= len(pmf):
+            want = _sorted_choice_losses(pmf, n, 4, (600,))
+        else:
+            want = kl_losses(pmf, derive_trial_rng(4, 0).multinomial(n, pmf.probs, size=600), 1.0)
+        monkeypatch.setattr(harness, "derive_trial_rng", _RestartingStream)
+        losses = _kl_loss_samples(pmf, n, 1.0, 4, 600)
+        assert np.array_equal(losses[:SLICE_ROWS], want[:SLICE_ROWS])
+        assert not np.any(losses[SLICE_ROWS:] == want[SLICE_ROWS:])
 
-    @pytest.mark.parametrize("cores,reps,threads,started", [
-        (3, 2048, 100_000, 2),  # 2048 / PIECE_ROWS pieces, capped at the usable cores
-        (8, 2048, 4, 3),  # capped at the threads
-        (8, 2 * PIECE_ROWS + 1, 100_000, 2),  # capped at the pieces: two whole and one of one row
-        (8, PIECE_ROWS, 100_000, 0),  # one piece starts no thread
+    @pytest.mark.parametrize("pmf,n", [(uniform_pmf(8), 200), (zipf_pmf(1000), 100)], ids=["counts", "symbols"])
+    @pytest.mark.parametrize("reps,threads,started", [
+        (2048, 2, 0),  # one block starts no thread
+        (2048, 100_000, 0),  # at any thread count
+        (2049, 100_000, 1),  # two blocks start one
     ])
-    def test_one_blocks_pieces_are_shared(self, cores, reps, threads, started, recorded_threads, monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
-        _kl_loss_samples(ZIPF_10K, 1000, 1.0, 4, reps, threads=threads)
+    def test_one_block_starts_no_thread(self, pmf, n, reps, threads, started, recorded_threads, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 8)
+        _kl_loss_samples(pmf, n, 1.0, 4, reps, threads=threads)
         assert len(recorded_threads) == started
 
     def test_partial_block_dispatches_no_empty_piece(self, monkeypatch):
@@ -531,11 +525,11 @@ class TestBlockPool:
                             lambda p, draws, t: rows.append(draws.shape[0]) or kernel(p, draws, t))
         _kl_loss_samples(ZIPF_10K, 1000, 1.0, 4, 2048 + 300)
 
-        def pieces(block_rows):
-            whole, partial = divmod(block_rows, PIECE_ROWS)
-            return [PIECE_ROWS] * whole + ([partial] if partial else [])
+        def slices(block_rows):
+            whole, partial = divmod(block_rows, SLICE_ROWS)
+            return [SLICE_ROWS] * whole + ([partial] if partial else [])
 
-        assert rows == pieces(2048) + pieces(300)
+        assert rows == slices(2048) + slices(300)
 
     def test_piece_error_reaches_the_caller_after_every_thread_is_joined(self, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
@@ -547,15 +541,14 @@ class TestBlockPool:
             with lock:
                 calls.append(None)
                 if len(calls) == 3:
-                    raise RuntimeError("third piece")
+                    raise RuntimeError("third slice")
             return kernel(*args)
 
         monkeypatch.setattr(harness, "kl_losses_from_sorted_draws", third_raises)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="third piece"):
-            _kl_loss_samples(ZIPF_10K, 1000, 1.0, 7, 2048, threads=2)  # one block of many pieces
+        with pytest.raises(RuntimeError, match="third slice"):
+            _kl_loss_samples(ZIPF_10K, 1000, 1.0, 7, 2 * 2048, threads=2)  # two blocks: one started thread
         assert threading.active_count() == before
-
 
 
 def _exact_mean_add_one(p: np.ndarray, n: int) -> float:

@@ -86,21 +86,19 @@ def test_numpy_stream_fingerprint(method):
                            "on which the goldens were recorded")
 
 
-@pytest.mark.parametrize("skip,rows,n", [
-    pytest.param(0, 3, 16, id="no-advance"),
-    pytest.param(5, 3, 16, id="mid-row"),
-    pytest.param(2 * 16, 3, 16, id="whole-rows"),
-    pytest.param(_CHUNK_CELLS // 1000 * 1000, 2, 1000, id="one-engine-piece"),
+@pytest.mark.parametrize("a,b,n", [
+    pytest.param(1, 1, 16, id="one-row-each"),
+    pytest.param(2, 3, 16, id="rows"),
+    pytest.param(_CHUNK_CELLS // 1000, 2, 1000, id="one-engine-slice"),
 ])
-def test_advanced_stream_continues_one_random_call(skip, rows, n):
-    # The engine's symbol path cuts a block into pieces and starts each on the block's stream
-    # advanced past the doubles of the rows before it. That gives the block's rows only while
-    # Generator.random takes exactly one 64-bit output a double, which this pins.
-    whole = derive_trial_rng(2024, 3).random(skip + rows * n)
+def test_consecutive_random_calls_continue_one_call(a, b, n):
+    # The engine's symbol path draws a block in consecutive slices of rows on the block's stream.
+    # That gives the block's rows only while random((a, n)) followed by random((b, n)) draws
+    # random((a + b, n)), which this pins.
+    whole = derive_trial_rng(2024, 3).random((a + b, n))
     rng = derive_trial_rng(2024, 3)
-    rng.bit_generator.advance(skip)
-    assert np.array_equal(rng.random((rows, n)), whole[skip:].reshape(rows, n)), (
-        f"numpy {np.__version__}: an advanced stream no longer continues one random call")
+    assert np.array_equal(np.concatenate([rng.random((a, n)), rng.random((b, n))]), whole), (
+        f"numpy {np.__version__}: consecutive random calls no longer continue one call")
 
 
 class TestBinomial:
