@@ -222,11 +222,17 @@ def _poisson_window(lam: float, lo: int, hi: int) -> tuple[int, np.ndarray, floa
     return lo, _outward_pmf(lo, hi, int(lam), lambda x: x / lam, mass), head, tail
 
 
+def _binomial_inverse_moments_exact(m: int, prob: float) -> tuple[float, float]:
+    """(E[1/(X+1)], E[1/((X+1)(X+2))]) for X ~ Bin(m, prob), both summed exactly
+    over one pmf window."""
+    _check_binomial(m, prob)
+    x, pmf = np.arange(m + 1), _binomial_window(m, prob, 0, m)[1]
+    return math.fsum(pmf / (x + 1.0)), math.fsum(pmf / ((x + 1.0) * (x + 2.0)))
+
+
 def binomial_inverse_moment_exact(m: int, prob: float) -> float:
     """Exact-summation oracle for :func:`binomial_inverse_moment`."""
-    _check_binomial(m, prob)
-    x = np.arange(m + 1)
-    return math.fsum(_binomial_window(m, prob, 0, m)[1] / (x + 1.0))
+    return _binomial_inverse_moments_exact(m, prob)[0]
 
 
 def binomial_inverse_moment2_bound(m: int, prob: float) -> float:
@@ -237,9 +243,7 @@ def binomial_inverse_moment2_bound(m: int, prob: float) -> float:
 
 def binomial_inverse_moment2_exact(m: int, prob: float) -> float:
     """Exact summation of E[1/((X+1)(X+2))] for X ~ Bin(m, prob)."""
-    _check_binomial(m, prob)
-    x = np.arange(m + 1)
-    return math.fsum(_binomial_window(m, prob, 0, m)[1] / ((x + 1.0) * (x + 2.0)))
+    return _binomial_inverse_moments_exact(m, prob)[1]
 
 
 # Stirling series for log(n!) - (n log n - n + 0.5*log(2 pi n)); truncating

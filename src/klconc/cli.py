@@ -1,8 +1,10 @@
 """Command-line surface: experiments, bound calculators, CSV and SVG output.
 
 Exit codes: 0 on success (and all checks passing), 1 on runtime or check
-failure, 2 on usage errors. All output is deterministic given the flags;
-wall-clock time is never written to files.
+failure, 2 on usage errors. All output is deterministic given the flags:
+tables and the hand-rolled SVG plot (no plotting dependency) are written
+with fixed float formats, so the same flags always yield byte-identical
+files, and wall-clock time is never written to them.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from .harness import (
     verify_kl_tail_bound,
     verify_variance_lb,
 )
-from .svg import render_xy_plot
 
-__all__ = ["main"]
+__all__ = ["main", "render_xy_plot"]
 
 
 class UsageError(Exception):
@@ -53,13 +54,13 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _write_table(path: str | None, header: list[str], rows: list[list], fmt: str) -> None:
+def _write_table(path: str, header: list[str], rows: list[list], fmt: str) -> None:
     sep = "\t" if fmt == "tsv" else ","
     lines = [sep.join(header)]
     for row in rows:
         lines.append(sep.join(_fmt_cell(v) for v in row))
     text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -157,6 +158,123 @@ def _ks(text: str) -> list[int]:
 _ks.__name__ = "int list"  # argparse names the type in "invalid int list value"
 
 
+_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+_WIDTH = 720
+_HEIGHT = 520
+_MARGIN_L = 78
+_MARGIN_R = 24
+_MARGIN_T = 40
+_MARGIN_B = 56
+
+
+def _decade_ticks(lo: float, hi: float) -> list[float]:
+    ticks = []
+    e = math.floor(math.log10(lo))
+    while 10.0**e <= hi * (1 + 1e-12):
+        for mult in (1.0, 2.0, 5.0):
+            t = mult * 10.0**e
+            if lo * (1 - 1e-12) <= t <= hi * (1 + 1e-12):
+                ticks.append(t)
+        e += 1
+    if len(ticks) > 9:
+        ticks = [t for t in ticks if f"{t:.0e}".startswith("1")]
+    return ticks or [lo, hi]
+
+
+def _fmt(v: float) -> str:
+    return f"{v:.2f}"
+
+
+def _text(x, y, size, body: str, anchor: str = "middle", extra: str = "") -> str:
+    """One ``<text>`` element with ``&``, ``<`` and ``>`` escaped in ``body``;
+    an empty ``anchor`` omits ``text-anchor``, ``extra`` is appended as is."""
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"{anchor}{extra}>{body}</text>'
+
+
+def _log_scale(values: list[float], px_lo: float, px_hi: float):
+    """``(lo, hi, to_px)``: the span of ``values``, widened to [v/2, 2v] for a
+    single value v, and the map of that span onto [px_lo, px_hi] in log10."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        lo, hi = lo / 2.0, hi * 2.0
+
+    def to_px(v: float) -> float:
+        frac = (math.log10(v) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
+        return px_lo + frac * (px_hi - px_lo)
+
+    return lo, hi, to_px
+
+
+def render_xy_plot(
+    series: list[tuple[str, list[float], list[float]]],
+    x_label: str,
+    y_label: str,
+    title: str,
+) -> str:
+    """Render named (x, y) series as polylines with circle markers on log-log axes.
+
+    Points with a nonpositive or nonfinite coordinate are dropped. Raises
+    ValueError when no plottable points remain.
+    """
+    cleaned = []
+    for name, xs, ys in series:
+        pts = [
+            (float(x), float(y))
+            for x, y in zip(xs, ys)
+            if math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0
+        ]
+        cleaned.append((name, pts))
+    all_pts = [pt for _, pts in cleaned for pt in pts]
+    if not all_pts:
+        raise ValueError("nothing to plot: no finite points in range")
+
+    ax_bottom = _HEIGHT - _MARGIN_B
+    x_lo, x_hi, xp = _log_scale([p[0] for p in all_pts], _MARGIN_L, _WIDTH - _MARGIN_R)
+    y_lo, y_hi, yp = _log_scale([p[1] for p in all_pts], ax_bottom, _MARGIN_T)
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        _text(f"{_WIDTH / 2:.0f}", 22, 15, title),
+        f'<line x1="{_MARGIN_L}" y1="{ax_bottom}" x2="{_WIDTH - _MARGIN_R}" y2="{ax_bottom}" '
+        f'stroke="black" stroke-width="1"/>',
+        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" y2="{ax_bottom}" '
+        f'stroke="black" stroke-width="1"/>',
+    ]
+    for t in _decade_ticks(x_lo, x_hi):
+        px = _fmt(xp(t))
+        out.append(f'<line x1="{px}" y1="{ax_bottom}" x2="{px}" y2="{ax_bottom + 5}" stroke="black"/>')
+        out.append(_text(px, ax_bottom + 18, 11, f"{t:.6g}"))
+    for t in _decade_ticks(y_lo, y_hi):
+        py = yp(t)
+        out.append(f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(py)}" x2="{_MARGIN_L}" y2="{_fmt(py)}" stroke="black"/>')
+        out.append(_text(_MARGIN_L - 8, _fmt(py + 4), 11, f"{t:.6g}", anchor="end"))
+
+    out.append(_text(f"{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.0f}", _HEIGHT - 14, 13, x_label))
+    cy = f"{(_MARGIN_T + ax_bottom) / 2:.0f}"
+    out.append(_text(18, cy, 13, y_label, extra=f' transform="rotate(-90 18 {cy})"'))
+
+    legend, legend_x = [], _WIDTH - _MARGIN_R - 180
+    for idx, (name, pts) in enumerate(cleaned):
+        color = _PALETTE[idx % len(_PALETTE)]
+        if len(pts) > 1:
+            coords = " ".join(f"{_fmt(xp(x))},{_fmt(yp(y))}" for x, y in pts)
+            out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        for x, y in pts:
+            out.append(f'<circle cx="{_fmt(xp(x))}" cy="{_fmt(yp(y))}" r="3" fill="{color}"/>')
+        y0 = _MARGIN_T + 6 + idx * 18
+        legend.append(f'<rect x="{legend_x}" y="{y0 - 9}" width="12" height="12" fill="{color}"/>')
+        legend.append(_text(legend_x + 18, y0 + 2, 12, name, anchor=""))
+
+    out += legend
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
 def _cmd_figure1(args) -> int:
     ks = args.ks
     rows = sweep_std_vs_heuristic(ks, args.n, args.reps, args.seed, threads=args.threads)
@@ -184,26 +302,21 @@ class _Suite(NamedTuple):
     them. The run's arguments and then each result's ``values`` fill the
     ``claim: detail`` template ``line``, or the i-th result the i-th
     template when ``line`` is a tuple. ``regime``, given the same arguments,
-    raises ValueError for a config outside the claim's regime; every config
-    is checked before any output."""
+    raises ValueError for a config outside the claim's regime (by default it
+    admits every config); every config is checked before any output."""
 
     fields: tuple[str, ...]
     configs: list[tuple]
     reps: int | None  # None: the suite runs exact oracles and takes no reps or seed
     run: Callable
     line: str | tuple[str, ...]
-    regime: Callable | None = None
+    regime: Callable = lambda **_: None
 
 
 def _poisson_tail(lam, delta, **kw):
     """poisson-tail runner: a default config's delta is a tuple of deltas,
     which are all checked on one sample of draws; an override is one delta."""
     return poisson_tail_checks(lam, delta if isinstance(delta, tuple) else (delta,), **kw)
-
-
-def _variance_regime(k, n, reps, **_):
-    _check_two_reps(reps)
-    variance_lower_bound(k, n)  # raises unless k >= 2 and n >= 10k
 
 
 # Second names of suites: `--suite marginals` runs `coupling`, which checks both coupling claims.
@@ -220,7 +333,8 @@ def _suites() -> dict[str, _Suite]:
             "variance of add-one KL loss >= k/(32 n^2): k={k} n={n} reps={reps} "
             "var={empirical_var:.4e} bound={lower_bound:.4e} ratio={ratio:.2f} "
             "ci95=[{ci_low:.4e}, {ci_high:.4e}]",
-            _variance_regime,
+            # variance_lower_bound raises unless k >= 2 and n >= 10k
+            lambda k, n, reps, **_: (_check_two_reps(reps), variance_lower_bound(k, n)),
         ),
         "thm": _Suite(
             ("k", "n", "delta"), [(10, 1000, 0.1), (100, 10_000, 0.05)], 10_000, verify_kl_tail_bound,
@@ -261,36 +375,34 @@ def _cmd_check(args) -> int:
     for field in given:
         if not any(field in suites[name].fields for name in names):
             raise UsageError(f"--{field} is a field of none of the suites run: {', '.join(names)}")
-    runs = []  # (suite name, runner arguments), in output order
+    runs = {}  # suite name -> runner arguments of each of its configs, in output order
     for name in names:
         suite = suites[name]
         configs = [tuple(given.get(f, v) for f, v in zip(suite.fields, cfg)) for cfg in suite.configs]
+        runs[name] = []
         for cfg in dict.fromkeys(configs):  # configs an override made equal run once
             kwargs = dict(zip(suite.fields, cfg))
             if suite.reps is not None:
                 kwargs.update(reps=args.reps or suite.reps, seed=args.seed, threads=args.threads)
-            if suite.regime is not None:
-                try:
-                    suite.regime(**kwargs)
-                except ValueError as exc:
-                    raise UsageError(f"suite {name}: {exc}") from None
-            runs.append((name, kwargs))
+            try:
+                suite.regime(**kwargs)
+            except ValueError as exc:
+                raise UsageError(f"suite {name}: {exc}") from None
+            runs[name].append(kwargs)
 
     # Configs run one after another; each shares its blocks or chunks among the threads.
     all_ok = True
-    shown = None
-    for name, kwargs in runs:
+    for name, suite_runs in runs.items():
         suite = suites[name]
-        if name != shown:
-            print(f"== suite: {name}")
-            shown = name
-        out = suite.run(**kwargs)
-        results = out if isinstance(out, list) else [out]
-        lines = suite.line if isinstance(suite.line, tuple) else [suite.line] * len(results)
-        for result, line in zip(results, lines, strict=True):
-            verdict = "PASS" if result.passed else "FAIL"
-            print(f"{verdict}  {line.format_map({**kwargs, **result.values})}")
-            all_ok = all_ok and result.passed
+        print(f"== suite: {name}")
+        for kwargs in suite_runs:
+            out = suite.run(**kwargs)
+            results = out if isinstance(out, list) else [out]
+            lines = suite.line if isinstance(suite.line, tuple) else [suite.line] * len(results)
+            for result, line in zip(results, lines, strict=True):
+                verdict = "PASS" if result.passed else "FAIL"
+                print(f"{verdict}  {line.format_map({**kwargs, **result.values})}")
+                all_ok = all_ok and result.passed
     print("== verdict:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 
@@ -324,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--k", type=_count, required=True)
     bnd.add_argument("--n", type=_size, required=True)
     bnd.add_argument("--delta", type=_delta, required=True)
-    bnd.add_argument("--out", help="output CSV path (default stdout)")
+    bnd.add_argument("--out", default="-", help="output CSV path ('-', the default, for stdout)")
     bnd.add_argument("--format", choices=("csv", "tsv"), default="csv")
     bnd.set_defaults(func=_cmd_bounds)
 

@@ -44,15 +44,14 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .bounds import (
+    _binomial_inverse_moments_exact,
     _binomial_window,
     _check_binomial,
     _check_delta,
     _poisson_window,
     _regularized_gamma,
     binomial_inverse_moment,
-    binomial_inverse_moment_exact,
     binomial_inverse_moment2_bound,
-    binomial_inverse_moment2_exact,
     binomial_product_variance,
     expectation_gap_bound,
     heuristic_kl_std,
@@ -604,32 +603,26 @@ def run_facts_checks() -> list[ClaimResult]:
     result's values are the fact's ``name`` and a ``detail`` line."""
     checks = []
 
-    worst = 0.0
+    worst, ok = 0.0, True
     for m in range(_INV_MOMENT_MAX_M + 1):
         for p in _INV_MOMENT_PROBS:
-            closed = binomial_inverse_moment(m, p)
-            exact = binomial_inverse_moment_exact(m, p)
-            worst = max(worst, abs(closed - exact) / exact)
-    checks.append(ClaimResult(worst <= 1e-12, {
-        "name": "binomial inverse moment closed form vs exact summation",
-        "detail": f"max relative error {worst:.3e} over m<=200, p in {_INV_MOMENT_PROBS}"}))
-
-    ok = True
-    for m in range(_INV_MOMENT_MAX_M + 1):
-        for p in _INV_MOMENT_PROBS:
-            exact = binomial_inverse_moment2_exact(m, p)
+            exact, exact2 = _binomial_inverse_moments_exact(m, p)
+            worst = max(worst, abs(binomial_inverse_moment(m, p) - exact) / exact)
             bound = binomial_inverse_moment2_bound(m, p)
             if p == 1.0:
                 # X = m surely, so the bound is attained exactly.
-                ok = ok and math.isclose(exact, bound, rel_tol=1e-12)
+                ok = ok and math.isclose(exact2, bound, rel_tol=1e-12)
             else:
                 # Analytic relative slack (1-p)^(m+1) ((1-p) + (m+2)p); strictness
                 # is only decidable in float where the slack is representable.
                 slack = (1.0 - p) ** (m + 1) * ((1.0 - p) + (m + 2) * p)
                 if slack > 1e-12:
-                    ok = ok and exact < bound
+                    ok = ok and exact2 < bound
                 else:
-                    ok = ok and exact <= bound * (1 + 1e-12)
+                    ok = ok and exact2 <= bound * (1 + 1e-12)
+    checks.append(ClaimResult(worst <= 1e-12, {
+        "name": "binomial inverse moment closed form vs exact summation",
+        "detail": f"max relative error {worst:.3e} over m<=200, p in {_INV_MOMENT_PROBS}"}))
     checks.append(ClaimResult(ok, {
         "name": "second inverse moment within 1/(p^2 (m+1)(m+2))",
         "detail": "equality on p=1; strict below it wherever the gap is representable"}))

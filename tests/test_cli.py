@@ -272,6 +272,17 @@ class TestBounds:
     def test_bad_delta(self):
         assert run("bounds", "--k", "1", "--n", "10", "--delta", "1.5") == 2
 
+    def test_out_defaults_to_stdout(self, capsys, tmp_path):
+        # no --out, --out - and --out FILE write the same bytes
+        args = ("bounds", "--k", "100", "--n", "1000000", "--delta", "0.1")
+        assert run(*args) == 0
+        default = capsys.readouterr().out
+        assert run(*args, "--out", "-") == 0
+        assert capsys.readouterr().out == default
+        assert run(*args, "--out", str(tmp_path / "b.csv")) == 0
+        assert capsys.readouterr().out == ""
+        assert read(tmp_path / "b.csv") == default.encode()
+
 
 class TestFigure1:
     def test_rows_and_determinism(self, tmp_path):
@@ -505,6 +516,23 @@ def test_check_all_draws_the_coupled_pairs_once_per_config(monkeypatch, capsys):
     assert sorted(sizes) == sorted(drawn) == sorted(_suites()["coupling"].configs)
     assert all(sum(chunks) == 100_000 and max(chunks) <= 2**16 for chunks in sizes.values())
     assert all(sum(slices) == 100_000 and max(slices) <= harness._CHUNK_CELLS for slices in drawn.values())
+    # one header per suite in _suites() order, each claim line under its own suite's
+    # header (told by its template's text before the first field; facts' is empty),
+    # and one verdict line at the end
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("== ")] == [
+        *(f"== suite: {name}" for name in _suites()), "== verdict: PASS"]
+    assert lines[-1] == "== verdict: PASS"
+    owners = {template.split("{")[0]: name for name, suite in _suites().items()
+              for template in (suite.line if isinstance(suite.line, tuple) else (suite.line,))}
+    header = None
+    for line in lines[:-1]:
+        if line.startswith("== suite: "):
+            header = line.removeprefix("== suite: ")
+            continue
+        verdict, claim = line.split("  ", 1)
+        assert verdict == "PASS"
+        assert owners[max((p for p in owners if claim.startswith(p)), key=len)] == header
 
 
 def test_expectation_labels_name_their_pmfs(monkeypatch, capsys):

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from klconc.svg import render_xy_plot
+from klconc.cli import render_xy_plot
 
 
 def test_drops_points_off_the_log_axes():
