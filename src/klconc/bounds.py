@@ -4,17 +4,16 @@ Every formula is evaluated with its explicit constants; the one bound known
 only up to order of magnitude (:func:`prior_deviation_bound`) uses constant
 1 and is documented as approximate. The bounds take plain values, (k, n) or
 (k, n, delta), and hold them to two rules: k, n >= 1 and 0 < delta < 1.
-Exact-summation companions of the inverse-moment formulas check them against
-an independent oracle. The regularised incomplete gamma function, and the
-binomial and Poisson pmfs on an integer window with the masses outside it,
-that these oracles and the harness's goodness-of-fit tests need are
-computed here with numpy and ``math`` alone.
+One exact-summation oracle, :func:`binomial_inverse_moments_exact`, checks
+both inverse-moment formulas. The regularised incomplete gamma function,
+and the binomial and Poisson pmfs on an integer window with the masses
+outside it, that this oracle and the harness's goodness-of-fit tests need
+are computed here with numpy and ``math`` alone.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,9 +26,8 @@ __all__ = [
     "expectation_gap_bound",
     "clip_threshold",
     "binomial_inverse_moment",
-    "binomial_inverse_moment_exact",
+    "binomial_inverse_moments_exact",
     "binomial_inverse_moment2_bound",
-    "binomial_inverse_moment2_exact",
     "poisson_pmf_at_mean",
     "binomial_product_variance",
 ]
@@ -222,17 +220,12 @@ def _poisson_window(lam: float, lo: int, hi: int) -> tuple[int, np.ndarray, floa
     return lo, _outward_pmf(lo, hi, int(lam), lambda x: x / lam, mass), head, tail
 
 
-def _binomial_inverse_moments_exact(m: int, prob: float) -> tuple[float, float]:
+def binomial_inverse_moments_exact(m: int, prob: float) -> tuple[float, float]:
     """(E[1/(X+1)], E[1/((X+1)(X+2))]) for X ~ Bin(m, prob), both summed exactly
-    over one pmf window."""
+    over one pmf window: the one oracle of the two inverse-moment formulas."""
     _check_binomial(m, prob)
     x, pmf = np.arange(m + 1), _binomial_window(m, prob, 0, m)[1]
     return math.fsum(pmf / (x + 1.0)), math.fsum(pmf / ((x + 1.0) * (x + 2.0)))
-
-
-def binomial_inverse_moment_exact(m: int, prob: float) -> float:
-    """Exact-summation oracle for :func:`binomial_inverse_moment`."""
-    return _binomial_inverse_moments_exact(m, prob)[0]
 
 
 def binomial_inverse_moment2_bound(m: int, prob: float) -> float:
@@ -241,21 +234,10 @@ def binomial_inverse_moment2_bound(m: int, prob: float) -> float:
     return 1.0 / (prob**2 * (m + 1) * (m + 2))
 
 
-def binomial_inverse_moment2_exact(m: int, prob: float) -> float:
-    """Exact summation of E[1/((X+1)(X+2))] for X ~ Bin(m, prob)."""
-    return _binomial_inverse_moments_exact(m, prob)[1]
-
-
 # Stirling series for log(n!) - (n log n - n + 0.5*log(2 pi n)); truncating
 # after the n**-9 term leaves a relative error below 1e-20 for n >= 20.
-# Held as the doubles nearest the exact rationals, converted once.
-_STIRLING_COEFFS = tuple(float(c) for c in (
-    Fraction(1, 12),
-    Fraction(-1, 360),
-    Fraction(1, 1260),
-    Fraction(-1, 1680),
-    Fraction(1, 1188),
-))
+# int/int division gives the doubles nearest the exact rationals.
+_STIRLING_COEFFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 
 
 def poisson_pmf_at_mean(n: int) -> float:
@@ -270,7 +252,7 @@ def poisson_pmf_at_mean(n: int) -> float:
     if n < 1:
         raise ValueError(f"rate must be >= 1, got {n}")
     if n < 20:
-        return math.exp(-n) * float(Fraction(n**n, math.factorial(n)))
+        return math.exp(-n) * (n**n / math.factorial(n))
     r = 0.0
     for j, c in enumerate(_STIRLING_COEFFS, start=1):
         r += c / n ** (2 * j - 1)

@@ -44,7 +44,6 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .bounds import (
-    _binomial_inverse_moments_exact,
     _binomial_window,
     _check_binomial,
     _check_delta,
@@ -52,6 +51,7 @@ from .bounds import (
     _regularized_gamma,
     binomial_inverse_moment,
     binomial_inverse_moment2_bound,
+    binomial_inverse_moments_exact,
     binomial_product_variance,
     expectation_gap_bound,
     heuristic_kl_std,
@@ -60,7 +60,7 @@ from .bounds import (
     poisson_tail_radius,
     variance_lower_bound,
 )
-from .distributions import Pmf, kl_losses, kl_losses_from_sorted_draws, uniform_pmf
+from .distributions import Pmf, _check_smoothing, kl_losses, kl_losses_from_sorted_draws, uniform_pmf
 
 __all__ = [
     "derive_trial_rng",
@@ -105,10 +105,10 @@ def derive_trial_rng(master_seed: int, trial_index: int) -> Generator:
     return Generator(PCG64(_seed_sequence(master_seed, (trial_index,))))
 
 
-def _check_sample_size(n) -> None:
-    """The one rule for a sample size: a Python or numpy integer >= 1."""
+def _check_sample_size(n, name: str = "sample size") -> None:
+    """The one rule for a sample size, or for the count ``name``: a Python or numpy integer >= 1."""
     if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"sample size must be an integer >= 1, got {n!r}")
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
 
 
 def _check_stored(reps: int) -> None:
@@ -209,10 +209,12 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
     Generator.choice's symbols, sorted), else Mult(n, p) counts. A block is
     drawn in consecutive slices of at most _CHUNK_CELLS symbols or counts, and
     the blocks are shared among ``threads`` workers (see ``_map_streams``),
-    each writing its own rows. Rejects an n that is not an integer >= 1 and
-    reps outside [1, MAX_STORED_TRIALS] before drawing."""
+    each writing its own rows. Rejects an n that is not an integer >= 1, reps
+    outside [1, MAX_STORED_TRIALS] and a t that is not a finite real >= 0
+    before drawing."""
     _check_sample_size(n)
     _check_stored(reps)
+    _check_smoothing(t)
     k = len(pmf)
     losses = np.empty(reps, dtype=np.float64)
     if _CATEGORICAL * n <= k:
@@ -312,8 +314,12 @@ def sweep_std_vs_heuristic(ks, n: int, reps: int, master_seed: int, *, threads: 
 
     sqrt(k/2)/n is the large-k form of the chi-square approximation; its
     exact-dof form under multinomial sampling is sqrt((k-1)/2)/n, so the
-    ratio column sits near sqrt((k-1)/k) at small k.
+    ratio column sits near sqrt((k-1)/k) at small k. Every k is checked
+    before the first row is drawn.
     """
+    ks = list(ks)
+    for k in ks:
+        _check_sample_size(k, "alphabet size")
     rows = []
     for k in ks:
         # spawn key (2, k): two elements, so the row's sub-seed is disjoint from every trial stream
@@ -606,7 +612,7 @@ def run_facts_checks() -> list[ClaimResult]:
     worst, ok = 0.0, True
     for m in range(_INV_MOMENT_MAX_M + 1):
         for p in _INV_MOMENT_PROBS:
-            exact, exact2 = _binomial_inverse_moments_exact(m, p)
+            exact, exact2 = binomial_inverse_moments_exact(m, p)
             worst = max(worst, abs(binomial_inverse_moment(m, p) - exact) / exact)
             bound = binomial_inverse_moment2_bound(m, p)
             if p == 1.0:

@@ -15,9 +15,8 @@ from klconc.bounds import (
     _poisson_window,
     _regularized_gamma,
     binomial_inverse_moment,
-    binomial_inverse_moment_exact,
     binomial_inverse_moment2_bound,
-    binomial_inverse_moment2_exact,
+    binomial_inverse_moments_exact,
     binomial_product_variance,
     clip_threshold,
     expectation_gap_bound,
@@ -164,13 +163,13 @@ class TestBinomialInverseMoment:
 
     def test_against_exact_summation(self):
         assert binomial_inverse_moment(20, 0.3) == pytest.approx(
-            binomial_inverse_moment_exact(20, 0.3), rel=1e-12
+            binomial_inverse_moments_exact(20, 0.3)[0], rel=1e-12
         )
 
     def test_tiny_prob_stability(self):
         # closed form must not cancel catastrophically for small p
         got = binomial_inverse_moment(50, 1e-9)
-        assert got == pytest.approx(binomial_inverse_moment_exact(50, 1e-9), rel=1e-10)
+        assert got == pytest.approx(binomial_inverse_moments_exact(50, 1e-9)[0], rel=1e-10)
 
     def test_rejects_zero_prob(self):
         with pytest.raises(ValueError):
@@ -180,16 +179,22 @@ class TestBinomialInverseMoment:
 class TestSecondInverseMoment:
     def test_degenerate_equality(self):
         assert binomial_inverse_moment2_bound(0, 1.0) == pytest.approx(0.5)
-        assert binomial_inverse_moment2_exact(0, 1.0) == pytest.approx(0.5)
+        assert binomial_inverse_moments_exact(0, 1.0)[1] == pytest.approx(0.5)
 
     def test_exact_below_bound(self):
         for m, p in ((5, 0.5), (50, 0.1)):
-            assert binomial_inverse_moment2_exact(m, p) <= binomial_inverse_moment2_bound(m, p)
+            assert binomial_inverse_moments_exact(m, p)[1] <= binomial_inverse_moment2_bound(m, p)
 
 
-@pytest.mark.parametrize("f", [binomial_inverse_moment, binomial_inverse_moment_exact,
-                               binomial_inverse_moment2_bound, binomial_inverse_moment2_exact],
-                         ids=lambda f: f.__name__)
+# The oracle's two moments keep the ids of the former one-moment oracles.
+@pytest.mark.parametrize("f", [
+    binomial_inverse_moment,
+    pytest.param(lambda m, prob: binomial_inverse_moments_exact(m, prob)[0],
+                 id="binomial_inverse_moment_exact"),
+    binomial_inverse_moment2_bound,
+    pytest.param(lambda m, prob: binomial_inverse_moments_exact(m, prob)[1],
+                 id="binomial_inverse_moment2_exact"),
+], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("m,prob,match", [
     (-1, 0.5, "number of trials must be >= 0"),
     *[(3, prob, r"probability must lie in \(0, 1\]") for prob in (0.0, 1.5, math.nan)],

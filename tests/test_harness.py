@@ -1067,7 +1067,11 @@ _REJECTED_CLAIMS = {
        for lam in (-1.0, math.nan, math.inf, 1e19)},
     **{f"{path}-threads-{threads}": (lambda pmf=pmf, threads=threads: run_kl_trials(pmf, 10, 5000, 3, threads=threads))
        for path, pmf in (("counts", uniform_pmf(4)), ("symbols", zipf_pmf(100))) for threads in (0, -7, 1.5)},
+    **{f"{path}-t-{t:g}": (lambda pmf=pmf, n=n, t=t: run_kl_trials(pmf, n, 5000, 1, t=t))
+       for path, pmf, n in (("counts", uniform_pmf(10), 100), ("symbols", zipf_pmf(100), 10))
+       for t in (-1.0, math.nan, math.inf)},
     "sweep-threads-0": lambda: sweep_std_vs_heuristic([2], 10, 100, 3, threads=0),
+    **{f"sweep-later-k-{k}": (lambda k=k: sweep_std_vs_heuristic([2, k], 10, 100, 3)) for k in (0, -3, 2.5)},
     "coupling-threads-0": lambda: coupling_checks(100, 0.5, 10**5, 1, threads=0),
     "poisson-tail-threads-0": lambda: poisson_tail_checks(5.0, (0.1,), 10**5, 1, threads=0),
     "variance-threads-0": lambda: verify_variance_lb(2, 20, 100, 7, threads=0),
@@ -1078,7 +1082,8 @@ _REJECTED_CLAIMS = {
 def test_claim_rejects_its_arguments_before_drawing(claim, monkeypatch):
     # one trial has no sample variance; a Poisson-tail run needs deltas in (0, 1) and a rate numpy
     # can draw; a sample size is an integer >= 1 on the count path, the symbol path and the
-    # coupling alike; the coupling's prob lies in (0, 1]; every drawing routine needs an integer threads >= 1
+    # coupling alike; the coupling's prob lies in (0, 1]; every drawing routine needs an integer threads >= 1;
+    # the smoothing constant t is a finite real >= 0; the sweep checks every alphabet size before its first row
     monkeypatch.setattr(harness, "derive_trial_rng", _no_draw)
     with pytest.raises(ValueError):
         claim()
