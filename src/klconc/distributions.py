@@ -47,18 +47,29 @@ def _as_weight_array(values, what: str) -> np.ndarray:
     return w
 
 
+def _check_integer(value, name: str, least: int = 1, most: int | None = None) -> None:
+    """The one rule for a count, size, seed or index: a Python or numpy integer, not a bool, in [least, most]."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < least or (most is not None and value > most)):
+        capped = "" if most is None else f", capped at {most}"
+        raise ValueError(f"{name} must be an integer >= {least}{capped}, got {value!r}")
+
+
 def _as_counts(counts) -> np.ndarray:
-    """The counts, one per symbol, as an int64 array checked 1-D, nonempty and nonnegative.
+    """The counts, one per symbol, as an int64 array checked 1-D and nonempty, each
+    entry an integer >= 0 by ``_check_integer`` (an integral float such as 2.0 is one).
     Their sum is the total number of draws (the multinomial n, or the realized
     Poisson total N under Poissonized sampling); as int64, count/total ratios
     stay exact in double precision for totals up to 2**53."""
-    c = np.asarray(counts, dtype=np.int64)
+    c = np.asarray(counts)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("counts must be a one-dimensional sequence of length >= 1")
-    if np.any(c < 0):
-        bad = int(np.flatnonzero(c < 0)[0])
-        raise ValueError(f"negative count {int(c[bad])} at index {bad}")
-    return c
+    ok = np.zeros(c.size, dtype=bool)  # entries of other dtypes are checked one by one
+    if c.dtype.kind in "iuf":  # int64 holds the count; an integral float such as 2.0 is one, nan and inf are not
+        ok = (0 <= c) & (c < 2**63) & (c == np.trunc(c))
+    for i in np.flatnonzero(~ok):  # the rule raises at the first entry that is no count (a float here never is one)
+        _check_integer(c[i : i + 1].tolist()[0], f"count at index {i}", 0)
+    return c.astype(np.int64)
 
 
 def _check_smoothing(t) -> None:
@@ -140,15 +151,13 @@ class Pmf(Measure):
 
 def uniform_pmf(k: int) -> Pmf:
     """Uniform distribution over a k-symbol alphabet."""
-    if k < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {k}")
+    _check_integer(k, "alphabet size")
     return Pmf(np.full(k, 1.0 / k))
 
 
 def zipf_pmf(k: int, s: float = 1.0) -> Pmf:
     """Power-law distribution with weight i**(-s) on symbol i (1-based), normalized."""
-    if k < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {k}")
+    _check_integer(k, "alphabet size")
     if not math.isfinite(s):
         raise ValueError("exponent must be finite")
     base = np.arange(1, k + 1, dtype=np.float64)
@@ -161,8 +170,7 @@ def zipf_pmf(k: int, s: float = 1.0) -> Pmf:
 def two_point_pmf(k: int, mass: float) -> Pmf:
     """Puts ``mass`` on symbol 0 and spreads the remaining mass uniformly
     over symbols 1..k-1."""
-    if k < 2:
-        raise ValueError(f"two-point distribution needs k >= 2, got {k}")
+    _check_integer(k, "alphabet size", 2)
     if not 0.0 <= mass <= 1.0:
         raise ValueError(f"mass must lie in [0, 1], got {mass}")
     w = np.full(k, (1.0 - mass) / (k - 1))
@@ -252,13 +260,14 @@ def kl_losses(p: Pmf, counts: np.ndarray, t: float) -> np.ndarray:
 
     over the support of p: symbols with p_i = 0 contribute exactly 0
     whatever their count, and a loss is +inf iff t = 0 and the row misses a
-    symbol of the support. The counts must be nonnegative integers; p is used
-    as given, so it is validated once, when the ``Pmf`` is built.
+    symbol of the support. The counts must be nonnegative integers: their
+    integer dtype is checked, their signs are not (that would cost a pass over
+    every cell). p is used as given, so it is validated once, when the ``Pmf`` is built.
     """
     counts = np.asarray(counts)
     k = len(p)
-    if counts.ndim != 2 or counts.shape[1] != k:
-        raise ValueError(f"counts must have shape (rows, {k}), got {counts.shape}")
+    if counts.dtype.kind not in "iu" or counts.ndim != 2 or counts.shape[1] != k:
+        raise ValueError(f"counts must be integers of shape (rows, {k}), got {counts.dtype} of shape {counts.shape}")
     _check_smoothing(t)
     totals = counts.sum(axis=1)
     _check_drawn(totals, t)
@@ -287,14 +296,14 @@ def kl_losses_from_sorted_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarr
     Each row is run-length encoded, and its terms are summed in order by
     ``np.bincount``. With t = 0 the bracket is sum_s p_s log c_s and a loss
     is +inf iff the row's distinct symbols miss part of p's support.
-    Symbols must lie in [0, k).
+    Symbols must be integers in [0, k).
     """
     k = len(p)
     _check_smoothing(t)
     rows, n = draws.shape
     _check_drawn(n, t)
-    if draws.size and (draws[:, 0].min() < 0 or draws[:, -1].max() >= k):
-        raise ValueError(f"symbols must lie in [0, {k})")
+    if draws.dtype.kind not in "iu" or draws.size and (draws[:, 0].min() < 0 or draws[:, -1].max() >= k):
+        raise ValueError(f"symbols must be integers in [0, {k}), got {draws.dtype}")
     flat = draws.ravel()
     starts = np.ones(flat.size, dtype=bool)  # first entry of each run of one symbol in one row
     np.not_equal(flat[1:], flat[:-1], out=starts[1:])

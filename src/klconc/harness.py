@@ -60,7 +60,7 @@ from .bounds import (
     poisson_tail_radius,
     variance_lower_bound,
 )
-from .distributions import Pmf, _check_smoothing, kl_losses, kl_losses_from_sorted_draws, uniform_pmf
+from .distributions import Pmf, _check_integer, _check_smoothing, kl_losses, kl_losses_from_sorted_draws, uniform_pmf
 
 __all__ = [
     "derive_trial_rng",
@@ -92,34 +92,20 @@ _MAX_RATE = 9.223372006484771e18
 
 
 def _seed_sequence(master_seed: int, spawn_key: tuple[int, ...]) -> SeedSequence:
-    if not 0 <= master_seed < 2**64:
-        raise ValueError(f"master seed must lie in [0, 2^64), got {master_seed}")
+    _check_integer(master_seed, "master seed", 0, 2**64 - 1)
     return SeedSequence(master_seed, spawn_key=spawn_key)
 
 
 def derive_trial_rng(master_seed: int, trial_index: int) -> Generator:
     """The stream of unit ``trial_index`` of a run: PCG64 seeded from the spawn
     key (trial_index,) of ``master_seed``, not by jumping one stream ahead."""
-    if trial_index < 0:
-        raise ValueError(f"trial index must be >= 0, got {trial_index}")
+    _check_integer(trial_index, "trial index", 0)
     return Generator(PCG64(_seed_sequence(master_seed, (trial_index,))))
 
 
-def _check_sample_size(n, name: str = "sample size") -> None:
-    """The one rule for a sample size, or for the count ``name``: a Python or numpy integer >= 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
-
-
-def _check_stored(reps: int) -> None:
-    """Raise ValueError before drawing unless reps lies in [1, MAX_STORED_TRIALS]."""
-    if not 1 <= reps <= MAX_STORED_TRIALS:
-        raise ValueError(f"repetition count must be >= 1 and is capped at {MAX_STORED_TRIALS} (got {reps})")
-
-
 def _check_two_reps(reps: int) -> None:
-    """_check_stored, and then a ValueError unless reps >= 2: one trial has no sample variance."""
-    _check_stored(reps)
+    """The repetition-count rule, and then a ValueError unless reps >= 2: one trial has no sample variance."""
+    _check_integer(reps, "repetition count", 1, MAX_STORED_TRIALS)
     if reps < 2:
         raise ValueError(f"a sample variance needs reps >= 2, got {reps}")
 
@@ -143,9 +129,11 @@ def _map_streams(fn, seed: int, reps: int, unit: int, threads: int) -> list:
     fewer started threads, each taking the next unit until none is left. With
     one worker no thread is started. The first exception a unit raises stops
     the workers taking units, and is raised once every started thread has
-    been joined. Rejects a ``threads`` that is not an integer >= 1."""
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"thread count must be an integer >= 1, got {threads!r}")
+    been joined. Rejects a ``threads`` that is not an integer >= 1 and a ``seed``
+    outside [0, 2^64) before any stream is derived or thread started; an
+    integer here is a Python or numpy integer, not a bool (``_check_integer``)."""
+    _check_integer(threads, "thread count")
+    _check_integer(seed, "master seed", 0, 2**64 - 1)
     units = -(-reps // unit)
     workers = min(threads, units, _usable_cores())
     results = [None] * units
@@ -209,11 +197,11 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
     Generator.choice's symbols, sorted), else Mult(n, p) counts. A block is
     drawn in consecutive slices of at most _CHUNK_CELLS symbols or counts, and
     the blocks are shared among ``threads`` workers (see ``_map_streams``),
-    each writing its own rows. Rejects an n that is not an integer >= 1, reps
-    outside [1, MAX_STORED_TRIALS] and a t that is not a finite real >= 0
-    before drawing."""
-    _check_sample_size(n)
-    _check_stored(reps)
+    each writing its own rows. Rejects before drawing an n < 1, reps outside
+    [1, MAX_STORED_TRIALS], a seed outside [0, 2^64) (each an integer, not a
+    bool: ``_check_integer``) and a t that is not a finite real >= 0."""
+    _check_integer(n, "sample size")
+    _check_integer(reps, "repetition count", 1, MAX_STORED_TRIALS)
     _check_smoothing(t)
     k = len(pmf)
     losses = np.empty(reps, dtype=np.float64)
@@ -319,7 +307,7 @@ def sweep_std_vs_heuristic(ks, n: int, reps: int, master_seed: int, *, threads: 
     """
     ks = list(ks)
     for k in ks:
-        _check_sample_size(k, "alphabet size")
+        _check_integer(k, "alphabet size")
     rows = []
     for k in ks:
         # spawn key (2, k): two elements, so the row's sub-seed is disjoint from every trial stream
@@ -391,7 +379,7 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int, *, threads: in
     (0, 1) before drawing."""
     if not 0.0 <= lam <= _MAX_RATE:
         raise ValueError(f"Poisson rate must lie in [0, {_MAX_RATE:.6g}], got {lam}")
-    _check_stored(reps)
+    _check_integer(reps, "repetition count", 1, MAX_STORED_TRIALS)
     if len(deltas) == 0:
         raise ValueError("need at least one failure probability")
     for delta in deltas:
@@ -491,10 +479,9 @@ def coupled_pairs(rng: Generator, n: int, prob: float, size: int):
     size are those of size r. The arguments are checked, and the copies
     taken, when it is called; a slice is drawn when it is taken.
     """
-    _check_sample_size(n)
+    _check_integer(n, "sample size")
     _check_binomial(n, prob)
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    _check_integer(size, "size")
     x_rng, y_rng = (Generator(rng.bit_generator.jumped(jumps)) for jumps in (1, 2))
 
     def pairs(count):
@@ -523,10 +510,10 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int =
     slice; their block statistics are folded in index order, so the doubles
     do not depend on the worker count.
     Rejects an n or prob that ``coupled_pairs`` would before drawing."""
-    _check_sample_size(n)
+    _check_integer(n, "sample size")
     _check_binomial(n, prob)
     check_gof_regime(n, reps)
-    _check_stored(reps)
+    _check_integer(reps, "repetition count", 1, MAX_STORED_TRIALS)
 
     def slice_stats(pairs):
         m, m_prime, *_ = pairs

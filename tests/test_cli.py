@@ -1,5 +1,7 @@
+import ast
 import math
 import pathlib
+import re
 import shlex
 import threading
 
@@ -22,6 +24,7 @@ def read(path):
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 README = pathlib.Path(__file__).parent.parent / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tests.yml"
 
 
 def assert_golden(name, data):
@@ -690,6 +693,31 @@ def test_readme_cli_examples_parse():
     assert examples and all(argv[0] == "klconc" for argv in examples)
     for argv in examples:
         build_parser().parse_args(argv[1:])
+
+
+def _missing_test_ids(text: str) -> list[str]:
+    """The ``tests/...py::...`` node ids in ``text`` whose file lacks the class or test they name."""
+    missing = []
+    for node_id in re.findall(r"tests/[\w/]+\.py(?:::\w+)+", text):
+        path, *names = node_id.split("::")
+        file = README.parent / path
+        scope = ast.parse(file.read_text(encoding="utf-8")).body if file.exists() else None
+        for name in names:
+            scope = next((node.body for node in scope or () if getattr(node, "name", None) == name), None)
+        if scope is None:
+            missing.append(node_id)
+    return missing
+
+
+def test_workflow_names_only_existing_tests():
+    # pytest exits 4 on an id it cannot find, so a renamed test would end the non-blocking
+    # numpy-drift job without a failure; PyYAML is not a test dependency, hence the regex
+    text = WORKFLOW.read_text(encoding="utf-8")
+    assert "tests/test_sampling.py::test_numpy_stream_fingerprint" in text
+    assert _missing_test_ids(text) == []
+    misspelt = ["tests/test_cli.py::TestSimulate::test_rows_match_goldn", "tests/test_nothing.py::test_x",
+                "tests/test_cli.py::test_readme_cli_examples_parse::inner"]
+    assert _missing_test_ids(" ".join(misspelt)) == misspelt
 
 
 def test_readme_suite_table_matches_the_suites():

@@ -137,6 +137,10 @@ class TestAddTEstimate:
             ratios = Pmf(counts / counts.sum()).probs  # count_i / total, as integers divided
             np.testing.assert_array_equal(add_t_estimate(counts, 0.0).probs, ratios)
 
+    def test_integral_float_counts_are_counts(self):
+        # 2.0 is the count 2; 0.5 is no count (test_package's out-of-domain cases)
+        np.testing.assert_array_equal(add_t_estimate([2.0, 1.0]).probs, add_t_estimate([2, 1]).probs)
+
     def test_negative_t_rejected(self):
         for t in (-0.5, -1e-300, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^smoothing constant must be a finite nonnegative real, got {t}$"):

@@ -1075,6 +1075,18 @@ _REJECTED_CLAIMS = {
     "coupling-threads-0": lambda: coupling_checks(100, 0.5, 10**5, 1, threads=0),
     "poisson-tail-threads-0": lambda: poisson_tail_checks(5.0, (0.1,), 10**5, 1, threads=0),
     "variance-threads-0": lambda: verify_variance_lb(2, 20, 100, 7, threads=0),
+    "counts-threads-True": lambda: run_kl_trials(uniform_pmf(4), 10, 5000, 3, threads=True),
+    "counts-fractional-reps": lambda: run_kl_trials(uniform_pmf(3), 10, 2.5, 1),
+    "symbols-fractional-reps": lambda: run_kl_trials(zipf_pmf(100), 10, 2.5, 1),
+    "poisson-tail-fractional-reps": lambda: poisson_tail_checks(5.0, (0.1,), 2.5, 1),
+    "variance-fractional-k": lambda: verify_variance_lb(2.5, 100, 100, 7),
+    "thm-fractional-k": lambda: verify_kl_tail_bound(10.5, 1000, 100, 0.1, 7),
+    **{f"{path}-seed-{label}": (lambda claim=claim, seed=seed: claim(seed))
+       for path, claim in (("counts", lambda seed: run_kl_trials(uniform_pmf(3), 10, 100, seed)),
+                           ("symbols", lambda seed: run_kl_trials(zipf_pmf(100), 10, 100, seed)),
+                           ("poisson-tail", lambda seed: poisson_tail_checks(5.0, (0.1,), 100, seed)),
+                           ("coupling", lambda seed: coupling_checks(100, 0.5, 10**5, seed)))
+       for label, seed in (("-1", -1), ("1.5", 1.5), ("2**64", 2**64))},
 }
 
 
@@ -1083,7 +1095,8 @@ def test_claim_rejects_its_arguments_before_drawing(claim, monkeypatch):
     # one trial has no sample variance; a Poisson-tail run needs deltas in (0, 1) and a rate numpy
     # can draw; a sample size is an integer >= 1 on the count path, the symbol path and the
     # coupling alike; the coupling's prob lies in (0, 1]; every drawing routine needs an integer threads >= 1;
-    # the smoothing constant t is a finite real >= 0; the sweep checks every alphabet size before its first row
+    # the smoothing constant t is a finite real >= 0; the sweep checks every alphabet size before its first row;
+    # every count, size and seed obeys the one integer rule (not a bool), checked before any stream is derived
     monkeypatch.setattr(harness, "derive_trial_rng", _no_draw)
     with pytest.raises(ValueError):
         claim()

@@ -130,6 +130,8 @@ class TestKlLosses:
             kl_losses(p, np.zeros((2, 4), dtype=np.int64), 1.0)
         with pytest.raises(ValueError, match="shape"):
             kl_losses(p, np.zeros(3, dtype=np.int64), 1.0)
+        with pytest.raises(ValueError, match="integers"):  # add_t_estimate rejects these counts too
+            kl_losses(uniform_pmf(2), np.array([[0.5, 0.5]]), 0.0)
         for t in _BAD_T:
             with pytest.raises(ValueError, match="smoothing constant must be a finite nonnegative real"):
                 kl_losses(p, np.ones((1, 3), dtype=np.int64), t)
@@ -201,7 +203,7 @@ class TestKlLossesFromSortedDraws:
                 kl_losses_from_sorted_draws(p, np.zeros((1, 2), dtype=np.int64), t)
         with pytest.raises(ValueError, match="at least one draw"):
             kl_losses_from_sorted_draws(p, np.zeros((2, 0), dtype=np.int64), 0.0)
-        for row in ([-1, 0], [0, 3]):
+        for row in ([-1, 0], [0, 3], [0.0, 1.0]):
             with pytest.raises(ValueError, match="symbols"):
                 kl_losses_from_sorted_draws(p, np.array([row]), 1.0)
 

@@ -2,6 +2,7 @@ import importlib
 import math
 import pkgutil
 
+import numpy as np
 import pytest
 
 import klconc
@@ -36,6 +37,9 @@ _OUT_OF_DOMAIN = [
     (klconc.poisson_tail_radius, (3, 0.0)),
     (klconc.poisson_tail_radius, (3, 1.5)),
     (klconc.add_t_estimate, ([-1, 2],)),
+    *[(klconc.add_t_estimate, (counts,)) for counts in ([0.5, 1.5], [-0.5, 2], ["3", "4"], [1e19, 1.0])],
+    (klconc.add_t_estimate, (np.array([2**63, 1], dtype=np.uint64),)),
+    (klconc.pseudo_estimate, ([0.5, 1.5], 3)),
     (klconc.pseudo_estimate, ([1, 2], 0)),
     (klconc.pseudo_estimate, ([[1, 2]], 5)),
     (klconc.pseudo_estimate, ([], 5)),
@@ -44,6 +48,12 @@ _OUT_OF_DOMAIN = [
     (klconc.adjusted_kl_terms, (_HALF, _HALF, 0)),
     (klconc.uniform_pmf, (0,)),
     (klconc.zipf_pmf, (0,)),
+    (klconc.zipf_pmf, (2.5,)),
+    (klconc.zipf_pmf, (True,)),
+    (klconc.uniform_pmf, (2.5,)),
+    (klconc.two_point_pmf, (2.5, 0.5)),
+    (klconc.derive_trial_rng, (1, 1.5)),
+    (klconc.derive_trial_rng, (1.5, 0)),
     (klconc.zipf_pmf, (3, math.inf)),
     (klconc.two_point_pmf, (3, 1.5)),
     (klconc.poisson_pmf_at_mean, (0,)),

@@ -219,7 +219,7 @@ class TestCoupling:
         with pytest.raises(ValueError):
             coupled_pairs(rng, 10, 1.2, size=1)
 
-    @pytest.mark.parametrize("n,prob,size", [(10, 0.0, 1), (10, 1.2, 1), (0, 0.5, 1), (10, 0.5, 0)])
+    @pytest.mark.parametrize("n,prob,size", [(10, 0.0, 1), (10, 1.2, 1), (0, 0.5, 1), (10, 0.5, 0), (10, 0.5, 2.5)])
     def test_arguments_checked_before_drawing(self, n, prob, size):
         # no generator at all: a draw would raise AttributeError, not ValueError
         with pytest.raises(ValueError):
