@@ -23,7 +23,8 @@ normal or translated approximations), which the tests certify by
 goodness-of-fit and Kolmogorov-distance checks. Both coupling claims, the
 expectation gap and the exact marginals, are judged on one pass over the
 same draws. Intervals are closed-form functions of the losses and draw
-nothing. Arguments are checked before anything is drawn.
+nothing. Every drawing routine checks its arguments (the run's by
+``_check_run``) before it builds or allocates anything.
 The drawing entry points take ``threads``: the units of one call are
 shared among that many worker threads (capped at the usable cores and at
 the units; one runs on the calling thread and starts none). A unit draws
@@ -38,7 +39,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -103,6 +103,13 @@ def derive_trial_rng(master_seed: int, trial_index: int) -> Generator:
     return Generator(PCG64(_seed_sequence(master_seed, (trial_index,))))
 
 
+def _check_run(reps: int, seed: int, threads: int) -> None:
+    """The run rule (``_check_integer``): reps in [1, MAX_STORED_TRIALS], a master seed in [0, 2^64), threads >= 1."""
+    _check_integer(reps, "repetition count", 1, MAX_STORED_TRIALS)
+    _check_integer(seed, "master seed", 0, 2**64 - 1)
+    _check_integer(threads, "thread count")
+
+
 def _check_two_reps(reps: int) -> None:
     """The repetition-count rule, and then a ValueError unless reps >= 2: one trial has no sample variance."""
     _check_integer(reps, "repetition count", 1, MAX_STORED_TRIALS)
@@ -129,11 +136,7 @@ def _map_streams(fn, seed: int, reps: int, unit: int, threads: int) -> list:
     fewer started threads, each taking the next unit until none is left. With
     one worker no thread is started. The first exception a unit raises stops
     the workers taking units, and is raised once every started thread has
-    been joined. Rejects a ``threads`` that is not an integer >= 1 and a ``seed``
-    outside [0, 2^64) before any stream is derived or thread started; an
-    integer here is a Python or numpy integer, not a bool (``_check_integer``)."""
-    _check_integer(threads, "thread count")
-    _check_integer(seed, "master seed", 0, 2**64 - 1)
+    been joined. Callers check the run with ``_check_run``."""
     units = -(-reps // unit)
     workers = min(threads, units, _usable_cores())
     results = [None] * units
@@ -197,13 +200,15 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
     Generator.choice's symbols, sorted), else Mult(n, p) counts. A block is
     drawn in consecutive slices of at most _CHUNK_CELLS symbols or counts, and
     the blocks are shared among ``threads`` workers (see ``_map_streams``),
-    each writing its own rows. Rejects before drawing an n < 1, reps outside
-    [1, MAX_STORED_TRIALS], a seed outside [0, 2^64) (each an integer, not a
-    bool: ``_check_integer``) and a t that is not a finite real >= 0."""
-    _check_integer(n, "sample size")
-    _check_integer(reps, "repetition count", 1, MAX_STORED_TRIALS)
+    each writing its own rows. Rejects before it builds anything an n outside
+    [1, _MAX_RATE] (``_check_integer``), a run that breaks ``_check_run``, a t
+    that is not a finite real >= 0 and a t for which n + k*t overflows."""
+    _check_integer(n, "sample size", 1, _MAX_RATE)
+    _check_run(reps, master_seed, threads)
     _check_smoothing(t)
     k = len(pmf)
+    if not math.isfinite(n + k * t):
+        raise ValueError(f"smoothing constant {t:g} overflows the add-t denominator n + k*t at k={k}")
     losses = np.empty(reps, dtype=np.float64)
     if _CATEGORICAL * n <= k:
         cdf = pmf.probs.cumsum()
@@ -379,7 +384,7 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int, *, threads: in
     (0, 1) before drawing."""
     if not 0.0 <= lam <= _MAX_RATE:
         raise ValueError(f"Poisson rate must lie in [0, {_MAX_RATE:.6g}], got {lam}")
-    _check_integer(reps, "repetition count", 1, MAX_STORED_TRIALS)
+    _check_run(reps, seed, threads)
     if len(deltas) == 0:
         raise ValueError("need at least one failure probability")
     for delta in deltas:
@@ -479,7 +484,7 @@ def coupled_pairs(rng: Generator, n: int, prob: float, size: int):
     size are those of size r. The arguments are checked, and the copies
     taken, when it is called; a slice is drawn when it is taken.
     """
-    _check_integer(n, "sample size")
+    _check_integer(n, "sample size", 1, _MAX_RATE)
     _check_binomial(n, prob)
     _check_integer(size, "size")
     x_rng, y_rng = (Generator(rng.bit_generator.jumped(jumps)) for jumps in (1, 2))
@@ -510,10 +515,10 @@ def coupling_checks(n: int, prob: float, reps: int, seed: int, *, threads: int =
     slice; their block statistics are folded in index order, so the doubles
     do not depend on the worker count.
     Rejects an n or prob that ``coupled_pairs`` would before drawing."""
-    _check_integer(n, "sample size")
+    _check_integer(n, "sample size", 1, _MAX_RATE)
     _check_binomial(n, prob)
+    _check_run(reps, seed, threads)
     check_gof_regime(n, reps)
-    _check_integer(reps, "repetition count", 1, MAX_STORED_TRIALS)
 
     def slice_stats(pairs):
         m, m_prime, *_ = pairs
@@ -562,18 +567,17 @@ def expected_kl_check(pmf: Pmf, n: int, reps: int, seed: int, *, threads: int = 
     return ClaimResult(bool(mean <= ceiling + slack), {"mean_kl": mean, "ceiling": ceiling, "slack": slack})
 
 
-def _exact_binomial_product_variance(n0: int) -> Fraction:
-    """Var(X*(n0-X)) for X ~ Bin(n0, 1/2) by exact rational enumeration: the
-    sums of comb(n0, x) g and comb(n0, x) g^2, g = x(n0-x), are integers,
-    divided by 2^n0 once."""
+def _exact_binomial_product_variance(n0: int) -> int:
+    """4^n0 Var(X*(n0-X)) for X ~ Bin(n0, 1/2), exactly: with the integer
+    sums s1, s2 of comb(n0, x) g and comb(n0, x) g^2, g = x(n0-x), it is
+    s2 2^n0 - s1^2."""
     s1 = s2 = 0
     for x in range(n0 + 1):
         w = math.comb(n0, x)
         g = x * (n0 - x)
         s1 += w * g
         s2 += w * g * g
-    e1 = Fraction(s1, 2**n0)
-    return Fraction(s2, 2**n0) - e1 * e1
+    return s2 * 2**n0 - s1 * s1
 
 
 def _monotone_variance_instance(a: int, b: int) -> tuple[float, float]:
@@ -626,8 +630,8 @@ def run_facts_checks() -> list[ClaimResult]:
         "detail": "checked exhaustively for n in [1, 1e4]"}))
 
     exact_prod = [_exact_binomial_product_variance(n0) for n0 in range(0, 61)]
-    prod_ok = all(v * 8 == n0 * n0 - n0 for n0, v in enumerate(exact_prod)) and all(
-        abs(binomial_product_variance(n0) - float(v)) <= 1e-10 for n0, v in enumerate(exact_prod)
+    prod_ok = all(v * 8 == (n0 * n0 - n0) * 4**n0 for n0, v in enumerate(exact_prod)) and all(
+        abs(binomial_product_variance(n0) - v / 4**n0) <= 1e-10 for n0, v in enumerate(exact_prod)
     )
     checks.append(ClaimResult(prod_ok, {
         "name": "Var(X(n0-X)) = (n0^2 - n0)/8 for X ~ Bin(n0, 1/2)",

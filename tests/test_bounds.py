@@ -388,7 +388,8 @@ class TestRegularizedGamma:
 def test_cli_import_loads_no_scipy():
     src = str(Path(klconc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, klconc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = ("import sys, klconc.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -1,7 +1,5 @@
-import ast
 import math
 import pathlib
-import re
 import shlex
 import threading
 
@@ -206,6 +204,7 @@ class TestSimulate:
                    "--seed", "1", "--format", "tsv", "--out", str(out)) == 0
         assert "\t" in out.read_text().splitlines()[0]
 
+    @pytest.mark.numpy_drift
     @pytest.mark.parametrize("name", list(_GOLDEN_SIMULATE))
     def test_rows_match_golden(self, name, capsys):
         assert run("simulate", *_GOLDEN_SIMULATE[name], "--out", "-") == 0
@@ -317,6 +316,7 @@ class TestFigure1:
         assert outs[0] == outs[1] == outs[2]
         assert len(started_threads) == 2 * (1 + 3)  # each row's blocks ran on 2 and on 4 workers
 
+    @pytest.mark.numpy_drift
     def test_svg_output(self, tmp_path):
         out, a, b = tmp_path / "f.csv", tmp_path / "a.svg", tmp_path / "b.svg"
         args = ["figure1", "--ks", "1,2,4", "--n", "128", "--reps", "60", "--seed", "2",
@@ -463,6 +463,7 @@ _SMALL_REPS = {"variance": ["--reps", "2000"], "thm": ["--reps", "2000"], "poiss
                "coupling": ["--reps", "100000"], "expectation": ["--reps", "2000"], "facts": []}
 
 
+@pytest.mark.numpy_drift
 @pytest.mark.parametrize("suite", list(_suites()))
 def test_check_byte_identical_across_thread_counts(suite, capsys):
     outs = []
@@ -497,6 +498,7 @@ def test_check_leaves_no_thread_behind(capsys, started_threads):
     assert not any(thread.is_alive() for thread in started_threads)
 
 
+@pytest.mark.numpy_drift
 def test_marginals_is_a_second_name_for_coupling(capsys):
     assert run("check", "--suite", "marginals", *_SMALL_REPS["coupling"], "--seed", "7") == 0
     assert_golden("check-coupling.txt", capsys.readouterr().out)
@@ -695,29 +697,13 @@ def test_readme_cli_examples_parse():
         build_parser().parse_args(argv[1:])
 
 
-def _missing_test_ids(text: str) -> list[str]:
-    """The ``tests/...py::...`` node ids in ``text`` whose file lacks the class or test they name."""
-    missing = []
-    for node_id in re.findall(r"tests/[\w/]+\.py(?:::\w+)+", text):
-        path, *names = node_id.split("::")
-        file = README.parent / path
-        scope = ast.parse(file.read_text(encoding="utf-8")).body if file.exists() else None
-        for name in names:
-            scope = next((node.body for node in scope or () if getattr(node, "name", None) == name), None)
-        if scope is None:
-            missing.append(node_id)
-    return missing
-
-
-def test_workflow_names_only_existing_tests():
-    # pytest exits 4 on an id it cannot find, so a renamed test would end the non-blocking
-    # numpy-drift job without a failure; PyYAML is not a test dependency, hence the regex
+def test_drift_job_selects_its_tests_by_marker():
+    # a node id in the workflow would leave the non-blocking job pointing at nothing once its test
+    # is renamed (pytest exits 4); the marker moves with the test
     text = WORKFLOW.read_text(encoding="utf-8")
-    assert "tests/test_sampling.py::test_numpy_stream_fingerprint" in text
-    assert _missing_test_ids(text) == []
-    misspelt = ["tests/test_cli.py::TestSimulate::test_rows_match_goldn", "tests/test_nothing.py::test_x",
-                "tests/test_cli.py::test_readme_cli_examples_parse::inner"]
-    assert _missing_test_ids(" ".join(misspelt)) == misspelt
+    drift = text[text.index("numpy-drift:"):]
+    assert "python -m pytest -q -m numpy_drift" in drift
+    assert "::" not in drift
 
 
 def test_readme_suite_table_matches_the_suites():

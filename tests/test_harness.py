@@ -743,11 +743,12 @@ def test_reps_above_storage_cap_rejected_before_drawing(check, args, monkeypatch
         check(*args, MAX_STORED_TRIALS + 1, seed=0)
 
 
-@pytest.mark.parametrize("check,args", [c for c in _DRAWING_CHECKS if c[0] is not coupling_checks])
+@pytest.mark.parametrize("check,args", sorted(_DRAWING_CHECKS, key=lambda c: c[0] is coupling_checks))
 def test_zero_reps_rejected_before_drawing(check, args, monkeypatch):
-    # coupling_checks is left out: it needs reps >= 1e5 before anything else
+    # the run rule comes first, so the coupling too names its reps rule before its GOF regime's
+    # (the coupling's case runs last, so the other cases keep their ids)
     monkeypatch.setattr("klconc.harness.derive_trial_rng", _no_draw)
-    with pytest.raises(ValueError, match=">= 1"):
+    with pytest.raises(ValueError, match="repetition count must be an integer >= 1"):
         check(*args, 0, seed=0)
 
 
@@ -1061,6 +1062,9 @@ _REJECTED_CLAIMS = {
     "symbols-fractional-n": lambda: run_kl_trials(zipf_pmf(100), 2.5, 2000, 1),
     "coupling-fractional-n": lambda: coupling_checks(2.5, 0.5, 10**5, 1),
     "coupling-zero-n": lambda: coupling_checks(0, 0.5, 10**5, 1),
+    "coupling-reps-str": lambda: coupling_checks(100, 0.5, "x", 1),
+    **{f"counts-n-{label}": (lambda n=n: run_kl_trials(uniform_pmf(10), n, 4, 1))
+       for label, n in (("2**63", 2**63), ("2**63-1", 2**63 - 1))},
     **{f"coupling-prob-{prob}": (lambda prob=prob: coupling_checks(100, prob, 10**5, 1))
        for prob in (0.0, 1.5, math.nan)},
     **{f"poisson-tail-lam-{lam:g}": (lambda lam=lam: poisson_tail_checks(lam, (0.1,), 10**5, 1))
@@ -1070,6 +1074,8 @@ _REJECTED_CLAIMS = {
     **{f"{path}-t-{t:g}": (lambda pmf=pmf, n=n, t=t: run_kl_trials(pmf, n, 5000, 1, t=t))
        for path, pmf, n in (("counts", uniform_pmf(10), 100), ("symbols", zipf_pmf(100), 10))
        for t in (-1.0, math.nan, math.inf)},
+    **{f"{path}-t-1e308": (lambda pmf=pmf, n=n: run_kl_trials(pmf, n, 5000, 1, t=1e308))
+       for path, pmf, n in (("counts", uniform_pmf(10), 100), ("symbols", zipf_pmf(1000), 10))},
     "sweep-threads-0": lambda: sweep_std_vs_heuristic([2], 10, 100, 3, threads=0),
     **{f"sweep-later-k-{k}": (lambda k=k: sweep_std_vs_heuristic([2, k], 10, 100, 3)) for k in (0, -3, 2.5)},
     "coupling-threads-0": lambda: coupling_checks(100, 0.5, 10**5, 1, threads=0),
@@ -1096,10 +1102,28 @@ def test_claim_rejects_its_arguments_before_drawing(claim, monkeypatch):
     # can draw; a sample size is an integer >= 1 on the count path, the symbol path and the
     # coupling alike; the coupling's prob lies in (0, 1]; every drawing routine needs an integer threads >= 1;
     # the smoothing constant t is a finite real >= 0; the sweep checks every alphabet size before its first row;
-    # every count, size and seed obeys the one integer rule (not a bool), checked before any stream is derived
+    # every count, size and seed obeys the one integer rule (not a bool), checked before any stream is derived;
+    # n lies in the CLI's --n range and n + k*t stays finite
     monkeypatch.setattr(harness, "derive_trial_rng", _no_draw)
     with pytest.raises(ValueError):
         claim()
+
+
+@pytest.mark.parametrize("pmf,reps,seed,threads", [
+    (lambda: zipf_pmf(10**6), 100, -1, 1), (lambda: zipf_pmf(10**6), 100, 2**64, 1),
+    (lambda: zipf_pmf(10**6), 100, 1, 0), (lambda: uniform_pmf(10), 10**7, -1, 1)],
+    ids=["symbols-seed--1", "symbols-seed-2**64", "symbols-threads-0", "counts-seed--1"])
+def test_bad_run_rejected_before_any_allocation(pmf, reps, seed, threads):
+    # the symbol path's guide table (zipf(10^6): 16 MiB) and the 10^7 losses (76 MiB) come after the run rule
+    pmf = pmf()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            run_kl_trials(pmf, 10, reps, seed, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestStdSweep:

@@ -78,6 +78,7 @@ _STREAM_DRAWS = {
 }
 
 
+@pytest.mark.numpy_drift
 @pytest.mark.parametrize("method", list(_STREAM_DRAWS))
 def test_numpy_stream_fingerprint(method):
     draw, digest = _STREAM_DRAWS[method]
@@ -219,8 +220,9 @@ class TestCoupling:
         with pytest.raises(ValueError):
             coupled_pairs(rng, 10, 1.2, size=1)
 
-    @pytest.mark.parametrize("n,prob,size", [(10, 0.0, 1), (10, 1.2, 1), (0, 0.5, 1), (10, 0.5, 0), (10, 0.5, 2.5)])
+    @pytest.mark.parametrize("n,prob,size", [(10, 0.0, 1), (10, 1.2, 1), (0, 0.5, 1), (10, 0.5, 0), (10, 0.5, 2.5),
+                                             (2**63, 0.5, 10)])
     def test_arguments_checked_before_drawing(self, n, prob, size):
-        # no generator at all: a draw would raise AttributeError, not ValueError
+        # no generator at all: a draw would raise AttributeError, not ValueError; n lies in the CLI's --n range
         with pytest.raises(ValueError):
             coupled_pairs(None, n, prob, size)

@@ -59,6 +59,7 @@ _EDGE_X_TICKS = ["1", "10", "100", "1000", "10000", "100000", "1e+06"]
 _EDGE_Y_TICKS = ["3.1", "4.9"]
 
 
+@pytest.mark.numpy_drift
 def test_edge_plot_matches_golden():
     body = render_xy_plot(_EDGE_SERIES, *_EDGE_LABELS)
     assert body.encode() == (GOLDEN / "plot-edge.svg").read_bytes()
