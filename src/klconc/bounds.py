@@ -3,7 +3,8 @@
 Every formula is evaluated with its explicit constants; the one bound known
 only up to order of magnitude (:func:`prior_deviation_bound`) uses constant
 1 and is documented as approximate. The bounds take plain values, (k, n) or
-(k, n, delta), and hold them to two rules: k, n >= 1 and 0 < delta < 1.
+(k, n, delta), and hold them to two rules, both ``distributions._check_real``:
+k and n are finite reals >= 1, and 0 < delta < 1.
 One exact-summation oracle, :func:`binomial_inverse_moments_exact`, checks
 both inverse-moment formulas. The regularised incomplete gamma function,
 and the binomial and Poisson pmfs on an integer window with the masses
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .distributions import _check_integer, _check_real
 
 __all__ = [
     "kl_deviation_bound",
@@ -33,18 +36,15 @@ __all__ = [
 ]
 
 
-def _check_sizes(k: float, n: int) -> None:
-    """Raise ValueError unless the alphabet size k and the sample size n are >= 1."""
-    if k < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {k}")
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+def _check_sizes(k: float, n: float) -> None:
+    """Raise ValueError unless the alphabet size k and the sample size n are finite reals >= 1."""
+    _check_real(k, "alphabet size", 1)
+    _check_real(n, "sample size", 1)
 
 
 def _check_delta(delta: float) -> None:
     """Raise ValueError unless the failure probability delta lies in (0, 1)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"failure probability must lie in (0, 1), got {delta}")
+    _check_real(delta, "failure probability", 0, 1, "()")
 
 
 def kl_deviation_bound(k: int, n: int, delta: float) -> float:
@@ -77,6 +77,7 @@ def prior_deviation_bound(k: int, n: int, delta: float) -> float:
 def variance_lower_bound(k: int, n: int) -> float:
     """k / (32 * n**2), valid for the uniform distribution when k >= 2 and
     n >= 10k. At k = 1 the loss is identically 0, so no floor holds."""
+    _check_sizes(k, n)
     if k < 2:
         raise ValueError(f"variance lower bound requires k >= 2, got k={k}")
     if n < 10 * k:
@@ -102,7 +103,7 @@ def poisson_tail_radius(n_obs, delta: float):
     With probability at least 1 - delta a Poisson draw N with any rate lam
     satisfies |N + 1 - lam| <= radius(N, delta).
     """
-    if np.any(np.asarray(n_obs) < 0):
+    if not np.all(np.asarray(n_obs) >= 0):  # nan fails too
         raise ValueError(f"observed counts must be >= 0, got min {np.min(n_obs)}")
     _check_delta(delta)
     return 6.0 * np.sqrt(n_obs + 1.0) * math.log(2.0 / delta)
@@ -125,11 +126,9 @@ def clip_threshold(k: int, n: int, delta: float) -> float:
 
 
 def _check_binomial(m: int, prob: float) -> None:
-    """Raise ValueError unless Bin(m, prob) has m >= 0 and prob in (0, 1]."""
-    if m < 0:
-        raise ValueError(f"number of trials must be >= 0, got {m}")
-    if not 0.0 < prob <= 1.0:
-        raise ValueError(f"probability must lie in (0, 1], got {prob}")
+    """Raise ValueError unless Bin(m, prob) has an integer m >= 0 and prob in (0, 1]."""
+    _check_integer(m, "number of trials", 0)
+    _check_real(prob, "probability", 0, 1, "(]")
 
 
 def binomial_inverse_moment(m: int, prob: float) -> float:
@@ -249,8 +248,7 @@ def poisson_pmf_at_mean(n: int) -> float:
     with r the Stirling correction series; below n = 20 the exact
     factorial ratio is used instead.
     """
-    if n < 1:
-        raise ValueError(f"rate must be >= 1, got {n}")
+    _check_integer(n, "Poisson mean")
     if n < 20:
         return math.exp(-n) * (n**n / math.factorial(n))
     r = 0.0
@@ -261,6 +259,5 @@ def poisson_pmf_at_mean(n: int) -> float:
 
 def binomial_product_variance(n0: int) -> float:
     """Var(X * (n0 - X)) = (n0**2 - n0) / 8 for X ~ Bin(n0, 1/2)."""
-    if n0 < 0:
-        raise ValueError(f"pair total must be >= 0, got {n0}")
+    _check_integer(n0, "pair total", 0)
     return n0 * (n0 - 1) / 8.0

@@ -55,6 +55,17 @@ def _check_integer(value, name: str, least: int = 1, most: int | None = None) ->
         raise ValueError(f"{name} must be an integer >= {least}{capped}, got {value!r}")
 
 
+def _check_real(value, name: str, least: float = -math.inf, most: float = math.inf, ends: str = "[]") -> None:
+    """The one rule for a probability, rate, mass, exponent, smoothing constant or real size: a Python or
+    numpy real, not a bool and not nan, in the interval from least to most; ``ends`` writes its ends, "[" and
+    "]" closed, "(" and ")" open, and an infinite end is always open, so inf is never in it."""
+    lo = "(" if ends[0] == "(" or least == -math.inf else "["
+    hi = ")" if ends[1] == ")" or most == math.inf else "]"
+    if (not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool)
+            or not least <= value <= most or (lo == "(" and value == least) or (hi == ")" and value == most)):
+        raise ValueError(f"{name} must lie in {lo}{least:g}, {most:g}{hi}, got {value!r}")
+
+
 def _as_counts(counts) -> np.ndarray:
     """The counts, one per symbol, as an int64 array checked 1-D and nonempty, each
     entry an integer >= 0 by ``_check_integer`` (an integral float such as 2.0 is one).
@@ -73,8 +84,7 @@ def _as_counts(counts) -> np.ndarray:
 
 
 def _check_smoothing(t) -> None:
-    if not (t >= 0 and math.isfinite(t)):
-        raise ValueError(f"smoothing constant must be a finite nonnegative real, got {t}")
+    _check_real(t, "smoothing constant", 0)
 
 
 def _check_drawn(totals, t: float) -> None:
@@ -82,10 +92,10 @@ def _check_drawn(totals, t: float) -> None:
         raise ValueError("empirical estimate requires at least one draw")
 
 
-def _check_nominal_size(n, k: int = 1, message: str = "nominal sample size must be >= 1, got {n}") -> None:
-    """The nominal-n rule: the nominal sample size n (a real) and the alphabet size k are >= 1."""
-    if n < 1 or k < 1:
-        raise ValueError(message.format(n=n))
+def _check_nominal_size(n, k: int = 1) -> None:
+    """The nominal-n rule (``_check_real``): the nominal sample size n and the alphabet size k are reals >= 1."""
+    _check_real(n, "nominal sample size", 1)
+    _check_real(k, "alphabet size", 1)
 
 
 class Measure:
@@ -158,8 +168,7 @@ def uniform_pmf(k: int) -> Pmf:
 def zipf_pmf(k: int, s: float = 1.0) -> Pmf:
     """Power-law distribution with weight i**(-s) on symbol i (1-based), normalized."""
     _check_integer(k, "alphabet size")
-    if not math.isfinite(s):
-        raise ValueError("exponent must be finite")
+    _check_real(s, "exponent")
     base = np.arange(1, k + 1, dtype=np.float64)
     if s < 0:
         base /= k  # weights (i/k)**(-s) <= 1, so they cannot overflow
@@ -171,8 +180,7 @@ def two_point_pmf(k: int, mass: float) -> Pmf:
     """Puts ``mass`` on symbol 0 and spreads the remaining mass uniformly
     over symbols 1..k-1."""
     _check_integer(k, "alphabet size", 2)
-    if not 0.0 <= mass <= 1.0:
-        raise ValueError(f"mass must lie in [0, 1], got {mass}")
+    _check_real(mass, "mass", 0, 1)
     w = np.full(k, (1.0 - mass) / (k - 1))
     w[0] = mass
     return Pmf(w)
@@ -328,7 +336,7 @@ def kl_losses_from_sorted_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarr
 
 def adjusted_kl_shift(n: int, k: int) -> float:
     """(n+k)/n - log((n+k)/n) - 1; nonnegative, tends to 0 as n/k grows."""
-    _check_nominal_size(n, k, "n and k must be >= 1")
+    _check_nominal_size(n, k)
     x = (n + k) / n
     return x - math.log(x) - 1.0
 

@@ -60,7 +60,8 @@ from .bounds import (
     poisson_tail_radius,
     variance_lower_bound,
 )
-from .distributions import Pmf, _check_integer, _check_smoothing, kl_losses, kl_losses_from_sorted_draws, uniform_pmf
+from .distributions import Pmf, _check_integer, _check_real, _check_smoothing, uniform_pmf
+from .distributions import kl_losses, kl_losses_from_sorted_draws
 
 __all__ = [
     "derive_trial_rng",
@@ -382,8 +383,7 @@ def poisson_tail_checks(lam: float, deltas, reps: int, seed: int, *, threads: in
     consecutive slices of at most _CHUNK_CELLS draws. Rejects a
     lam outside [0, _MAX_RATE], an empty ``deltas`` and any delta outside
     (0, 1) before drawing."""
-    if not 0.0 <= lam <= _MAX_RATE:
-        raise ValueError(f"Poisson rate must lie in [0, {_MAX_RATE:.6g}], got {lam}")
+    _check_real(lam, "Poisson rate", 0, _MAX_RATE)
     _check_run(reps, seed, threads)
     if len(deltas) == 0:
         raise ValueError("need at least one failure probability")

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -196,9 +197,9 @@ class TestSecondInverseMoment:
                  id="binomial_inverse_moment2_exact"),
 ], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("m,prob,match", [
-    (-1, 0.5, "number of trials must be >= 0"),
+    *[(m, 0.5, re.escape(f"number of trials must be an integer >= 0, got {m!r}")) for m in (-1, 2.5)],
     *[(3, prob, r"probability must lie in \(0, 1\]") for prob in (0.0, 1.5, math.nan)],
-], ids=["m-1", "prob0", "prob1.5", "probnan"])
+], ids=["m-1", "m2.5", "prob0", "prob1.5", "probnan"])
 def test_binomial_arguments_rejected(f, m, prob, match):
     with pytest.raises(ValueError, match=match):
         f(m, prob)

@@ -1087,6 +1087,15 @@ _REJECTED_CLAIMS = {
     "poisson-tail-fractional-reps": lambda: poisson_tail_checks(5.0, (0.1,), 2.5, 1),
     "variance-fractional-k": lambda: verify_variance_lb(2.5, 100, 100, 7),
     "thm-fractional-k": lambda: verify_kl_tail_bound(10.5, 1000, 100, 0.1, 7),
+    # a string or a bool is no real: the real or integer rule rejects it before it reaches a closed form
+    "variance-n-str": lambda: verify_variance_lb(2, "x", 100, 7),
+    "thm-n-str": lambda: verify_kl_tail_bound(10, "x", 100, 0.1, 7),
+    "counts-delta-str": lambda: run_kl_trials(uniform_pmf(10), 100, 100, 1, delta="x"),
+    "counts-n-str-delta": lambda: run_kl_trials(uniform_pmf(10), "x", 100, 1, delta=0.1),
+    "poisson-tail-lam-str": lambda: poisson_tail_checks("x", (0.1,), 10**5, 1),
+    "coupling-prob-str": lambda: coupling_checks(100, "x", 10**5, 1),
+    **{f"{path}-t-{t}": (lambda pmf=pmf, n=n, t=t: run_kl_trials(pmf, n, 5000, 1, t=t))
+       for path, pmf, n in (("counts", uniform_pmf(10), 100), ("symbols", zipf_pmf(100), 10)) for t in (True, "x")},
     **{f"{path}-seed-{label}": (lambda claim=claim, seed=seed: claim(seed))
        for path, claim in (("counts", lambda seed: run_kl_trials(uniform_pmf(3), 10, 100, seed)),
                            ("symbols", lambda seed: run_kl_trials(zipf_pmf(100), 10, 100, seed)),

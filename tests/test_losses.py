@@ -133,7 +133,7 @@ class TestKlLosses:
         with pytest.raises(ValueError, match="integers"):  # add_t_estimate rejects these counts too
             kl_losses(uniform_pmf(2), np.array([[0.5, 0.5]]), 0.0)
         for t in _BAD_T:
-            with pytest.raises(ValueError, match="smoothing constant must be a finite nonnegative real"):
+            with pytest.raises(ValueError, match=re.escape(f"smoothing constant must lie in [0, inf), got {t!r}")):
                 kl_losses(p, np.ones((1, 3), dtype=np.int64), t)
         with pytest.raises(ValueError, match="at least one draw"):
             kl_losses(p, np.zeros((1, 3), dtype=np.int64), 0.0)
@@ -199,7 +199,7 @@ class TestKlLossesFromSortedDraws:
     def test_validation(self):
         p = uniform_pmf(3)
         for t in _BAD_T:
-            with pytest.raises(ValueError, match="smoothing constant must be a finite nonnegative real"):
+            with pytest.raises(ValueError, match=re.escape(f"smoothing constant must lie in [0, inf), got {t!r}")):
                 kl_losses_from_sorted_draws(p, np.zeros((1, 2), dtype=np.int64), t)
         with pytest.raises(ValueError, match="at least one draw"):
             kl_losses_from_sorted_draws(p, np.zeros((2, 0), dtype=np.int64), 0.0)
@@ -279,19 +279,19 @@ class TestAdjustedKlShift:
         assert adjusted_kl_shift(10**9, 1) < 1e-9
 
 
-@pytest.mark.parametrize("call,message", [
-    (lambda n: adjusted_kl_shift(n, 3), "n and k must be >= 1"),
-    (lambda n: adjusted_kl_divergence(uniform_pmf(2), uniform_pmf(2), n), "nominal sample size must be >= 1, got {n}"),
-    (lambda n: adjusted_kl_terms(uniform_pmf(2), uniform_pmf(2), n), "nominal sample size must be >= 1, got {n}"),
-    (lambda n: pseudo_estimate([1, 1], n), "nominal sample size must be >= 1, got {n}"),
+@pytest.mark.parametrize("call", [
+    lambda n: adjusted_kl_shift(n, 3),
+    lambda n: adjusted_kl_divergence(uniform_pmf(2), uniform_pmf(2), n),
+    lambda n: adjusted_kl_terms(uniform_pmf(2), uniform_pmf(2), n),
+    lambda n: pseudo_estimate([1, 1], n),
 ], ids=["adjusted_kl_shift", "adjusted_kl_divergence", "adjusted_kl_terms", "pseudo_estimate"])
 @pytest.mark.parametrize("n", [0, 0.5, -3])
-def test_nominal_sample_size_rule(call, message, n):
-    with pytest.raises(ValueError, match=f"^{re.escape(message.format(n=n))}$"):
+def test_nominal_sample_size_rule(call, n):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'nominal sample size must lie in [1, inf), got {n!r}')}$"):
         call(n)
     call(1)  # n = 1 is allowed
 
 
 def test_shift_alphabet_size_rule():
-    with pytest.raises(ValueError, match="^n and k must be >= 1$"):
+    with pytest.raises(ValueError, match=r"^alphabet size must lie in \[1, inf\), got 0$"):
         adjusted_kl_shift(5, 0)

@@ -59,6 +59,23 @@ _OUT_OF_DOMAIN = [
     (klconc.poisson_pmf_at_mean, (0,)),
     (klconc.binomial_product_variance, (-1,)),
     (klconc.Pmf, ([[0.5, 0.5]],)),
+    # the real rule: nan, inf, bools and strings are no probability, size, rate, mass or exponent
+    *[(klconc.kl_deviation_bound, args) for args in [(math.nan, 100, 0.1), (True, 100, 0.1), (10, 100, "x")]],
+    (klconc.prior_deviation_bound, (10, math.nan, 0.1)),
+    (klconc.variance_lower_bound, (math.nan, 100)),
+    (klconc.variance_lower_bound, ("x", 100)),
+    (klconc.heuristic_kl_std, (10, math.nan)),
+    (klconc.heuristic_kl_std, (math.inf, 10)),
+    (klconc.expectation_gap_bound, (math.nan, 10)),
+    (klconc.clip_threshold, (10, math.nan, 0.1)),
+    (klconc.poisson_tail_radius, (np.array([3.0, math.nan]), 0.1)),
+    (klconc.adjusted_kl_shift, (math.inf, 3)),
+    *[(fn, (10, bad)) for fn in (klconc.two_point_pmf, klconc.zipf_pmf) for bad in (True, "x")],
+    (klconc.add_t_estimate, ([1, 1], True)),
+    # the integer rule: Bin(2.5, p) is no binomial, and n0 and Poi(n)'s n are integers
+    *[(fn, (2.5, 0.5)) for fn in (klconc.binomial_inverse_moment, klconc.binomial_inverse_moments_exact,
+                                  klconc.binomial_inverse_moment2_bound)],
+    *[(fn, (bad,)) for fn in (klconc.binomial_product_variance, klconc.poisson_pmf_at_mean) for bad in (2.5, math.nan)],
 ]
 
 
