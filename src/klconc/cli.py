@@ -15,6 +15,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .bounds import (
+    _check_delta,
     clip_threshold,
     expectation_gap_bound,
     heuristic_kl_std,
@@ -23,6 +24,7 @@ from .bounds import (
     variance_lower_bound,
 )
 from .distributions import Pmf, load_pmf, two_point_pmf, uniform_pmf, zipf_pmf
+from .distributions import _check_integer, _check_real, _check_smoothing
 from .harness import (
     MAX_STORED_TRIALS,
     _MAX_RATE,
@@ -67,34 +69,43 @@ def _write_table(path: str, header: list[str], rows: list[list], fmt: str) -> No
             fh.write(text)
 
 
-def _number(kind, accept, what: str):
-    """argparse type for a ``kind`` (int or float) that ``accept`` admits (NaN never is)."""
+def _checked(call, *args, error=UsageError, **kwargs):
+    """``call(*args, **kwargs)``; a ValueError it raises, the check of an argument, becomes ``error`` with the
+    same message, or the value None when ``error`` is None."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        if error is not None:
+            raise error(str(exc)) from None
 
+
+def _flag(kind, rule, *bounds):
+    """argparse type: the text parsed by ``kind`` (int or float), then checked by the library's ``rule`` for
+    the argument it sets, given ``bounds`` (its name and range); the rule's ValueError is the usage message."""
     def parse(text: str):
         value = kind(text)
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        _checked(rule, value, *bounds, error=argparse.ArgumentTypeError)
         return value
 
     parse.__name__ = kind.__name__  # argparse's "invalid int value" / "invalid float value"
     return parse
 
 
-# counts: trials, threads, alphabet and sample sizes
-_count = _number(int, lambda x: x >= 1, ">= 1")
-_size = _number(int, lambda x: 1 <= x <= _MAX_RATE, f"in [1, {_MAX_RATE:.6g}]")
-_reps = _number(int, lambda x: 1 <= x <= MAX_STORED_TRIALS, f"in [1, {MAX_STORED_TRIALS}]")
-_seed = _number(int, lambda x: 0 <= x < 2**64, "in [0, 2^64)")
-_delta = _number(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
-_prob = _number(float, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
-_rate = _number(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
-_lam = _number(float, lambda x: 0.0 <= x <= _MAX_RATE, f"in [0, {_MAX_RATE:.6g}]")
-_mass = _number(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
-_finite = _number(float, math.isfinite, "finite")
+_alphabet = _flag(int, _check_integer, "alphabet size")
+_threads = _flag(int, _check_integer, "thread count")
+_size = _flag(int, _check_integer, "sample size", 1, _MAX_RATE)
+_reps = _flag(int, _check_integer, "repetition count", 1, MAX_STORED_TRIALS)
+_seed = _flag(int, _check_integer, "master seed", 0, 2**64 - 1)
+_delta = _flag(float, _check_delta)
+_prob = _flag(float, _check_real, "probability", 0, 1, "(]")
+_smoothing = _flag(float, _check_smoothing)
+_lam = _flag(float, _check_real, "Poisson rate", 0, _MAX_RATE)
+_mass = _flag(float, _check_real, "mass", 0, 1)
+_exponent = _flag(float, _check_real, "exponent")
 
 # check flags named like a suite config field: field -> (argparse type, what it is)
 _FIELD_FLAGS = {
-    "k": (_count, "alphabet size"),
+    "k": (_alphabet, "alphabet size"),
     "n": (_size, "sample size"),
     "delta": (_delta, "failure probability"),
     "lam": (_lam, "Poisson rate"),
@@ -112,44 +123,38 @@ def _parse_dist(args) -> Pmf:
         raise UsageError(f"unknown distribution {spec!r}")
     if args.k is None:
         raise UsageError(f"--dist {spec} requires --k")
-    if spec == "twopoint" and args.k < 2:
-        raise UsageError(f"--dist twopoint needs --k >= 2, got {args.k}")
     if spec == "uniform":
         return uniform_pmf(args.k)
     if spec == "zipf":
         return zipf_pmf(args.k, args.zipf_s)
-    return two_point_pmf(args.k, args.mass)
+    return _checked(two_point_pmf, args.k, args.mass)
 
 
 def _cmd_simulate(args) -> int:
     pmf = _parse_dist(args)
-    k = len(pmf)
-    if not math.isfinite(args.n + k * args.t):
-        raise UsageError(f"--t {args.t:g} overflows the add-t denominator n + k*t at k={k}")
-    summary = run_kl_trials(pmf, args.n, args.reps, args.seed, t=args.t, delta=args.delta, threads=args.threads)
-    _write_table(args.out, ["k", "n", "reps", "t", *summary], [[k, args.n, args.reps, args.t, *summary.values()]],
+    # run_kl_trials raises ValueError only in its opening checks, before it draws
+    summary = _checked(run_kl_trials, pmf, args.n, args.reps, args.seed, t=args.t, delta=args.delta,
+                       threads=args.threads)
+    _write_table(args.out, ["k", "n", "reps", "t", *summary], [[len(pmf), args.n, args.reps, args.t, *summary.values()]],
                  args.format)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     b = (args.k, args.n, args.delta)
-    try:
-        variance_lb = variance_lower_bound(args.k, args.n)
-    except ValueError:  # (k, n) outside the floor's regime: the cell stays blank
-        variance_lb = None
-    prior = prior_deviation_bound(*b) if args.n >= 2 else None
     header = ["kl_tail_bound", "prior_tail_bound", "variance_lb", "heuristic_std",
               "expectation_gap", "clip_threshold"]
-    row = [kl_deviation_bound(*b), prior, variance_lb, heuristic_kl_std(args.k, args.n),
+    # a bound's cell stays blank for (k, n) outside its regime: n < 2 for the prior, k < 2 or n < 10k for the floor
+    row = [kl_deviation_bound(*b), _checked(prior_deviation_bound, *b, error=None),
+           _checked(variance_lower_bound, args.k, args.n, error=None), heuristic_kl_std(args.k, args.n),
            expectation_gap_bound(args.k, args.n), clip_threshold(*b)]
     _write_table(args.out, header, [row], args.format)
     return 0
 
 
 def _ks(text: str) -> list[int]:
-    """argparse type for --ks: comma-separated alphabet sizes, at least one, each a ``_count``."""
-    ks = [_count(part) for part in text.split(",") if part.strip()]
+    """argparse type for --ks: comma-separated alphabet sizes, at least one, each an ``_alphabet``."""
+    ks = [_alphabet(part) for part in text.split(",") if part.strip()]
     if not ks:
         raise argparse.ArgumentTypeError("must name at least one alphabet size")
     return ks
@@ -420,20 +425,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one KL-loss experiment and write a CSV row")
     sim.add_argument("--dist", required=True, help="uniform | zipf | twopoint | file:PATH")
-    sim.add_argument("--k", type=_count, help="alphabet size (uniform/zipf/twopoint)")
+    sim.add_argument("--k", type=_alphabet, help="alphabet size (uniform/zipf/twopoint)")
     sim.add_argument("--n", type=_size, required=True, help="samples per trial")
     sim.add_argument("--reps", type=_reps, required=True, help="number of trials")
     sim.add_argument("--seed", type=_seed, required=True, help="64-bit master seed")
-    sim.add_argument("--t", type=_rate, default=1.0, help="add-constant parameter (default 1)")
+    sim.add_argument("--t", type=_smoothing, default=1.0, help="add-constant parameter (default 1)")
     sim.add_argument("--delta", type=_delta, help="failure probability for exceedance columns")
-    sim.add_argument("--zipf-s", type=_finite, default=1.0, help="zipf exponent (default 1)")
+    sim.add_argument("--zipf-s", type=_exponent, default=1.0, help="zipf exponent (default 1)")
     sim.add_argument("--mass", type=_mass, default=0.99, help="twopoint head mass (default 0.99)")
     sim.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     sim.add_argument("--format", choices=("csv", "tsv"), default="csv")
     sim.set_defaults(func=_cmd_simulate)
 
     bnd = sub.add_parser("bounds", help="evaluate the closed-form bounds for (k, n, delta)")
-    bnd.add_argument("--k", type=_count, required=True)
+    bnd.add_argument("--k", type=_alphabet, required=True)
     bnd.add_argument("--n", type=_size, required=True)
     bnd.add_argument("--delta", type=_delta, required=True)
     bnd.add_argument("--out", default="-", help="output CSV path ('-', the default, for stdout)")
@@ -463,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.set_defaults(func=_cmd_check)
 
     for drawing in (sim, fig, chk):
-        drawing.add_argument("--threads", type=_count, default=_usable_cores(), help=_THREADS_HELP)
+        drawing.add_argument("--threads", type=_threads, default=_usable_cores(), help=_THREADS_HELP)
 
     return parser
 

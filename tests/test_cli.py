@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from klconc import cli, harness
+from klconc.bounds import kl_deviation_bound
 from klconc.cli import UsageError, _parse_dist, _suites, build_parser, main
 from klconc.distributions import two_point_pmf, uniform_pmf, zipf_pmf
 from klconc.harness import ClaimResult
@@ -644,6 +645,45 @@ def test_valid_base_command_line_runs(command):
 def test_out_of_range_count_or_seed_is_usage_error(command, flag, value, capsys):
     assert run(*_VALID[command], flag, value) == 2
     assert capsys.readouterr().out == ""
+
+
+# One out-of-range value per flag: the command line it is appended to, and the call of the library function that
+# takes the same argument with the same value, whose ValueError message the usage error must carry.
+_REJECTED_BY_THE_LIBRARY = [
+    ("simulate", "--k", "0", lambda: uniform_pmf(0)),
+    ("figure1", "--ks", "0", lambda: harness.sweep_std_vs_heuristic([0], 10, 5, 1)),
+    ("simulate", "--threads", "0", lambda: harness.run_kl_trials(uniform_pmf(2), 10, 5, 1, threads=0)),
+    ("simulate", "--n", "0", lambda: harness.run_kl_trials(uniform_pmf(2), 0, 5, 1)),
+    ("simulate", "--reps", "0", lambda: harness.run_kl_trials(uniform_pmf(2), 10, 0, 1)),
+    ("simulate", "--seed", "-1", lambda: harness.run_kl_trials(uniform_pmf(2), 10, 5, -1)),
+    ("bounds", "--delta", "1", lambda: kl_deviation_bound(2, 10, 1.0)),
+    ("coupling", "--prob", "0", lambda: harness.coupling_checks(20, 0.0, 100_000, 1)),
+    ("simulate", "--t", "-1", lambda: harness.run_kl_trials(uniform_pmf(2), 10, 5, 1, t=-1.0)),
+    ("poisson-tail", "--lam", "-1", lambda: harness.poisson_tail_checks(-1.0, (0.1,), 5, 1)),
+    ("simulate-twopoint", "--mass", "1.5", lambda: two_point_pmf(2, 1.5)),
+    ("simulate-zipf", "--zipf-s", "inf", lambda: zipf_pmf(2, math.inf)),
+    ("simulate-twopoint", "--k", "1", lambda: two_point_pmf(1, 0.99)),
+    ("simulate", "--t", "1e308", lambda: harness.run_kl_trials(uniform_pmf(2), 10, 5, 1, t=1e308)),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,library_call", [
+    pytest.param(*case, id=f"{case[1]}-{case[2]}-{case[0]}") for case in _REJECTED_BY_THE_LIBRARY
+])
+def test_out_of_range_flag_reads_as_the_library_rule(command, flag, value, library_call, capsys):
+    with pytest.raises(ValueError) as rejected:
+        library_call()
+    assert run(*_VALID[command], flag, value) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and str(rejected.value) in err
+
+
+def test_negative_exponent_in_exponent_form(capsys):
+    # argparse takes only plain negative numbers such as -1000 for a flag's value, so -1e3 is given as --zipf-s=-1e3
+    assert run(*_VALID["simulate-zipf"], "--zipf-s", "-1000") == 0
+    plain = capsys.readouterr().out
+    assert run(*_VALID["simulate-zipf"], "--zipf-s=-1e3") == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_rate_bound_is_numpys_largest_poisson_rate():
