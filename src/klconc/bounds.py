@@ -103,10 +103,15 @@ def poisson_tail_radius(n_obs, delta: float):
     With probability at least 1 - delta a Poisson draw N with any rate lam
     satisfies |N + 1 - lam| <= radius(N, delta).
     """
-    if not np.all(np.asarray(n_obs) >= 0):  # nan fails too
-        raise ValueError(f"observed counts must be >= 0, got min {np.min(n_obs)}")
+    counts = np.asarray(n_obs)
+    if counts.dtype.kind not in "iuf":  # strings, bools, objects: the real rule, entry by entry
+        for value in counts.ravel().tolist():
+            _check_real(value, "observed count", 0)
+        counts = counts.astype(np.float64)
+    elif not np.all(counts >= 0):  # nan fails too
+        raise ValueError(f"observed counts must be >= 0, got min {np.min(counts)}")
     _check_delta(delta)
-    return 6.0 * np.sqrt(n_obs + 1.0) * math.log(2.0 / delta)
+    return 6.0 * np.sqrt(counts + 1.0) * math.log(2.0 / delta)
 
 
 def expectation_gap_bound(k: float, n: int) -> float:

@@ -119,15 +119,13 @@ def _parse_dist(args) -> Pmf:
         raise UsageError("file distributions are given as --dist file:PATH")
     if spec.startswith("file:"):
         return load_pmf(spec[len("file:") :])
-    if spec not in ("uniform", "zipf", "twopoint"):
+    named = {"uniform": (uniform_pmf,), "zipf": (zipf_pmf, args.zipf_s), "twopoint": (two_point_pmf, args.mass)}
+    if spec not in named:
         raise UsageError(f"unknown distribution {spec!r}")
     if args.k is None:
         raise UsageError(f"--dist {spec} requires --k")
-    if spec == "uniform":
-        return uniform_pmf(args.k)
-    if spec == "zipf":
-        return zipf_pmf(args.k, args.zipf_s)
-    return _checked(two_point_pmf, args.k, args.mass)
+    make, *rest = named[spec]  # a k it rejects or numpy cannot size ("array is too big") is a usage error
+    return _checked(make, args.k, *rest)
 
 
 def _cmd_simulate(args) -> int:

@@ -9,6 +9,7 @@ a row's loss does not depend on which other rows share its call."""
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -32,55 +33,50 @@ __all__ = [
 PMF_SUM_TOL = 1e-9
 
 
-def _as_weight_array(values, what: str) -> np.ndarray:
-    w = np.asarray(values, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError(f"{what} must be a one-dimensional sequence")
-    if w.size == 0:
-        raise ValueError(f"{what} must have length >= 1")
-    if not np.all(np.isfinite(w)):
-        bad = int(np.flatnonzero(~np.isfinite(w))[0])
-        raise ValueError(f"{what} has non-finite entry at index {bad}")
-    if np.any(w < 0):
-        bad = int(np.flatnonzero(w < 0)[0])
-        raise ValueError(f"{what} has negative entry {w[bad]!r} at index {bad}")
-    return w
-
-
 def _check_integer(value, name: str, least: int = 1, most: int | None = None) -> None:
-    """The one rule for a count, size, seed or index: a Python or numpy integer, not a bool, in [least, most]."""
-    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or value < least or (most is not None and value > most)):
-        capped = "" if most is None else f", capped at {most}"
+    """The one rule for a count, size, seed or index: a Python or numpy integer, not a bool, in [least, most],
+    most being 2^63 - 1, the largest int64, unless the caller states it."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    cap = 2**63 - 1 if most is None else most
+    if not (integer and least <= value <= cap):
+        named = most is not None or (integer and value > cap)  # a cap the caller stated, or one the value exceeds
+        capped = f", capped at {cap}" if named else ""
         raise ValueError(f"{name} must be an integer >= {least}{capped}, got {value!r}")
 
 
 def _check_real(value, name: str, least: float = -math.inf, most: float = math.inf, ends: str = "[]") -> None:
-    """The one rule for a probability, rate, mass, exponent, smoothing constant or real size: a Python or
-    numpy real, not a bool and not nan, in the interval from least to most; ``ends`` writes its ends, "[" and
-    "]" closed, "(" and ")" open, and an infinite end is always open, so inf is never in it."""
+    """The one rule for a probability, rate, mass, exponent, smoothing constant or real size: a Python or numpy
+    real that a double holds, not a bool and not nan, in the interval from least to most; ``ends`` writes its ends,
+    "[" and "]" closed, "(" and ")" open, and an infinite end is always open, so inf is never in it."""
     lo = "(" if ends[0] == "(" or least == -math.inf else "["
     hi = ")" if ends[1] == ")" or most == math.inf else "]"
     if (not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool)
-            or not least <= value <= most or (lo == "(" and value == least) or (hi == ")" and value == most)):
+            or not least <= value <= most or (lo == "(" and value == least) or (hi == ")" and value == most)
+            or isinstance(value, int) and abs(value) > sys.float_info.max):
         raise ValueError(f"{name} must lie in {lo}{least:g}, {most:g}{hi}, got {value!r}")
 
 
+def _as_entries(values, what: str, rule) -> np.ndarray:
+    """``values`` as a nonempty 1-D array whose entries pass ``rule(entry, f"{what} at index {i}", 0)``: the rule
+    runs on the entries of an integer or float array that fail one vectorised pass, and on every other entry."""
+    a = np.asarray(values)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError(f"{what}s must be a one-dimensional sequence of length >= 1")
+    failed = range(a.size)  # strings, bools and objects (such as a Python int no int64 holds): entry by entry
+    if a.dtype.kind in "iuf":  # nan fails every comparison
+        ok = (0 <= a) & (a < math.inf)
+        if rule is _check_integer:  # int64 holds the count; an integral float such as 2.0 is one
+            ok &= (a < 2**63) & (a == np.trunc(a))
+        failed = np.flatnonzero(~ok)
+    for i in failed:
+        rule(a.item(i), f"{what} at index {i}", 0)
+    return a
+
+
 def _as_counts(counts) -> np.ndarray:
-    """The counts, one per symbol, as an int64 array checked 1-D and nonempty, each
-    entry an integer >= 0 by ``_check_integer`` (an integral float such as 2.0 is one).
-    Their sum is the total number of draws (the multinomial n, or the realized
-    Poisson total N under Poissonized sampling); as int64, count/total ratios
-    stay exact in double precision for totals up to 2**53."""
-    c = np.asarray(counts)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("counts must be a one-dimensional sequence of length >= 1")
-    ok = np.zeros(c.size, dtype=bool)  # entries of other dtypes are checked one by one
-    if c.dtype.kind in "iuf":  # int64 holds the count; an integral float such as 2.0 is one, nan and inf are not
-        ok = (0 <= c) & (c < 2**63) & (c == np.trunc(c))
-    for i in np.flatnonzero(~ok):  # the rule raises at the first entry that is no count (a float here never is one)
-        _check_integer(c[i : i + 1].tolist()[0], f"count at index {i}", 0)
-    return c.astype(np.int64)
+    """The counts, one per symbol, each an integer >= 0 (an integral float such as 2.0 is one), as int64: their
+    ratios to their sum, the number of draws (n, or the realized Poisson total N), are exact up to 2**53."""
+    return _as_entries(counts, "count", _check_integer).astype(np.int64)
 
 
 def _check_smoothing(t) -> None:
@@ -108,7 +104,7 @@ class Measure:
     __slots__ = ("_weights",)
 
     def __init__(self, weights):
-        w = _as_weight_array(weights, "weights").copy()
+        w = _as_entries(weights, "weight", _check_real).astype(np.float64)
         w.flags.writeable = False
         self._weights = w
 
@@ -189,8 +185,8 @@ def two_point_pmf(k: int, mass: float) -> Pmf:
 def load_pmf(path) -> Pmf:
     """Read a distribution file: one nonnegative decimal weight per line.
 
-    Blank lines are ignored. The weights must satisfy the ``Pmf`` rules
-    (sum to 1 within tolerance); offending entries raise ValueError.
+    Blank lines are ignored. A weight that is no real >= 0 raises ValueError
+    naming its ``path:line``; the weights must sum to 1 within ``Pmf``'s tolerance.
     """
     weights = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -202,6 +198,7 @@ def load_pmf(path) -> Pmf:
                 weights.append(float(text))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not a decimal weight: {text!r}") from None
+            _check_real(weights[-1], f"{path}:{lineno}: weight", 0)
     if not weights:
         raise ValueError(f"{path}: no weights found")
     return Pmf(weights)

@@ -154,12 +154,16 @@ class TestSimulate:
             rows.append(capsys.readouterr().out)
         assert rows[0] == rows[1]
 
-    @pytest.mark.parametrize("text", ["\n\n  \n", "0.5\nnan\n0.5\n"], ids=["only-blank-lines", "nan-weight"])
-    def test_bad_file_dist_is_runtime_error(self, text, tmp_path, capsys):
+    # a bad weight is named by its line, blank lines counted
+    @pytest.mark.parametrize("text,where", [("\n\n  \n", ": no weights found"), ("0.5\nnan\n0.5\n", ":2: weight"),
+                                            ("0.5\n\n-0.5\n1.0\n", ":3: weight")],
+                             ids=["only-blank-lines", "nan-weight", "negative-weight-after-blank-line"])
+    def test_bad_file_dist_is_runtime_error(self, text, where, tmp_path, capsys):
         dist = tmp_path / "d.txt"
         dist.write_text(text)
         assert run("simulate", "--dist", f"file:{dist}", "--n", "10", "--reps", "5", "--seed", "1", "--out", "-") == 1
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == "" and f"{dist}{where}" in err
 
     @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""], ids=["numpy", "bare"])
     def test_out_of_memory_is_runtime_error(self, message, monkeypatch, capsys):
@@ -653,6 +657,7 @@ _REJECTED_BY_THE_LIBRARY = [
     ("simulate", "--k", "0", lambda: uniform_pmf(0)),
     ("figure1", "--ks", "0", lambda: harness.sweep_std_vs_heuristic([0], 10, 5, 1)),
     ("simulate", "--threads", "0", lambda: harness.run_kl_trials(uniform_pmf(2), 10, 5, 1, threads=0)),
+    ("simulate", "--threads", str(2**63), lambda: harness.run_kl_trials(uniform_pmf(2), 10, 5, 1, threads=2**63)),
     ("simulate", "--n", "0", lambda: harness.run_kl_trials(uniform_pmf(2), 0, 5, 1)),
     ("simulate", "--reps", "0", lambda: harness.run_kl_trials(uniform_pmf(2), 10, 0, 1)),
     ("simulate", "--seed", "-1", lambda: harness.run_kl_trials(uniform_pmf(2), 10, 5, -1)),
@@ -676,6 +681,32 @@ def test_out_of_range_flag_reads_as_the_library_rule(command, flag, value, libra
     assert run(*_VALID[command], flag, value) == 2
     out, err = capsys.readouterr()
     assert out == "" and str(rejected.value) in err
+
+
+_D = str(10**400)  # an alphabet size that no int64 holds
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--k", _D, "--n", "10", "--delta", "0.1"],
+    ["figure1", "--ks", f"2,{_D}", "--out", "-"],
+    ["simulate", "--dist", "uniform", "--k", _D, "--n", "10", "--reps", "2", "--seed", "1", "--out", "-"],
+    ["check", "--suite", "thm", "--k", _D, "--reps", "10"],
+], ids=["bounds", "figure1", "simulate", "check"])
+def test_alphabet_size_beyond_int64_is_usage_error(argv, capsys):
+    with pytest.raises(ValueError) as rejected:
+        uniform_pmf(int(_D))
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and str(rejected.value) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dist", ["uniform", "zipf", "twopoint"])
+def test_alphabet_numpy_cannot_size_is_usage_error_under_every_dist(dist, capsys):
+    # 2^62 passes the integer rule, but no array of 2^62 doubles can be sized, so numpy raises before allocating
+    assert run("simulate", "--dist", dist, "--k", str(2**62), "--n", "10", "--reps", "2", "--seed", "1",
+               "--out", "-") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: ")
 
 
 def test_negative_exponent_in_exponent_form(capsys):

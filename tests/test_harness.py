@@ -1078,6 +1078,7 @@ _REJECTED_CLAIMS = {
        for path, pmf, n in (("counts", uniform_pmf(10), 100), ("symbols", zipf_pmf(1000), 10))},
     "sweep-threads-0": lambda: sweep_std_vs_heuristic([2], 10, 100, 3, threads=0),
     **{f"sweep-later-k-{k}": (lambda k=k: sweep_std_vs_heuristic([2, k], 10, 100, 3)) for k in (0, -3, 2.5)},
+    "sweep-later-k-10**400": lambda: sweep_std_vs_heuristic([2, 10**400], 10, 100, 3),
     "coupling-threads-0": lambda: coupling_checks(100, 0.5, 10**5, 1, threads=0),
     "poisson-tail-threads-0": lambda: poisson_tail_checks(5.0, (0.1,), 10**5, 1, threads=0),
     "variance-threads-0": lambda: verify_variance_lb(2, 20, 100, 7, threads=0),
