@@ -47,6 +47,11 @@ def _check_delta(delta: float) -> None:
     _check_real(delta, "failure probability", 0, 1, "()")
 
 
+def _log_ratio(c: float, k: float, delta: float) -> float:
+    """log(c * k / delta), also where c * k / delta overflows a double."""
+    return math.log(c * k / delta) if c * k / delta < math.inf else math.log(c) + math.log(k) - math.log(delta)
+
+
 def kl_deviation_bound(k: int, n: int, delta: float) -> float:
     """Deviation term of the KL tail bound for the add-one estimator:
 
@@ -57,8 +62,8 @@ def kl_deviation_bound(k: int, n: int, delta: float) -> float:
     """
     _check_sizes(k, n)
     _check_delta(delta)
-    lg = math.log(4.0 * k / delta)
-    return 6.0 * math.sqrt(k * lg**5) / n + 311.0 / n + 160.0 * k / n**1.5
+    lg = _log_ratio(4.0, k, delta)
+    return 6.0 * math.sqrt(k) * lg**2.5 / n + 311.0 / n + 160.0 * (k / n) / math.sqrt(n)
 
 
 def prior_deviation_bound(k: int, n: int, delta: float) -> float:
@@ -71,7 +76,7 @@ def prior_deviation_bound(k: int, n: int, delta: float) -> float:
     _check_delta(delta)
     if n < 2:
         raise ValueError(f"sample size must be >= 2 so that log(n) > 0, got {n}")
-    return k / n * math.log(n) * math.log(k / delta)
+    return k / n * math.log(n) * _log_ratio(1.0, k, delta)
 
 
 def variance_lower_bound(k: int, n: int) -> float:
@@ -82,7 +87,7 @@ def variance_lower_bound(k: int, n: int) -> float:
         raise ValueError(f"variance lower bound requires k >= 2, got k={k}")
     if n < 10 * k:
         raise ValueError(f"variance lower bound requires n >= 10*k, got n={n}, k={k}")
-    return k / (32.0 * n**2)
+    return k / 32.0 / n / n
 
 
 def heuristic_kl_std(k: int, n: int) -> float:
@@ -119,7 +124,7 @@ def expectation_gap_bound(k: float, n: int) -> float:
     expected adjusted KL. k is a real >= 1: the alphabet size, or 1/p for the
     coupling of one symbol of mass p."""
     _check_sizes(k, n)
-    return 311.0 / n + 160.0 * k / n**1.5
+    return 311.0 / n + 160.0 * (k / n) / math.sqrt(n)
 
 
 def clip_threshold(k: int, n: int, delta: float) -> float:
@@ -127,7 +132,7 @@ def clip_threshold(k: int, n: int, delta: float) -> float:
     coordinate influence in the concentration argument."""
     _check_sizes(k, n)
     _check_delta(delta)
-    return 36.0 * math.log(4.0 * k / delta) ** 2 / n
+    return 36.0 * _log_ratio(4.0, k, delta) ** 2 / n
 
 
 def _check_binomial(m: int, prob: float) -> None:

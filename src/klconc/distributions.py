@@ -1,10 +1,10 @@
 """Probability vectors, the add-constant estimators that map a count vector
-(a 1-D sequence of nonnegative integers) to one, and the KL losses they incur:
-the scalar losses sum over the alphabet with compensated summation
-(``math.fsum``), so they are reproducible and independent of alphabet size up
-to ~1e-13 relative even for k in the millions, and the batched kernels of the
-Monte Carlo engine reduce each row of a count or symbol matrix on its own, so
-a row's loss does not depend on which other rows share its call."""
+(a 1-D sequence of nonnegative integers) to one, and the KL losses they incur.
+Every KL here, the engine's batched loss and the scalar divergences alike, is a
+row sum of one kernel's nonnegative per-symbol terms (``_kl_terms``), so no two
+terms of size log n cancel, and a row's loss does not depend on which other rows
+share its call. The symbol kernel of the Monte Carlo engine, for n <= k/4, is
+the one other KL formula."""
 
 from __future__ import annotations
 
@@ -79,8 +79,12 @@ def _as_counts(counts) -> np.ndarray:
     return _as_entries(counts, "count", _check_integer).astype(np.int64)
 
 
-def _check_smoothing(t) -> None:
+def _check_smoothing(t, n: float = 0, k: int = 0) -> None:
+    """The add-t rule: t is a real >= 0 (``_check_real``), and the estimate's denominator n + k*t, for n draws
+    over k symbols, is a finite double."""
     _check_real(t, "smoothing constant", 0)
+    if not math.isfinite(float(n) + k * float(t)):
+        raise ValueError(f"smoothing constant {t:g} overflows the add-t denominator n + k*t at k={k}")
 
 
 def _check_drawn(totals, t: float) -> None:
@@ -101,12 +105,16 @@ class Measure:
     instances are safe to share across threads.
     """
 
-    __slots__ = ("_weights",)
+    __slots__ = ("_weights", "_sum")
 
     def __init__(self, weights):
         w = _as_entries(weights, "weight", _check_real).astype(np.float64)
         w.flags.writeable = False
         self._weights = w
+        try:
+            self._sum = math.fsum(w)
+        except OverflowError:  # finite weights whose total no double holds
+            _check_real(math.inf, "sum of the weights", 0)
 
     @property
     def weights(self) -> np.ndarray:
@@ -114,7 +122,7 @@ class Measure:
 
     def sum(self) -> float:
         """Total mass, accumulated with compensated summation."""
-        return math.fsum(self._weights)
+        return self._sum
 
     def __len__(self) -> int:
         return self._weights.size
@@ -132,23 +140,19 @@ class Pmf(Measure):
     Inputs whose sum deviates from 1 by more than ``PMF_SUM_TOL`` (absolute)
     are rejected; anything inside the tolerance is renormalized exactly once
     so downstream code can rely on ``sum() == 1`` to machine precision.
-    The loss kernels' per-pmf constants over the support, sum p_i log p_i and
-    the support's mass, are computed here once.
+    The symbol kernel's per-pmf constant, sum p_i log p_i over the support,
+    is computed here once.
     """
 
-    __slots__ = ("_sum_plogp", "_support_mass")
+    __slots__ = ("_sum_plogp",)
 
     def __init__(self, probs):
         super().__init__(probs)
-        s = math.fsum(self._weights)
-        if abs(s - 1.0) > PMF_SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {PMF_SUM_TOL}; sum = {s!r}")
-        w = self._weights / s
-        w.flags.writeable = False
-        self._weights = w
-        ps = w[w > 0]
+        if abs(self._sum - 1.0) > PMF_SUM_TOL:
+            raise ValueError(f"probabilities must sum to 1 within {PMF_SUM_TOL}; sum = {self._sum!r}")
+        super().__init__(self._weights / self._sum)  # renormalised once, and its sum taken again
+        ps = self._weights[self._weights > 0]
         self._sum_plogp = math.fsum(ps * np.log(ps))
-        self._support_mass = math.fsum(ps)
 
     @property
     def probs(self) -> np.ndarray:
@@ -211,8 +215,8 @@ def add_t_estimate(counts, t: float = 1.0) -> Pmf:
     rule; t=0 reduces to the empirical estimate (valid only when at least
     one draw was observed). Every entry is strictly positive when t > 0.
     """
-    _check_smoothing(t)
     c = _as_counts(counts)
+    _check_smoothing(t, c.sum(), c.size)
     _check_drawn(c.sum(), t)
     return Pmf((c + t) / (c.sum() + c.size * t))
 
@@ -230,9 +234,32 @@ def pseudo_estimate(counts, n: int) -> Measure:
     return Measure((c + 1.0) / (n + c.size))
 
 
-def _check_same_length(p: Measure, q: Measure) -> None:
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
+def _kl_terms(p: Pmf, cells: np.ndarray, t: float, den: np.ndarray) -> np.ndarray:
+    """The per-symbol terms of KL(p || q) for each row of s*q = (cells + t) / den[:, None], q a nonnegative
+    measure and s > 0 a scale: p_i((r_i - 1) - log r_i) with r_i = s q_i / p_i where p_i > 0, else s q_i. Each
+    term is >= 0 (+inf where q_i = 0 < p_i), so no two terms of size log n cancel, and a row sums to
+    KL(p || q) + s sum q - (1 + log s) sum p. Where r_i is no normal double (a subnormal t or p_i, or q_i = 0),
+    the term is (s q_i - p_i) - p_i log r_i with log r_i = log(cells_i + t) - log den - log p_i."""
+    probs = p.probs
+    if cells.shape[1] != probs.size:
+        raise ValueError(f"length mismatch: {probs.size} vs {cells.shape[1]}")
+    safe = np.where(probs > 0, probs, 1.0)
+    lo, hi = sys.float_info.min, sys.float_info.max
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = cells + float(t)  # r and its logs: two slice-sized arrays, as (r - 1) - log r needs both
+        r /= safe
+        r *= (1.0 / den)[:, None]
+        logs = np.log(r)
+        odd = np.nonzero((r < lo) | (r > hi)) if not lo <= r.min(initial=lo) <= r.max(initial=hi) <= hi else ()
+        r -= 1.0
+        r -= logs
+        r *= safe
+        if odd:
+            num, d, pj = cells[odd] + float(t), den[odd[0]], safe[odd[1]]
+            r[odd] = (num / d - pj) - pj * (np.log(num) - np.log(d) - np.log(pj))
+    if not probs.all():
+        r[:, probs == 0] = (cells[:, probs == 0] + float(t)) / den[:, None]
+    return r
 
 
 def kl_divergence(p: Pmf, q: Measure) -> float:
@@ -242,29 +269,20 @@ def kl_divergence(p: Pmf, q: Measure) -> float:
     0*log(0) = 0 convention extended to the ratio); the result is +inf
     iff some p_i > 0 has q_i = 0. Infinities are returned, never raised.
     The second argument may be any nonnegative measure, e.g. an improper
-    estimate whose mass is not 1.
+    estimate whose mass is not 1: the sum is one row of ``_kl_terms`` plus sum p - sum q.
     """
-    _check_same_length(p, q)
-    a = p.weights
-    b = q.weights
-    mask = a > 0
-    a = a[mask]
-    b = b[mask]
-    if np.any(b == 0):
-        return math.inf
-    return math.fsum(a * np.log(a / b))
+    return float(_kl_terms(p, q.weights[None], 0.0, np.ones(1)).sum()) + (p.sum() - q.sum())
 
 
 def kl_losses(p: Pmf, counts: np.ndarray, t: float) -> np.ndarray:
     """KL(p || add-t estimate) for every row of a (rows, k) count matrix.
 
-    Row r's estimate is (c_ri + t) / (N_r + k*t) with N_r the row total, as
-    in :func:`add_t_estimate`, and its loss is
+    Row r's estimate is q_ri = (c_ri + t) / (N_r + k*t) with N_r the row total,
+    as in :func:`add_t_estimate`, and its loss is the row sum of ``_kl_terms``
 
-        sum_i p_i log p_i - sum_i p_i log(c_ri + t) + log(N_r + k*t)
+        sum_i p_i((r_i - 1) - log r_i),  r_i = q_ri / p_i  (q_ri where p_i = 0),
 
-    over the support of p: symbols with p_i = 0 contribute exactly 0
-    whatever their count, and a loss is +inf iff t = 0 and the row misses a
+    a sum of nonnegative terms; it is +inf iff t = 0 and the row misses a
     symbol of the support. The counts must be nonnegative integers: their
     integer dtype is checked, their signs are not (that would cost a pass over
     every cell). p is used as given, so it is validated once, when the ``Pmf`` is built.
@@ -276,15 +294,7 @@ def kl_losses(p: Pmf, counts: np.ndarray, t: float) -> np.ndarray:
     _check_smoothing(t)
     totals = counts.sum(axis=1)
     _check_drawn(totals, t)
-    support = p.probs > 0
-    ps = p.probs[support]
-    if not support.all():
-        counts = counts[:, support]
-    cells = counts + float(t)
-    with np.errstate(divide="ignore"):
-        np.log(cells, out=cells)  # -inf where t = 0 misses a symbol
-    cells *= ps
-    return p._sum_plogp + np.log(totals + k * t) - cells.sum(axis=1)
+    return _kl_terms(p, counts, t, totals + k * t).sum(axis=1)
 
 
 def kl_losses_from_sorted_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarray:
@@ -301,7 +311,9 @@ def kl_losses_from_sorted_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarr
     Each row is run-length encoded, and its terms are summed in order by
     ``np.bincount``. With t = 0 the bracket is sum_s p_s log c_s and a loss
     is +inf iff the row's distinct symbols miss part of p's support.
-    Symbols must be integers in [0, k).
+    Symbols must be integers in [0, k). It keeps this O(n) form, whose error is absolute, a few eps log(n + k*t):
+    against an 80-digit decimal oracle (t = 1, k = 10^4, n = 1 to 2500) it is 1e-15 relative on zipf losses
+    near 1 and at most 6e-11 on the smallest, uniform p at n = 1 (3e-5), as at n <= k/4 a loss is ~n/k or more.
     """
     k = len(p)
     _check_smoothing(t)
@@ -328,7 +340,7 @@ def kl_losses_from_sorted_draws(p: Pmf, draws: np.ndarray, t: float) -> np.ndarr
         big = np.isinf(logs)
         logs[big] = np.log(run_counts[big]) - math.log(t)
     drawn = np.bincount(run_rows, weights=run_probs * logs, minlength=rows)
-    return base - math.log(t) * p._support_mass - drawn
+    return base - math.log(t) * p.sum() - drawn
 
 
 def adjusted_kl_shift(n: int, k: int) -> float:
@@ -344,16 +356,10 @@ def adjusted_kl_divergence(p: Pmf, q: Measure, n: int) -> float:
 
         KL(p||q) + ((n+k)/n) * sum(q) + (log(n/(n+k)) - 1) * sum(p)
 
-    with k the alphabet size. When q is a proper probability vector this
-    is KL(p||q) + :func:`adjusted_kl_shift`. Returns +inf iff KL does.
+    with k the alphabet size: the sum of :func:`adjusted_kl_terms`. When q is a proper
+    probability vector this is KL(p||q) + :func:`adjusted_kl_shift`. Returns +inf iff KL does.
     """
-    _check_same_length(p, q)
-    _check_nominal_size(n)
-    kl = kl_divergence(p, q)
-    if math.isinf(kl):
-        return math.inf
-    k = len(p)
-    return kl + (n + k) / n * q.sum() + (math.log(n / (n + k)) - 1.0) * p.sum()
+    return float(adjusted_kl_terms(p, q, n).sum())
 
 
 def adjusted_kl_terms(p: Pmf, q: Measure, n: int) -> np.ndarray:
@@ -361,18 +367,9 @@ def adjusted_kl_terms(p: Pmf, q: Measure, n: int) -> np.ndarray:
 
         p_i * log(n * p_i / ((n+k) * q_i)) + ((n+k)/n) * q_i - p_i
 
-    Each term is nonnegative up to rounding; for q built from counts as
-    (c_i + 1)/(n + k) the term reads p_i*log(n*p_i/(c_i+1)) + (c_i+1)/n - p_i.
+    the row of ``_kl_terms`` at s = (n+k)/n. Each term is nonnegative; for q
+    built from counts as (c_i + 1)/(n + k) the term reads
+    p_i*log(n*p_i/(c_i+1)) + (c_i+1)/n - p_i.
     """
-    _check_same_length(p, q)
     _check_nominal_size(n)
-    k = len(p)
-    a = p.weights
-    b = q.weights
-    scaled = (n + k) / n * b
-    terms = scaled - a
-    mask = a > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a/scaled -> inf where scaled == 0 and a > 0; log(inf) = inf propagates.
-        terms = terms + np.where(mask, a * np.log(np.where(mask, a, 1.0) / scaled), 0.0)
-    return terms
+    return _kl_terms(p, q.weights[None], 0.0, np.array([n / (n + len(p))]))[0]

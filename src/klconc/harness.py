@@ -202,14 +202,12 @@ def _kl_loss_samples(pmf: Pmf, n: int, t: float, master_seed: int, reps: int, th
     drawn in consecutive slices of at most _CHUNK_CELLS symbols or counts, and
     the blocks are shared among ``threads`` workers (see ``_map_streams``),
     each writing its own rows. Rejects before it builds anything an n outside
-    [1, _MAX_RATE] (``_check_integer``), a run that breaks ``_check_run``, a t
-    that is not a finite real >= 0 and a t for which n + k*t overflows."""
+    [1, _MAX_RATE] (``_check_integer``), a run that breaks ``_check_run`` and a
+    t that breaks the add-t rule (``_check_smoothing``)."""
     _check_integer(n, "sample size", 1, _MAX_RATE)
     _check_run(reps, master_seed, threads)
-    _check_smoothing(t)
     k = len(pmf)
-    if not math.isfinite(n + k * t):
-        raise ValueError(f"smoothing constant {t:g} overflows the add-t denominator n + k*t at k={k}")
+    _check_smoothing(t, n, k)
     losses = np.empty(reps, dtype=np.float64)
     if _CATEGORICAL * n <= k:
         cdf = pmf.probs.cumsum()

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -151,6 +152,33 @@ def test_clip_threshold_identities():
     for k, n, delta in ((5, 100, 0.2), (64, 999, 0.01)):
         assert clip_threshold(k, n, delta) * n / 36 == pytest.approx(math.log(4 * k / delta) ** 2, rel=1e-12)
         assert clip_threshold(k, 2 * n, delta) == pytest.approx(clip_threshold(k, n, delta) / 2, rel=1e-12)
+
+
+def _gap(k, n):
+    return 311 / n + 160 * k / (n * n.sqrt())
+
+
+# (closed form, arguments near the largest double, the form in 40-digit decimal arithmetic): each is finite there,
+# where n**1.5, n**2, k*log(4k/delta)**5 or 4k/delta overflowed a double
+_NEAR_THE_LARGEST_DOUBLE = [
+    (kl_deviation_bound, (1e308, 1e308, 0.1), lambda k, n, d: 6 * (k * (4 * k / d).ln() ** 5).sqrt() / n + _gap(k, n)),
+    (kl_deviation_bound, (1e300, 1e206, 0.1), lambda k, n, d: 6 * (k * (4 * k / d).ln() ** 5).sqrt() / n + _gap(k, n)),
+    (prior_deviation_bound, (1e308, 1e308, 0.1), lambda k, n, d: k / n * n.ln() * (k / d).ln()),
+    (clip_threshold, (1e308, 1e308, 0.1), lambda k, n, d: 36 * (4 * k / d).ln() ** 2 / n),
+    (variance_lower_bound, (1e150, 1e160), lambda k, n: k / (32 * n * n)),
+    (variance_lower_bound, (2, 1e200), lambda k, n: k / (32 * n * n)),  # 6.25e-402 rounds to 0
+    (expectation_gap_bound, (1.0, 1e308), _gap),
+    (expectation_gap_bound, (1e308, 1e206), _gap),
+]
+
+
+@pytest.mark.parametrize("bound,args,exact", _NEAR_THE_LARGEST_DOUBLE,
+                         ids=[f"{f.__name__}{args}".replace(" ", "") for f, args, _ in _NEAR_THE_LARGEST_DOUBLE])
+def test_closed_form_near_the_largest_double(bound, args, exact):
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = float(exact(*map(Decimal, args)))
+    assert bound(*args) == pytest.approx(want, rel=1e-13)
 
 
 class TestBinomialInverseMoment:

@@ -222,6 +222,23 @@ class TestSimulate:
                    "--seed", "1", "--out", "-") == 0
         assert capsys.readouterr().err == ""
 
+    def test_loss_at_large_n_is_the_small_positive_mean(self, capsys):
+        # at n = 10^18 the loss is ~(k-1)/(2n) = 4.5e-18, below the rounding of any log n sized sum, so only a
+        # sum of nonnegative per-symbol terms keeps the mean and the median at their positive value
+        k, n, reps = 10, 10**18, 200
+        assert run("simulate", "--dist", "uniform", "--k", str(k), "--n", str(n), "--reps", str(reps),
+                   "--seed", "1", "--out", "-") == 0
+        row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines())))
+        assert abs(float(row["mean_kl"]) - (k - 1) / (2 * n)) <= 4 * float(row["std_kl"]) / math.sqrt(reps)
+        assert float(row["q50"]) > 0
+
+    def test_subnormal_probability_runs(self, capsys):
+        # q/p overflows at p = 1e-320, where the kernel takes log(q/p) as a difference of logs
+        assert run("simulate", "--dist", "twopoint", "--k", "10", "--mass", "1e-320", "--n", "100", "--reps", "50",
+                   "--seed", "1", "--out", "-") == 0
+        out, err = capsys.readouterr()
+        assert err == "" and 0 < float(out.splitlines()[1].split(",")[4]) < math.inf
+
     def test_largest_finite_denominator_runs(self, capsys):
         # n + k*t = 10 + 2e307 is finite; 1e308 overflows it (an out-of-range case below)
         assert run("simulate", "--dist", "uniform", "--k", "2", "--n", "10", "--reps", "5",

@@ -1,10 +1,11 @@
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from klconc.distributions import Measure, Pmf, add_t_estimate, pseudo_estimate, uniform_pmf
+from klconc.distributions import Measure, Pmf, add_t_estimate, pseudo_estimate, uniform_pmf, zipf_pmf
 from klconc.distributions import (
     adjusted_kl_divergence,
     adjusted_kl_shift,
@@ -62,7 +63,7 @@ class TestKlDivergence:
             assert l1**2 <= 2.0 * kl_divergence(p, q) + 1e-12
 
     def test_sum_is_order_independent(self):
-        # compensated summation: permuting the alphabet must not move the result
+        # a sum of nonnegative terms: permuting the alphabet must not move the result
         rng = np.random.default_rng(23)
         k = 10**5
         p = Pmf(rng.dirichlet(np.ones(k)))
@@ -93,7 +94,9 @@ def _scalar_losses(p, counts, t):
 
 class TestKlLosses:
     def test_matches_scalar_path(self):
-        # 200 groups of 50 rows: 10^4 rows, each against kl_divergence of add_t_estimate
+        # 200 groups of 50 rows: 10^4 rows, each against kl_divergence of add_t_estimate. Both run
+        # _kl_terms, so this checks the batching and the estimator; the independent reference is the
+        # decimal oracle of test_matches_decimal_oracle
         rng = np.random.default_rng(41)
         worst = 0.0
         for p, counts, n in _random_rows(rng, 200, 50):
@@ -137,6 +140,30 @@ class TestKlLosses:
                 kl_losses(p, np.ones((1, 3), dtype=np.int64), t)
         with pytest.raises(ValueError, match="at least one draw"):
             kl_losses(p, np.zeros((1, 3), dtype=np.int64), 0.0)
+
+
+def _decimal_kl(probs, counts, t):
+    """KL(p || (c + t)/(N + k*t)) in 80-digit decimal arithmetic, on p's doubles normalised exactly to sum 1:
+    the doubles of uniform_pmf(10) sum to 1 + 5.6e-17, more than the loss at n = 10^18."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        ps = [Decimal(float(x)) for x in probs]
+        mass, t = sum(ps), Decimal(float(t))
+        den = sum(Decimal(int(c)) for c in counts) + len(ps) * t
+        return float(sum(p / mass * ((p / mass).ln() - ((Decimal(int(c)) + t) / den).ln())
+                         for p, c in zip(ps, counts) if p))
+
+
+@pytest.mark.parametrize("n", [10**4, 10**12, 10**16, 10**18, 9 * 10**18])
+@pytest.mark.parametrize("p", [uniform_pmf(10), zipf_pmf(100)], ids=["uniform10", "zipf100"])
+def test_matches_decimal_oracle(p, n):
+    # Rounding r_i = q_i/p_i costs each term p_i |r_i - 1| eps, and sum_i p_i |r_i - 1| is about
+    # 2 sqrt(n max p) times the loss; 8 eps sqrt(n max p) relative leaves room for the log and the sum.
+    counts = np.random.default_rng(n % 1000).multinomial(n, p.probs, size=4)
+    got = kl_losses(p, counts, 1.0)
+    want = np.array([_decimal_kl(p.probs, row, 1.0) for row in counts])
+    assert np.all(got >= 0)
+    assert np.max(np.abs(got - want) / want) <= 8 * np.finfo(float).eps * math.sqrt(n * p.probs.max())
 
 
 def _random_draws(rng, groups, rows):

@@ -103,6 +103,11 @@ _OUT_OF_DOMAIN = [
     (klconc.Pmf, ([True, False],), r"^weight at index 0 must lie in \[0, inf\), got True$"),
     (klconc.Measure, (["2", 3],), r"^weight at index 0 must lie in \[0, inf\), got '2'$"),
     (klconc.Pmf, ([0.5, -0.5, 1.0],), r"^weight at index 1 must lie in \[0, inf\), got -0\.5$"),
+    # finite weights whose total no double holds, and an add-t denominator n + k*t that overflows
+    *[(cls, ([1e308, 1e308],), r"^sum of the weights must lie in \[0, inf\), got inf$")
+      for cls in (klconc.Pmf, klconc.Measure)],
+    (klconc.add_t_estimate, ([1, 2], 1e308),
+     r"^smoothing constant 1e\+308 overflows the add-t denominator n \+ k\*t at k=2$"),
     *[(klconc.poisson_tail_radius, (bad, 0.1), rf"^observed count must lie in \[0, inf\), got {got}$")
       for bad, got in ((True, "True"), (np.array(["3"]), "'3'"), ([3, None], "None"))],
 ]
